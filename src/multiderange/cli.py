@@ -113,8 +113,12 @@ def _seq_values(args, engine: str) -> PolySequence:
     k, last = args.k, args.count
     if engine == "operator-file":
         op = load_operator(args.operator)
-        seed = initial_conditions(k, op.order)
-        full = extend_sequence(op, seed, last) if last >= seed.last else seed
+        # seed where the operator becomes valid; terms before that are direct
+        lo = max(0, min(op.valid_from, last))
+        direct = initial_conditions(k, lo + op.order).values
+        seed = PolySequence(start=lo, values=direct[lo:], k=k)
+        tail = extend_sequence(op, seed, last) if last >= seed.last else seed
+        full = PolySequence(start=0, values=direct[:lo] + tail.values, k=k)
     elif engine == "recurrence":
         if k not in (1, 2):
             raise UnsupportedK(
@@ -291,6 +295,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Exact values and the records holding them routinely pass Python's
+    # default int/str conversion limit (4300 digits on 3.11+).
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _main(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     t0 = time.perf_counter()

@@ -9,14 +9,30 @@ operator annihilates the entire input sequence, including a trailing
 holdout that never enters the linear system.  Overdetermination plus the
 holdout is the defense against fitting coincidences.
 
-The linear algebra is exact and fraction-free: integer rows, pivoting by
-smallest nonzero entry (bit length), cross-multiplication updates with the
-integer content divided out of every updated row.  Row scaling cannot
-change the kernel, so this is both exact and fast.
+Most candidates have no kernel at all, so each one is first screened
+modulo a fixed word-size prime p: its rows are reduced into F_p and
+eliminated there, stopping as soon as the rank reaches the number of
+unknowns, which usually takes little more than that many rows.  The
+filter is sound: any nonzero minor mod p is a nonzero integer minor, so
+the rank over Q is at least the rank over F_p, and a matrix of full column
+rank mod p has no rational kernel.  It can only let a kernel-free
+candidate through (when p divides the relevant minors), never drop one
+that has a kernel, so the operator found is the same as without it.
+
+Candidates that pass go through exact, fraction-free linear algebra:
+integer rows, pivoting by smallest nonzero entry (bit length),
+cross-multiplication updates with the integer content divided out of
+every updated row.  Row scaling cannot change the kernel, so this is both
+exact and fast.
+
+Each candidate is logged at DEBUG on the ``multiderange.guesser`` logger
+with its shape, its equations x unknowns and its outcome.
 """
 
 from __future__ import annotations
 
+import logging
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -24,6 +40,11 @@ from typing import Sequence
 
 from .polys import BivarPoly
 from .recurrence import PolySequence, RecurrenceOperator, verify_operator
+
+_log = logging.getLogger(__name__)
+
+# Modulus of the rank filter; a Mersenne prime, so unlucky minors are rare.
+_PRIME = (1 << 61) - 1
 
 
 class NotFound(Exception):
@@ -132,6 +153,33 @@ def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return echelon, pivots
 
 
+def _full_rank_mod_p(rows: list[list[int]], ncols: int) -> bool:
+    """True when the rows reach rank ncols over F_p, i.e. certainly have no
+    nonzero rational kernel vector; False means the exact path must decide.
+
+    Rows are taken in order and reduced against an echelon basis whose
+    pivots are normalized to 1; it returns as soon as the rank is ncols.
+    """
+    p = _PRIME
+    basis: list[tuple[int, list[int]]] = []  # (pivot column, row from it on)
+    for row in rows:
+        v = [x % p for x in row]
+        for col, tail in basis:
+            c = v[col] % p
+            if c:
+                # entries may leave [0, p) here; reduced once per row below
+                v[col:] = [a - c * b for a, b in zip(v[col:], tail)]
+        v = [x % p for x in v]
+        lead = next((i for i, x in enumerate(v) if x), -1)
+        if lead < 0:
+            continue
+        inv = pow(v[lead], -1, p)
+        insort(basis, (lead, [x * inv % p for x in v[lead:]]))
+        if len(basis) == ncols:
+            return True
+    return False
+
+
 def _kernel_vector(
     echelon: list[list[int]], pivots: list[int], ncols: int
 ) -> list[Fraction] | None:
@@ -208,6 +256,31 @@ def _operator_from_vector(
     return RecurrenceOperator(tuple(coeffs), valid_from=start)
 
 
+def _try_candidate(
+    seq: PolySequence, rows: list[list[int]], r: int, dn: int, da: int,
+    unknowns: int,
+) -> tuple[str, GuessResult | None]:
+    """Outcome of one candidate shape, with the result when it verifies."""
+    if _full_rank_mod_p(rows, unknowns):
+        return "rejected mod p", None
+    echelon, pivots = _echelon(rows)
+    vec = _kernel_vector(echelon, pivots, unknowns)
+    if vec is None:
+        return "no exact kernel", None
+    op = _operator_from_vector(vec, r, dn, da, seq.start)
+    if op is None:
+        return "kernel gives no recurrence", None
+    if not verify_operator(op, seq):
+        return "verify failed", None
+    return "accepted", GuessResult(
+        operator=op,
+        candidate=(r, dn, da),
+        kernel_dim=unknowns - len(pivots),
+        equations=len(rows),
+        unknowns=unknowns,
+    )
+
+
 def guess_operator(seq: PolySequence, spec: GuessSpec) -> GuessResult:
     """Smallest verified operator within the spec bounds.
 
@@ -230,21 +303,11 @@ def guess_operator(seq: PolySequence, spec: GuessSpec) -> GuessResult:
                 if rows is None or len(rows) < unknowns:
                     continue
                 any_admissible = True
-                echelon, pivots = _echelon(rows)
-                vec = _kernel_vector(echelon, pivots, unknowns)
-                if vec is None:
-                    continue
-                op = _operator_from_vector(vec, r, dn, da, seq.start)
-                if op is None:
-                    continue
-                if verify_operator(op, seq):
-                    return GuessResult(
-                        operator=op,
-                        candidate=(r, dn, da),
-                        kernel_dim=unknowns - len(pivots),
-                        equations=len(rows),
-                        unknowns=unknowns,
-                    )
+                outcome, res = _try_candidate(seq, rows, r, dn, da, unknowns)
+                _log.debug("candidate (%d, %d, %d): %d x %d, %s",
+                           r, dn, da, len(rows), unknowns, outcome)
+                if res is not None:
+                    return res
     if any_admissible:
         raise NotFound("no operator within the given bounds fits the data")
     raise InsufficientTerms("not enough terms for any candidate within the bounds")

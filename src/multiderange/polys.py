@@ -173,6 +173,13 @@ def render_terms(terms, names: tuple[str, ...]) -> str:
     return " ".join(parts)
 
 
+# The last value rising_factorial built.  A miss steps up from it: callers
+# ask for increasing m (the moment functional does), so that is usually one
+# step, and one call for a large m keeps no intermediates (for m = 3000
+# those would take gigabytes, and recursing through them the stack).
+_last_rising: tuple[int, AlphaPoly] = (0, ALPHA_ONE)
+
+
 @cache
 def rising_factorial(m: int) -> AlphaPoly:
     """The product a(a+1)...(a+m-1); 1 when m = 0.
@@ -180,11 +187,19 @@ def rising_factorial(m: int) -> AlphaPoly:
     This is both the all-permutations cycle enumerator of m elements and the
     normalized weight moment of x^m, which is why it shows up everywhere.
     """
+    global _last_rising
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if m == 0:
-        return ALPHA_ONE
-    return rising_factorial(m - 1) * AlphaPoly((m - 1, 1))
+    j, poly = _last_rising
+    if j > m:
+        j, poly = 0, ALPHA_ONE
+    coeffs = list(poly.coeffs)
+    for i in range(j, m):
+        # multiply by (a + i)
+        coeffs = [i * x + y for x, y in zip(coeffs + [0], [0] + coeffs)]
+    out = AlphaPoly(coeffs)
+    _last_rising = (m, out)
+    return out
 
 
 def divide_exact(num: AlphaPoly, den: AlphaPoly) -> AlphaPoly:

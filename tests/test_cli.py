@@ -1,4 +1,6 @@
 import json
+import sys
+from contextlib import contextmanager
 
 import pytest
 
@@ -126,6 +128,61 @@ def test_seq_with_operator_file(capsys, tmp_path):
     assert rc1 == rc2 == 0
     assert env1["inputs"]["engine"] == "operator-file"
     assert env1["result"] == env2["result"]
+
+
+@pytest.mark.parametrize("k, terms", [(1, 20), (2, 30)])
+def test_seq_guess_seq_pipeline_round_trip(capsys, tmp_path, k, terms):
+    seq_path, op_path = tmp_path / "s.json", tmp_path / "op.json"
+    rc, _, _ = run_machine(capsys, "seq", str(k), str(terms), "--out", str(seq_path))
+    assert rc == 0
+    rc, _, _ = run_machine(capsys, "guess", "--file", str(seq_path), "--out", str(op_path))
+    assert rc == 0
+    assert json.loads(op_path.read_text())["valid_from"] == 1  # the file starts at n=1
+    rc1, env1, err = run_machine(capsys, "seq", str(k), "60", "--operator", str(op_path))
+    rc2, env2, _ = run_machine(capsys, "seq", str(k), "60")
+    assert rc1 == rc2 == 0, err
+    assert env1["result"] == env2["result"]
+
+
+@contextmanager
+def int_digit_limit(digits):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit"
+)
+
+
+@needs_digit_limit
+def test_seq_prints_values_past_the_digit_limit(capsys):
+    with int_digit_limit(640):
+        rc, env, err = run_machine(capsys, "seq", "1", "330", "--alpha", "1")
+    assert rc == 0, err
+    d = 1  # D_n = n D_{n-1} + (-1)^n
+    for n in range(1, 331):
+        d = n * d + (-1) ** n
+    assert env["result"]["values"][-1] == str(d)
+    assert len(str(d)) > 640
+
+
+@needs_digit_limit
+def test_records_past_the_digit_limit_round_trip(capsys, tmp_path):
+    seq_path, op_path = tmp_path / "s.json", tmp_path / "op1.json"
+    save_operator(builtin_operator(1), op_path)
+    with int_digit_limit(640):
+        rc1, _, err1 = run_machine(capsys, "seq", "1", "330", "--out", str(seq_path))
+        rc2, env, err2 = run_machine(
+            capsys, "verify", "--operator", str(op_path), "--file", str(seq_path)
+        )
+    assert rc1 == 0, err1
+    assert rc2 == 0, err2
+    assert env["result"]["verified"] is True
 
 
 def test_seq_alpha_one_derangement_numbers(capsys):

@@ -1,4 +1,5 @@
 import random
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -99,6 +100,20 @@ def test_rising_factorial_stirling_numbers():
         p = rising_factorial(m)
         for j in range(m + 1):
             assert p.coeff(j) == c.get((m, j), 0)
+
+
+def test_rising_factorial_any_call_order():
+    rising_factorial.cache_clear()
+    for m in (7, 3, 9, 0, 8):
+        want = ALPHA_ONE
+        for i in range(m):
+            want = want * AlphaPoly((i, 1))
+        assert rising_factorial(m) == want
+
+
+def test_rising_factorial_deep_on_a_cold_cache():
+    rising_factorial.cache_clear()
+    assert rising_factorial(3000)(1) == factorial(3000)
 
 
 def test_divide_exact_roundtrip():
