@@ -19,6 +19,7 @@ import re
 import sys
 import time
 from pathlib import Path
+from typing import Callable
 
 from . import selftest as selftest_mod
 from .enumerator import (
@@ -48,10 +49,17 @@ class ShapeParseError(ValueError):
 
 _SHAPE_PART = re.compile(r"(\d+)(?:\^(\d+))?")
 
+# Largest ground set (sum of block sizes) and number of blocks a shape may
+# have.  Checked before each component is expanded, so "4^1000000000" fails
+# at once instead of allocating; shapes near the limit already take far
+# longer than anyone waits.
+MAX_GROUND_SET = 10_000
+
 
 def parse_shape(text: str) -> tuple[int, ...]:
     """Comma list of block sizes with power shorthand: "2,3^2,1" or "4^13"."""
     out: list[int] = []
+    total = blocks = 0
     for part in text.split(","):
         part = part.strip()
         m = _SHAPE_PART.fullmatch(part)
@@ -59,15 +67,28 @@ def parse_shape(text: str) -> tuple[int, ...]:
             raise ShapeParseError(f"bad shape component {part!r}")
         k = int(m.group(1))
         reps = int(m.group(2)) if m.group(2) else 1
+        total += k * reps
+        blocks += reps
+        if total > MAX_GROUND_SET or blocks > MAX_GROUND_SET:
+            raise ShapeParseError(
+                f"shape too large: more than {MAX_GROUND_SET} elements or blocks"
+            )
         out.extend([k] * reps)
     return tuple(out)
 
 
-def _print_envelope(envelope: dict, text_lines: list[str], fmt: str) -> None:
+# What a command handler returns: inputs, result, text and exit code.  The
+# text lines come from a zero-argument callable, because machine output never
+# prints them, and for a long sequence rendering them is a large share of
+# the command.
+_Reply = tuple[dict, object, Callable[[], list[str]], int]
+
+
+def _print_envelope(envelope: dict, text: Callable[[], list[str]], fmt: str) -> None:
     if fmt == "machine":
         print(json.dumps(envelope, indent=2))
     else:
-        for line in text_lines:
+        for line in text():
             print(line)
         print(f"time: {envelope['timing_ms']:.3f} ms")
 
@@ -76,7 +97,7 @@ def _write_artifact(path: str, artifact) -> None:
     Path(path).write_text(json.dumps(artifact, indent=2) + "\n")
 
 
-def _cmd_wder(args) -> tuple[dict, object, list[str], int]:
+def _cmd_wder(args) -> _Reply:
     shape = parse_shape(args.shape)
     inputs = {"shape": list(shape), "alpha": args.alpha, "identified": args.identified}
     poly = weighted_derangement_poly(shape)
@@ -84,21 +105,21 @@ def _cmd_wder(args) -> tuple[dict, object, list[str], int]:
         raise ShapeParseError("--identified requires evaluation at alpha = 1")
     if args.identified:
         value = identified_count(shape)
-        return inputs, str(value), [f"identified count = {value}"], 0
+        return inputs, str(value), lambda: [f"identified count = {value}"], 0
     if args.alpha is not None:
         value = poly(args.alpha)
-        return inputs, str(value), [f"value at a={args.alpha}: {value}"], 0
-    return inputs, poly_to_record(poly), [f"A(shape) = {poly}"], 0
+        return inputs, str(value), lambda: [f"value at a={args.alpha}: {value}"], 0
+    return inputs, poly_to_record(poly), lambda: [f"A(shape) = {poly}"], 0
 
 
-def _cmd_count(args) -> tuple[dict, object, list[str], int]:
+def _cmd_count(args) -> _Reply:
     shape = parse_shape(args.shape)
     inputs = {"shape": list(shape), "identified": args.identified}
     if args.identified:
         value = identified_count(shape)
     else:
         value = weighted_derangement_poly(shape)(1)
-    return inputs, str(value), [f"count = {value}"], 0
+    return inputs, str(value), lambda: [f"count = {value}"], 0
 
 
 def _resolve_engine(args) -> str:
@@ -131,7 +152,7 @@ def _seq_values(args, engine: str) -> PolySequence:
     return PolySequence(start=1, values=full.values[1 : last + 1], k=k)
 
 
-def _cmd_seq(args) -> tuple[dict, object, list[str], int]:
+def _cmd_seq(args) -> _Reply:
     if args.k < 1 or args.count < 1:
         raise ShapeParseError("k and COUNT must be positive")
     engine = _resolve_engine(args)
@@ -140,27 +161,27 @@ def _cmd_seq(args) -> tuple[dict, object, list[str], int]:
     if args.alpha is not None:
         values = [str(v(args.alpha)) for v in seq.values]
         result: object = {"start": 1, "values": values}
-        lines = [f"F_{args.k}({n}) = {v}" for n, v in enumerate(values, start=1)]
     else:
+        values = seq.values
         result = sequence_to_record(seq)
-        lines = [
-            f"F_{args.k}({n}) = {v}" for n, v in enumerate(seq.values, start=1)
-        ]
-    return inputs, result, lines, 0
+    return inputs, result, lambda: [
+        f"F_{args.k}({n}) = {v}" for n, v in enumerate(values, start=1)
+    ], 0
 
 
-def _guess_input(args) -> PolySequence:
+def _sequence_input(args) -> PolySequence:
+    """The sequence that guess and verify read: --file, or -k with --terms."""
     if args.file:
         return load_sequence(args.file)
     if args.k is None or args.terms is None:
-        raise ShapeParseError("guess needs --file or both -k and --terms")
+        raise ShapeParseError(f"{args.command} needs --file or both -k and --terms")
     return PolySequence(
         start=0, values=tuple(fk_sequence_direct(args.k, args.terms - 1)), k=args.k
     )
 
 
-def _cmd_guess(args) -> tuple[dict, object, list[str], int]:
-    seq = _guess_input(args)
+def _cmd_guess(args) -> _Reply:
+    seq = _sequence_input(args)
     spec = GuessSpec(args.max_order, args.max_deg_n, args.max_deg_a, args.holdout)
     inputs = {
         "source": args.file or {"k": args.k, "terms": args.terms},
@@ -172,8 +193,9 @@ def _cmd_guess(args) -> tuple[dict, object, list[str], int]:
     try:
         res = guess_operator(seq, spec)
     except (NotFound, InsufficientTerms) as exc:
-        result = {"found": False, "reason": str(exc)}
-        return inputs, result, [f"no operator found: {exc}"], 1
+        reason = str(exc)
+        result = {"found": False, "reason": reason}
+        return inputs, result, lambda: [f"no operator found: {reason}"], 1
     record = operator_to_record(res.operator)
     result = {
         "found": True,
@@ -183,25 +205,19 @@ def _cmd_guess(args) -> tuple[dict, object, list[str], int]:
         "equations": res.equations,
         "unknowns": res.unknowns,
     }
-    lines = [f"operator (order {res.operator.order}): {res.operator}"]
-    if res.kernel_dim > 1:
-        lines.append(f"warning: kernel dimension {res.kernel_dim}, canonical pick")
-    return inputs, result, lines, 0
+
+    def text():
+        lines = [f"operator (order {res.operator.order}): {res.operator}"]
+        if res.kernel_dim > 1:
+            lines.append(f"warning: kernel dimension {res.kernel_dim}, canonical pick")
+        return lines
+
+    return inputs, result, text, 0
 
 
-def _verify_input(args) -> PolySequence:
-    if args.file:
-        return load_sequence(args.file)
-    if args.k is None or args.terms is None:
-        raise ShapeParseError("verify needs --file or both -k and --terms")
-    return PolySequence(
-        start=0, values=tuple(fk_sequence_direct(args.k, args.terms - 1)), k=args.k
-    )
-
-
-def _cmd_verify(args) -> tuple[dict, object, list[str], int]:
+def _cmd_verify(args) -> _Reply:
     op = load_operator(args.operator)
-    seq = _verify_input(args)
+    seq = _sequence_input(args)
     inputs = {
         "operator": args.operator,
         "source": args.file or {"k": args.k, "terms": args.terms},
@@ -210,12 +226,12 @@ def _cmd_verify(args) -> tuple[dict, object, list[str], int]:
     fail = first_failure(op, seq)
     if fail is None:
         result = {"verified": True, "first_failure": None, "windows": windows}
-        return inputs, result, [f"verified on {windows} windows"], 0
+        return inputs, result, lambda: [f"verified on {windows} windows"], 0
     result = {"verified": False, "first_failure": fail, "windows": windows}
-    return inputs, result, [f"FAILED at n={fail}"], 1
+    return inputs, result, lambda: [f"FAILED at n={fail}"], 1
 
 
-def _cmd_selftest(args) -> tuple[dict, object, list[str], int]:
+def _cmd_selftest(args) -> _Reply:
     results = selftest_mod.run_all(cap=args.cap)
     rows = [
         {"name": r.name, "passed": r.passed, "detail": r.detail,
@@ -230,7 +246,7 @@ def _cmd_selftest(args) -> tuple[dict, object, list[str], int]:
     ]
     ok = all(r.passed for r in results)
     lines.append("all suites passed" if ok else "SELFTEST FAILED")
-    return {"cap": args.cap}, rows, lines, 0 if ok else 1
+    return {"cap": args.cap}, rows, lambda: lines, 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,7 +328,7 @@ def _main(argv) -> int:
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
-        inputs, result, text_lines, exit_code = args.handler(args)
+        inputs, result, text, exit_code = args.handler(args)
     except (ShapeParseError, SchemaError, UnsupportedK, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -329,7 +345,7 @@ def _main(argv) -> int:
         "result": result,
         "timing_ms": round((time.perf_counter() - t0) * 1000.0, 3),
     }
-    _print_envelope(envelope, text_lines, args.format)
+    _print_envelope(envelope, text, args.format)
     if args.out is not None:
         artifact = result
         if args.command == "guess" and isinstance(result, dict):

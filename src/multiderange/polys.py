@@ -11,13 +11,14 @@ Three immutable representations:
                sparse in (n, a), hence the map.
 
 Coefficients are Python ints throughout, so there is no overflow and no
-rounding anywhere.  divide_exact works over Fraction internally but only
-accepts remainder-free, integral quotients.
+rounding anywhere.  divide_exact is integer long division that only accepts
+remainder-free, integral quotients.  The public constructors check that
+every coefficient is an int; results built inside this module, from
+coefficients that are ints by construction, skip that check.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from math import gcd
 from typing import Iterable, Iterator, Mapping
@@ -32,7 +33,7 @@ class InexactDivision(ArithmeticError):
 
 
 def _as_int(c) -> int:
-    # bool is an int subclass and harmless; reject floats/Fractions loudly.
+    # bool is an int subclass and harmless; reject floats and rationals loudly.
     if isinstance(c, int):
         return c
     raise TypeError(f"coefficients must be int, got {type(c).__name__}")
@@ -50,6 +51,18 @@ class AlphaPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    @classmethod
+    def _trusted(cls, cs: list[int]) -> AlphaPoly:
+        """Wrap an int list built inside this package, without the type checks.
+
+        The list is consumed: its trailing zeros are stripped in place.
+        """
+        while cs and cs[-1] == 0:
+            cs.pop()
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", tuple(cs))
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("AlphaPoly is immutable")
@@ -79,11 +92,11 @@ class AlphaPoly:
         return hash(self.coeffs)
 
     def __neg__(self) -> AlphaPoly:
-        return AlphaPoly(-c for c in self.coeffs)
+        return AlphaPoly._trusted([-c for c in self.coeffs])
 
     def __add__(self, other) -> AlphaPoly:
         if isinstance(other, int):
-            other = AlphaPoly((other,))
+            other = AlphaPoly._trusted([other])
         if not isinstance(other, AlphaPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -92,7 +105,7 @@ class AlphaPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return AlphaPoly(out)
+        return AlphaPoly._trusted(out)
 
     __radd__ = __add__
 
@@ -106,7 +119,7 @@ class AlphaPoly:
         if isinstance(other, int):
             if other == 0:
                 return _ZERO
-            return AlphaPoly(c * other for c in self.coeffs)
+            return AlphaPoly._trusted([c * other for c in self.coeffs])
         if not isinstance(other, AlphaPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -117,7 +130,7 @@ class AlphaPoly:
             if ai:
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
-        return AlphaPoly(out)
+        return AlphaPoly._trusted(out)
 
     __rmul__ = __mul__
 
@@ -197,7 +210,7 @@ def rising_factorial(m: int) -> AlphaPoly:
     for i in range(j, m):
         # multiply by (a + i)
         coeffs = [i * x + y for x, y in zip(coeffs + [0], [0] + coeffs)]
-    out = AlphaPoly(coeffs)
+    out = AlphaPoly._trusted(coeffs)
     _last_rising = (m, out)
     return out
 
@@ -214,22 +227,25 @@ def divide_exact(num: AlphaPoly, den: AlphaPoly) -> AlphaPoly:
         return _ZERO
     if num.degree < den.degree:
         raise InexactDivision(f"degree {num.degree} < divisor degree {den.degree}")
-    rem = [Fraction(c) for c in num.coeffs]
+    # Long division over Q computes the same quotient coefficients in the
+    # same order, so the first one that is not an integer is the first
+    # nonzero divmod remainder here, and stopping there loses nothing.
+    rem = list(num.coeffs)
     dc = den.coeffs
-    lead = Fraction(dc[-1])
-    qlen = len(rem) - len(dc) + 1
-    quot = [Fraction(0)] * qlen
-    for i in range(qlen - 1, -1, -1):
-        q = rem[i + len(dc) - 1] / lead
+    top = len(dc) - 1
+    lead = dc[top]
+    quot = [0] * (len(rem) - top)
+    for i in range(len(quot) - 1, -1, -1):
+        q, r = divmod(rem[i + top], lead)
+        if r:
+            raise InexactDivision("fractional quotient coefficient")
         quot[i] = q
         if q:
-            for j, d in enumerate(dc):
-                rem[i + j] -= q * d
-    if any(rem):
+            for j in range(top):
+                rem[i + j] -= q * dc[j]
+    if any(rem[:top]):
         raise InexactDivision("nonzero remainder")
-    if any(q.denominator != 1 for q in quot):
-        raise InexactDivision("fractional quotient coefficient")
-    return AlphaPoly(int(q) for q in quot)
+    return AlphaPoly._trusted(quot)
 
 
 def poly_to_record(p: AlphaPoly) -> dict:
@@ -240,9 +256,9 @@ def poly_to_record(p: AlphaPoly) -> dict:
 def poly_from_record(obj, where: str = "polynomial") -> AlphaPoly:
     """Parse the machine form back; strict about canonical shape."""
     if isinstance(obj, int):
-        return AlphaPoly((obj,))
+        return AlphaPoly._trusted([obj])
     if isinstance(obj, str):
-        return AlphaPoly((_parse_int(obj, where),))
+        return AlphaPoly._trusted([_parse_int(obj, where)])
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object, got {type(obj).__name__}")
     if obj.get("variable") != "a":
@@ -253,7 +269,7 @@ def poly_from_record(obj, where: str = "polynomial") -> AlphaPoly:
     out = [_parse_int(c, f"{where}.coeffs[{i}]") for i, c in enumerate(coeffs)]
     if out and out[-1] == 0:
         raise SchemaError(f"{where}.coeffs: trailing zero entry")
-    return AlphaPoly(out)
+    return AlphaPoly._trusted(out)
 
 
 def _parse_int(value, where: str) -> int:
@@ -451,7 +467,7 @@ class BivarPoly:
         out = [0] * (self.deg_a + 1)
         for (p, q), c in self.terms.items():
             out[q] += c * n**p
-        return AlphaPoly(out)
+        return AlphaPoly._trusted(out)
 
     def eval_at(self, n: int, a: int) -> int:
         return sum(c * n**p * a**q for (p, q), c in self.terms.items())

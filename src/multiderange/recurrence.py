@@ -151,17 +151,35 @@ def extend_sequence(
         lead_at_n = lead.eval_n(n)
         if not lead_at_n:
             raise LeadingCoefficientZero(f"leading coefficient vanishes at n={n}")
-        rhs = AlphaPoly()
-        base = len(values) - r
-        for j in range(r):
-            cj = op.coeffs[j].eval_n(n)
-            if cj:
-                rhs = rhs - cj * values[base + j]
+        # F(n+r) = -(sum_{j<r} c_j F(n+j)) / c_r = (sum_{j<r} c_j F(n+j)) / -c_r
+        partial = _apply(op, n, values, len(values) - r, r)
         try:
-            values.append(divide_exact(rhs, lead_at_n))
+            values.append(divide_exact(AlphaPoly._trusted(partial), -lead_at_n))
         except InexactDivision as exc:
             raise InexactDivision(f"inexact step at n={n}: {exc}") from None
     return PolySequence(start=seed.start, values=tuple(values), k=seed.k)
+
+
+def _apply(op: RecurrenceOperator, n: int, values, base: int, terms: int) -> list[int]:
+    """Coefficients in a of sum_{j < terms} c_j(n, a) * values[base + j].
+
+    One int list accumulates every product, so no intermediate polynomial
+    is built; trailing entries may be zero.
+    """
+    acc: list[int] = []
+    for j in range(terms):
+        v = values[base + j].coeffs
+        if not v:
+            continue
+        for q, cq in enumerate(op.coeffs[j].eval_n(n).coeffs):
+            if not cq:
+                continue
+            end = q + len(v)
+            if len(acc) < end:
+                acc.extend([0] * (end - len(acc)))
+            for m, vm in enumerate(v, q):
+                acc[m] += cq * vm
+    return acc
 
 
 def first_failure(op: RecurrenceOperator, seq: PolySequence) -> int | None:
@@ -174,13 +192,7 @@ def first_failure(op: RecurrenceOperator, seq: PolySequence) -> int | None:
             f"need at least {r + 1} values at or after n={op.valid_from}"
         )
     for n in range(first, last_window + 1):
-        acc = AlphaPoly()
-        base = n - seq.start
-        for j, c in enumerate(op.coeffs):
-            cj = c.eval_n(n)
-            if cj:
-                acc = acc + cj * seq.values[base + j]
-        if acc:
+        if any(_apply(op, n, seq.values, n - seq.start, r + 1)):
             return n
     return None
 

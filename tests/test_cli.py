@@ -1,10 +1,11 @@
 import json
 import sys
+import tracemalloc
 from contextlib import contextmanager
 
 import pytest
 
-from multiderange import cli
+from multiderange import cli, polys
 from multiderange import selftest as selftest_mod
 from multiderange.cli import parse_shape, ShapeParseError
 from multiderange.polys import AlphaPoly
@@ -30,6 +31,30 @@ def test_parse_shape():
     for bad in ("", "1,", "a", "2^", "-1", "1^2^3"):
         with pytest.raises(ShapeParseError):
             parse_shape(bad)
+
+
+@pytest.mark.parametrize("text", ["4^1000000000", "0^1000000000", "1^10001", "5000,5001"])
+def test_parse_shape_budget_fails_before_allocating(text):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeParseError, match="too large"):
+            parse_shape(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_parse_shape_budget_boundary():
+    assert parse_shape(f"1^{cli.MAX_GROUND_SET}") == (1,) * cli.MAX_GROUND_SET
+    assert parse_shape("0,5000,5000") == (0, 5000, 5000)
+
+
+def test_oversized_shape_exit_code(capsys):
+    rc, out, err = run_cli(capsys, "wder", "4^1000000000")
+    assert rc == 2
+    assert out == ""
+    assert "shape too large" in err
 
 
 def test_wder_machine_envelope(capsys):
@@ -321,6 +346,43 @@ def test_out_artifact_round_trips(capsys, tmp_path):
     rc, env, _ = run_machine(capsys, "wder", "2,2", "--out", str(out_path))
     assert rc == 0
     assert json.loads(out_path.read_text()) == env["result"]
+
+
+def test_machine_output_renders_no_text(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("render_terms called for machine output")
+
+    monkeypatch.setattr(polys, "render_terms", refuse)
+    for argv in (("seq", "2", "5"), ("seq", "1", "8", "--alpha", "2"),
+                 ("wder", "2,2"), ("wder", "3,2", "--alpha", "3")):
+        rc, env, err = run_machine(capsys, *argv)
+        assert rc == 0 and env["result"] and err == ""
+
+
+def test_text_output_lines(capsys):
+    rc, out, _ = run_cli(capsys, "seq", "2", "5")
+    assert rc == 0
+    assert out.splitlines()[:-1] == [
+        "F_2(1) = 0",
+        "F_2(2) = 2*a^2 + 2*a",
+        "F_2(3) = 8*a^3 + 40*a^2 + 32*a",
+        "F_2(4) = 60*a^4 + 888*a^3 + 2316*a^2 + 1488*a",
+        "F_2(5) = 544*a^5 + 18240*a^4 + 107040*a^3 + 201856*a^2 + 112512*a",
+    ]
+    rc, out, _ = run_cli(capsys, "wder", "2,2")
+    assert rc == 0
+    assert out.splitlines()[:-1] == ["A(shape) = 2*a^2 + 2*a"]
+    assert out.splitlines()[-1].startswith("time: ")
+
+
+@pytest.mark.parametrize("command", ["guess", "verify"])
+def test_sequence_source_error_names_the_command(capsys, tmp_path, command):
+    op_path = tmp_path / "op.json"
+    save_operator(builtin_operator(1), op_path)
+    extra = ("--operator", str(op_path)) if command == "verify" else ()
+    rc, out, err = run_cli(capsys, command, *extra)
+    assert rc == 2
+    assert err == f"error: {command} needs --file or both -k and --terms\n"
 
 
 def test_text_format_smoke(capsys):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -134,6 +135,95 @@ def test_divide_exact_failures():
     with pytest.raises(ZeroDivisionError):
         divide_exact(A, AlphaPoly())
     assert divide_exact(AlphaPoly(), A) == AlphaPoly()
+
+
+def _divide_over_q(num: AlphaPoly, den: AlphaPoly):
+    """Reference: long division over Q, giving (quotient, remainder) as Fractions."""
+    rem = [Fraction(c) for c in num.coeffs]
+    dc = den.coeffs
+    quot = [Fraction(0)] * (len(rem) - len(dc) + 1)
+    for i in range(len(quot) - 1, -1, -1):
+        quot[i] = rem[i + len(dc) - 1] / dc[-1]
+        for j, d in enumerate(dc):
+            rem[i + j] -= quot[i] * d
+    return quot, rem
+
+
+def _reference_divide(num: AlphaPoly, den: AlphaPoly) -> AlphaPoly | None:
+    """The exact integral quotient over Q, or None where divide_exact must raise."""
+    if not num:
+        return AlphaPoly()
+    if num.degree < den.degree:
+        return None
+    quot, rem = _divide_over_q(num, den)
+    if any(rem) or any(q.denominator != 1 for q in quot):
+        return None
+    return AlphaPoly([int(q) for q in quot])
+
+
+def _random_poly(rng, max_len, bound):
+    return AlphaPoly([rng.randint(-bound, bound) for _ in range(rng.randint(1, max_len))])
+
+
+def _random_divisor(rng):
+    """Nonzero, often non-monic, often negative-leading, sometimes of degree 0."""
+    lead = rng.choice([-7, -3, -2, -1, 1, 2, 3, 5, 12])
+    low = [rng.randint(-9, 9) for _ in range(rng.choice([0, 0, 1, 2, 3]))]
+    return AlphaPoly(low + [lead])
+
+
+def _check_against_reference(num, den):
+    want = _reference_divide(num, den)
+    if want is None:
+        with pytest.raises(InexactDivision):
+            divide_exact(num, den)
+    else:
+        assert divide_exact(num, den) == want
+    return want
+
+
+def test_divide_exact_matches_rational_division_on_exact_products():
+    rng = random.Random(20240611)
+    for _ in range(400):
+        q, den = _random_poly(rng, 8, 10**12), _random_divisor(rng)
+        num = q * den
+        assert _check_against_reference(num, den) == q
+
+
+def test_divide_exact_rejects_perturbed_numerators():
+    rng = random.Random(611)
+    for _ in range(400):
+        q, den = _random_poly(rng, 8, 10**12), _random_divisor(rng)
+        if den.degree == 0:
+            if abs(den.coeff(0)) == 1:
+                continue
+            delta = AlphaPoly([1])  # constant term no longer a multiple of den
+        else:
+            # a nonzero remainder of lower degree than den: never exact over Q
+            delta = AlphaPoly([0] * rng.randrange(den.degree) + [rng.choice([-5, -1, 1, 4])])
+        num = q * den + delta
+        assert _check_against_reference(num, den) is None
+
+
+def test_divide_exact_rejects_fractional_quotients():
+    rng = random.Random(12)
+    for _ in range(400):
+        c = rng.choice([2, 3, 6, 10])
+        base = _random_divisor(rng)
+        q = _random_poly(rng, 6, 1000)
+        if all(x % c == 0 for x in q.coeffs):
+            q = q + 1
+        # (q * base) / (c * base) = q / c: no remainder, a fractional coefficient
+        num, den = q * base, base * c
+        quot, rem = _divide_over_q(num, den)
+        assert not any(rem) and any(x.denominator != 1 for x in quot)
+        assert _check_against_reference(num, den) is None
+
+
+def test_divide_exact_matches_rational_division_on_arbitrary_pairs():
+    rng = random.Random(5)
+    for _ in range(400):
+        _check_against_reference(_random_poly(rng, 6, 30), _random_divisor(rng))
 
 
 def test_record_round_trip():

@@ -115,6 +115,14 @@ def test_specialized_alpha_one_gives_derangement_numbers():
     assert got == classical
 
 
+def test_f1_to_1000_at_alpha_one_gives_derangement_numbers():
+    got = [v(1) for v in fk_sequence_via_recurrence(1, 1000).values]
+    d = [1]
+    for n in range(1, 1001):
+        d.append(n * d[-1] + (-1) ** n)
+    assert got == d
+
+
 def test_specialize_alpha_rejects_degenerate():
     op = RecurrenceOperator((BivarPoly.const(-1), A))
     with pytest.raises(ValueError):
