@@ -14,7 +14,6 @@ from .polys import (
     BivarPoly,
     InexactDivision,
     SchemaError,
-    XPoly,
     divide_exact,
     poly_from_record,
     poly_to_record,
@@ -83,7 +82,6 @@ __all__ = [
     "SchemaError",
     "UnsupportedK",
     "WindowTooShort",
-    "XPoly",
     "builtin_operator",
     "count_derangements",
     "cycle_count",

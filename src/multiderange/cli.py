@@ -97,28 +97,30 @@ def _write_artifact(path: str, artifact) -> None:
     Path(path).write_text(json.dumps(artifact, indent=2) + "\n")
 
 
+def _shape_value(shape: tuple[int, ...], identified: bool, alpha: int | None) -> int:
+    """The number wder and count print: the identified count, or the value at alpha."""
+    if identified:
+        return identified_count(shape)
+    return weighted_derangement_poly(shape)(alpha)
+
+
 def _cmd_wder(args) -> _Reply:
     shape = parse_shape(args.shape)
     inputs = {"shape": list(shape), "alpha": args.alpha, "identified": args.identified}
-    poly = weighted_derangement_poly(shape)
     if args.identified and args.alpha not in (None, 1):
         raise ShapeParseError("--identified requires evaluation at alpha = 1")
-    if args.identified:
-        value = identified_count(shape)
-        return inputs, str(value), lambda: [f"identified count = {value}"], 0
-    if args.alpha is not None:
-        value = poly(args.alpha)
-        return inputs, str(value), lambda: [f"value at a={args.alpha}: {value}"], 0
+    if args.identified or args.alpha is not None:
+        value = _shape_value(shape, args.identified, args.alpha)
+        label = "identified count =" if args.identified else f"value at a={args.alpha}:"
+        return inputs, str(value), lambda: [f"{label} {value}"], 0
+    poly = weighted_derangement_poly(shape)
     return inputs, poly_to_record(poly), lambda: [f"A(shape) = {poly}"], 0
 
 
 def _cmd_count(args) -> _Reply:
     shape = parse_shape(args.shape)
     inputs = {"shape": list(shape), "identified": args.identified}
-    if args.identified:
-        value = identified_count(shape)
-    else:
-        value = weighted_derangement_poly(shape)(1)
+    value = _shape_value(shape, args.identified, 1)
     return inputs, str(value), lambda: [f"count = {value}"], 0
 
 
@@ -132,24 +134,22 @@ def _resolve_engine(args) -> str:
 
 def _seq_values(args, engine: str) -> PolySequence:
     k, last = args.k, args.count
+    if engine == "direct":
+        values = tuple(fk_sequence_direct(k, last))
+        return PolySequence(start=1, values=values[1:], k=k)
     if engine == "operator-file":
         op = load_operator(args.operator)
-        # seed where the operator becomes valid; terms before that are direct
-        lo = max(0, min(op.valid_from, last))
-        direct = initial_conditions(k, lo + op.order).values
-        seed = PolySequence(start=lo, values=direct[lo:], k=k)
-        tail = extend_sequence(op, seed, last) if last >= seed.last else seed
-        full = PolySequence(start=0, values=direct[:lo] + tail.values, k=k)
-    elif engine == "recurrence":
-        if k not in (1, 2):
-            raise UnsupportedK(
-                f"k={k} has no built-in operator; supply --operator FILE"
-            )
+    elif k in (1, 2):
         op = builtin_operator(k)
-        full = extend_sequence(op, initial_conditions(k, op.order), last)
     else:
-        full = PolySequence(start=0, values=tuple(fk_sequence_direct(k, last)), k=k)
-    return PolySequence(start=1, values=full.values[1 : last + 1], k=k)
+        raise UnsupportedK(f"k={k} has no built-in operator; supply --operator FILE")
+    # seed where the operator becomes valid; terms before that are direct
+    lo = max(0, min(op.valid_from, last))
+    direct = initial_conditions(k, lo + op.order).values
+    seed = PolySequence(start=lo, values=direct[lo:], k=k)
+    tail = extend_sequence(op, seed, last) if last >= seed.last else seed
+    values = direct[:lo] + tail.values
+    return PolySequence(start=1, values=values[1 : last + 1], k=k)
 
 
 def _cmd_seq(args) -> _Reply:

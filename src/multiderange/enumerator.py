@@ -18,8 +18,8 @@ from __future__ import annotations
 from math import factorial, prod
 from typing import Sequence
 
-from .laguerre import laguerre_product
-from .polys import AlphaPoly, XPoly, rising_factorial
+from .laguerre import XAPoly, laguerre_product
+from .polys import AlphaPoly, add_product, rising_factorial
 
 
 def normalize_shape(shape: Sequence[int]) -> tuple[int, ...]:
@@ -35,13 +35,16 @@ def normalize_shape(shape: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def moment_functional(p: XPoly) -> AlphaPoly:
-    """Linear map x^m -> rising_factorial(m), applied coefficient-wise."""
-    out = AlphaPoly()
-    for m, c in enumerate(p.coeffs):
+def moment_functional(p: XAPoly) -> AlphaPoly:
+    """Linear map x^m -> rising_factorial(m), applied coefficient-wise.
+
+    p is a polynomial in x over Z[a] in the tuple form of ``laguerre``.
+    """
+    acc: list[int] = []
+    for m, c in enumerate(p):
         if c:
-            out = out + c * rising_factorial(m)
-    return out
+            add_product(acc, c, rising_factorial(m).coeffs)
+    return AlphaPoly._trusted(acc)
 
 
 def weighted_derangement_poly(shape: Sequence[int]) -> AlphaPoly:

@@ -8,6 +8,11 @@ superscript a-1:
 The k! scaling keeps every x-coefficient an integer polynomial in a, and is
 exactly the per-block factorial prefactor of the derangement enumerator, so
 it cancels by construction downstream.
+
+A polynomial in x over Z[a] is a tuple of int tuples: entry i holds the
+a-coefficients, ascending, of x^i.  The form is canonical: no inner tuple
+ends in a zero and the outer tuple does not end in an empty entry, so equal
+polynomials compare equal.
 """
 
 from __future__ import annotations
@@ -16,30 +21,46 @@ from functools import cache
 from math import comb
 from typing import Sequence
 
-from .polys import ALPHA_ONE, AlphaPoly, XPoly
+from .polys import add_product
+
+XAPoly = tuple[tuple[int, ...], ...]
 
 
 @cache
-def scaled_laguerre(k: int) -> XPoly:
-    """k! * L_k with superscript a-1, as an XPoly.
+def scaled_laguerre(k: int) -> XAPoly:
+    """k! * L_k with superscript a-1, in the tuple form.
 
     deg_x = k, the x^k coefficient is (-1)^k, and the constant term is the
     rising factorial a(a+1)...(a+k-1).
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    # tails[i] = (a+i)(a+i+1)...(a+k-1), built down from the empty product
-    tails = [ALPHA_ONE] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        tails[i] = AlphaPoly((i, 1)) * tails[i + 1]
-    coeffs = []
-    for i in range(k + 1):
-        sign = -1 if i % 2 else 1
-        coeffs.append(tails[i] * (sign * comb(k, i)))
-    return XPoly(coeffs)
+    # tail = (a+i)(a+i+1)...(a+k-1), built down from the empty product
+    tail = [1]
+    coeffs: list[tuple[int, ...]] = [()] * (k + 1)
+    for i in range(k, -1, -1):
+        if i < k:
+            tail = [i * x + y for x, y in zip(tail + [0], [0] + tail)]
+        c = -comb(k, i) if i % 2 else comb(k, i)
+        coeffs[i] = tuple(c * t for t in tail)
+    return tuple(coeffs)
 
 
-def laguerre_product(shape: Sequence[int]) -> XPoly:
+def _mul(p: XAPoly, q: XAPoly) -> XAPoly:
+    """Product of two products of scaled Laguerre factors, in the tuple form.
+
+    In such a product of total block size K, x^i has a-degree K - i and
+    leading a-coefficient (-1)^i C(K, i) (Vandermonde), never zero: the
+    result is canonical without stripping.
+    """
+    out: list[list[int]] = [[] for _ in range(len(p) + len(q) - 1)]
+    for i, pi in enumerate(p):
+        for j, qj in enumerate(q, i):
+            add_product(out[j], qj, pi)
+    return tuple(tuple(acc) for acc in out)
+
+
+def laguerre_product(shape: Sequence[int]) -> XAPoly:
     """Product of scaled_laguerre(k) over the blocks of a shape.
 
     Zero blocks contribute a factor 1.  Factors are multiplied in
@@ -49,7 +70,7 @@ def laguerre_product(shape: Sequence[int]) -> XPoly:
     ks = sorted(k for k in shape if k)
     if any(k < 0 for k in shape):
         raise ValueError("shape entries must be nonnegative")
-    out = XPoly((ALPHA_ONE,))
+    out: XAPoly = ((1,),)
     for k in ks:
-        out = out * scaled_laguerre(k)
+        out = _mul(out, scaled_laguerre(k))
     return out

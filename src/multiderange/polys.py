@@ -1,27 +1,29 @@
 """Exact polynomial arithmetic over arbitrary-precision integers.
 
-Three immutable representations:
+Two immutable representations:
 
   AlphaPoly -- dense polynomial in the cycle-marking variable ``a``: a tuple
                of int coefficients, ascending powers, no trailing zeros.
                The zero polynomial is the empty tuple.
-  XPoly     -- dense polynomial in ``x`` whose coefficients are AlphaPoly.
   BivarPoly -- sparse polynomial in ``(n, a)``: a map (deg_n, deg_a) -> int
                with no zero entries.  Recurrence-operator coefficients are
                sparse in (n, a), hence the map.
 
 Coefficients are Python ints throughout, so there is no overflow and no
-rounding anywhere.  divide_exact is integer long division that only accepts
-remainder-free, integral quotients.  The public constructors check that
-every coefficient is an int; results built inside this module, from
-coefficients that are ints by construction, skip that check.
+rounding anywhere.  add_product is the one dense product kernel: AlphaPoly
+multiplication, the Laguerre product, the moment functional and the
+recurrence steps all accumulate into an int list through it.  divide_exact
+is integer long division that only accepts remainder-free, integral
+quotients.  The public constructors check that every coefficient is an
+int; results built inside this package, from coefficients that are ints by
+construction, skip that check.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from math import gcd
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class SchemaError(ValueError):
@@ -122,25 +124,11 @@ class AlphaPoly:
             return AlphaPoly._trusted([c * other for c in self.coeffs])
         if not isinstance(other, AlphaPoly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return _ZERO
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
+        out: list[int] = []
+        add_product(out, self.coeffs, other.coeffs)
         return AlphaPoly._trusted(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> AlphaPoly:
-        if e < 0:
-            raise ValueError("negative power")
-        out = ALPHA_ONE
-        for _ in range(e):
-            out = out * self
-        return out
 
     def __call__(self, v: int) -> int:
         """Exact Horner evaluation at an integer."""
@@ -158,7 +146,22 @@ class AlphaPoly:
 
 _ZERO = AlphaPoly()
 ALPHA_ONE = AlphaPoly((1,))
-ALPHA_VAR = AlphaPoly((0, 1))
+
+
+def add_product(acc: list[int], p: Sequence[int], q: Sequence[int]) -> None:
+    """acc += p * q, for ascending coefficient sequences; acc grows as needed.
+
+    Trailing entries of acc may be zero afterwards.
+    """
+    if not p or not q:
+        return
+    end = len(p) + len(q) - 1
+    if len(acc) < end:
+        acc.extend([0] * (end - len(acc)))
+    for s, ps in enumerate(p):
+        if ps:
+            for t, qt in enumerate(q, s):
+                acc[t] += ps * qt
 
 
 def render_terms(terms, names: tuple[str, ...]) -> str:
@@ -283,84 +286,6 @@ def _parse_int(value, where: str) -> int:
     raise SchemaError(f"{where}: expected a decimal string")
 
 
-class XPoly:
-    """Dense polynomial in ``x`` with AlphaPoly coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    coeffs: tuple[AlphaPoly, ...]
-
-    def __init__(self, coeffs: Iterable[AlphaPoly] = ()) -> None:
-        cs = []
-        for c in coeffs:
-            if isinstance(c, int):
-                c = AlphaPoly((c,))
-            if not isinstance(c, AlphaPoly):
-                raise TypeError("XPoly coefficients must be AlphaPoly or int")
-            cs.append(c)
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("XPoly is immutable")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, m: int) -> AlphaPoly:
-        if 0 <= m < len(self.coeffs):
-            return self.coeffs[m]
-        return _ZERO
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, XPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __add__(self, other: XPoly) -> XPoly:
-        if not isinstance(other, XPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return XPoly(out)
-
-    def __mul__(self, other: XPoly) -> XPoly:
-        if not isinstance(other, XPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return XPoly()
-        out: list[AlphaPoly] = [_ZERO] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = out[i + j] + ai * bj
-        return XPoly(out)
-
-    def eval_at(self, a_value: int, x_value: int) -> int:
-        """Exact evaluation at integer a and x."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x_value + c(a_value)
-        return acc
-
-    def __repr__(self) -> str:
-        return f"XPoly({list(self.coeffs)!r})"
-
-
 class BivarPoly:
     """Sparse polynomial in (n, a): {(deg_n, deg_a): coefficient}."""
 
@@ -468,9 +393,6 @@ class BivarPoly:
         for (p, q), c in self.terms.items():
             out[q] += c * n**p
         return AlphaPoly._trusted(out)
-
-    def eval_at(self, n: int, a: int) -> int:
-        return sum(c * n**p * a**q for (p, q), c in self.terms.items())
 
     def substitute_a(self, a: int) -> BivarPoly:
         """Substitute an integer for a, leaving a polynomial in n."""

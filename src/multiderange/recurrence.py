@@ -27,6 +27,7 @@ from .polys import (
     BivarPoly,
     InexactDivision,
     SchemaError,
+    add_product,
     divide_exact,
     poly_from_record,
     poly_to_record,
@@ -169,16 +170,8 @@ def _apply(op: RecurrenceOperator, n: int, values, base: int, terms: int) -> lis
     acc: list[int] = []
     for j in range(terms):
         v = values[base + j].coeffs
-        if not v:
-            continue
-        for q, cq in enumerate(op.coeffs[j].eval_n(n).coeffs):
-            if not cq:
-                continue
-            end = q + len(v)
-            if len(acc) < end:
-                acc.extend([0] * (end - len(acc)))
-            for m, vm in enumerate(v, q):
-                acc[m] += cq * vm
+        if v:
+            add_product(acc, op.coeffs[j].eval_n(n).coeffs, v)
     return acc
 
 

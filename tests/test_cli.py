@@ -5,7 +5,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from multiderange import cli, polys
+from multiderange import cli, enumerator, polys
 from multiderange import selftest as selftest_mod
 from multiderange.cli import parse_shape, ShapeParseError
 from multiderange.polys import AlphaPoly
@@ -96,6 +96,27 @@ def test_wder_deck_identified(capsys):
     assert env["result"] == "1493804444499093354916284290188948031229880469556"
 
 
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        (("wder", "4^13", "--identified"), 1),
+        (("wder", "2,2", "--identified", "--alpha", "2"), 0),
+    ],
+)
+def test_wder_identified_computes_the_enumerator_once(capsys, monkeypatch, argv, calls):
+    real = enumerator.weighted_derangement_poly
+    seen = []
+
+    def counted(shape):
+        seen.append(shape)
+        return real(shape)
+
+    monkeypatch.setattr(enumerator, "weighted_derangement_poly", counted)
+    monkeypatch.setattr(cli, "weighted_derangement_poly", counted)
+    run_cli(capsys, *argv)
+    assert len(seen) == calls
+
+
 def test_bad_shape_exit_code(capsys):
     rc, _, err = run_cli(capsys, "wder", "2,x")
     assert rc == 2
@@ -131,6 +152,16 @@ def test_seq_engine_agreement(capsys, k):
     rc2, env2, _ = run_machine(capsys, "seq", str(k), "10", "--engine", "direct")
     assert rc1 == rc2 == 0
     assert json.dumps(env1["result"]) == json.dumps(env2["result"])
+
+
+@pytest.mark.parametrize("k, count", [(2, 1), (2, 2)])
+def test_seq_count_within_the_seed(capsys, k, count):
+    rc1, env1, _ = run_machine(capsys, "seq", str(k), str(count))
+    rc2, env2, _ = run_machine(capsys, "seq", str(k), str(count), "--engine", "direct")
+    assert rc1 == rc2 == 0
+    assert env1["inputs"]["engine"] == "recurrence"
+    assert env1["result"] == env2["result"]
+    assert len(env1["result"]["values"]) == count
 
 
 def test_seq_recurrence_unsupported_k(capsys):

@@ -11,9 +11,9 @@ from multiderange.enumerator import (
     normalize_shape,
     weighted_derangement_poly,
 )
-from multiderange.polys import ALPHA_ONE, ALPHA_VAR, AlphaPoly, XPoly
+from multiderange.polys import ALPHA_ONE, AlphaPoly
 
-A = ALPHA_VAR
+A = AlphaPoly((0, 1))
 
 
 def test_normalize_shape():
@@ -26,13 +26,13 @@ def test_normalize_shape():
 
 
 def test_moment_functional_examples():
-    one = XPoly((ALPHA_ONE,))
-    x = XPoly((AlphaPoly(), ALPHA_ONE))
+    one = ((1,),)
+    x = ((), (1,))
     assert moment_functional(one) == ALPHA_ONE
     assert moment_functional(x) == A
-    x2_minus_x = XPoly((AlphaPoly(), AlphaPoly((-1,)), ALPHA_ONE))
+    x2_minus_x = ((), (-1,), (1,))
     assert moment_functional(x2_minus_x) == A * A
-    assert moment_functional(XPoly()) == AlphaPoly()
+    assert moment_functional(()) == AlphaPoly()
 
 
 def test_weighted_poly_small_shapes():

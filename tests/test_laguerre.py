@@ -5,28 +5,45 @@ from math import factorial
 import pytest
 
 from multiderange.laguerre import laguerre_product, scaled_laguerre
-from multiderange.polys import ALPHA_ONE, ALPHA_VAR, AlphaPoly, XPoly, rising_factorial
+from multiderange.polys import AlphaPoly, rising_factorial
 
-A = ALPHA_VAR
+
+def _eval(p, a0: int, x0: int) -> int:
+    """Horner evaluation of a polynomial in x over Z[a] at integers (a0, x0)."""
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x0 + AlphaPoly(c)(a0)
+    return acc
+
+
+def _is_canonical(p) -> bool:
+    """Int tuples without trailing zeros, and no trailing empty entry."""
+    return (
+        isinstance(p, tuple)
+        and all(isinstance(c, tuple) and all(type(v) is int for v in c) for c in p)
+        and all(not c or c[-1] != 0 for c in p)
+        and (not p or p[-1] != ())
+    )
 
 
 def test_base_cases():
-    assert scaled_laguerre(0) == XPoly((ALPHA_ONE,))
-    assert scaled_laguerre(1) == XPoly((A, AlphaPoly((-1,))))
+    assert scaled_laguerre(0) == ((1,),)
+    assert scaled_laguerre(1) == ((0, 1), (-1,))
 
 
 def test_k2_expansion():
     # a(a+1) - 2(a+1)x + x^2
     p = scaled_laguerre(2)
-    assert p.coeffs == (AlphaPoly((0, 1, 1)), AlphaPoly((-2, -2)), ALPHA_ONE)
+    assert p == ((0, 1, 1), (-2, -2), (1,))
 
 
 @pytest.mark.parametrize("k", range(11))
 def test_degree_leading_and_constant_term(k):
     p = scaled_laguerre(k)
-    assert p.degree == k
-    assert p.coeff(k) == AlphaPoly((1 if k % 2 == 0 else -1,))
-    assert p.coeff(0) == rising_factorial(k)
+    assert _is_canonical(p)
+    assert len(p) - 1 == k
+    assert p[k] == (1 if k % 2 == 0 else -1,)
+    assert p[0] == rising_factorial(k).coeffs
 
 
 def _laguerre_exact(k: int, sup: int, x: Fraction) -> Fraction:
@@ -46,22 +63,37 @@ def test_evaluation_matches_three_term_construction():
         k = rng.randrange(0, 9)
         a0 = rng.randrange(2, 8)
         x0 = rng.randrange(-4, 6)
-        got = scaled_laguerre(k).eval_at(a0, x0)
+        got = _eval(scaled_laguerre(k), a0, x0)
         want = factorial(k) * _laguerre_exact(k, a0 - 1, Fraction(x0))
         assert want.denominator == 1 and got == want
 
 
 def test_product_base_cases():
-    assert laguerre_product([]) == XPoly((ALPHA_ONE,))
+    assert laguerre_product([]) == ((1,),)
     assert laguerre_product([1]) == scaled_laguerre(1)
-    assert laguerre_product([1, 1]) == XPoly(
-        (A * A, AlphaPoly((0, -2)), ALPHA_ONE)
-    )
+    # (a - x)^2 = a^2 - 2a x + x^2
+    assert laguerre_product([1, 1]) == ((0, 0, 1), (0, -2), (1,))
+    assert _eval(laguerre_product([1, 1]), 3, 2) == 1
 
 
 def test_product_degree_is_total():
-    assert laguerre_product([2, 3, 1]).degree == 6
-    assert laguerre_product([0, 4, 0]).degree == 4
+    assert len(laguerre_product([2, 3, 1])) - 1 == 6
+    assert len(laguerre_product([0, 4, 0])) - 1 == 4
+
+
+def test_product_evaluates_to_the_product_of_factors():
+    rng = random.Random(20261018)
+    shapes = [[], [0], [0, 0, 3], [5, 0]]
+    shapes += [[rng.randrange(0, 7) for _ in range(rng.randrange(1, 7))] for _ in range(40)]
+    for shape in shapes:
+        p = laguerre_product(shape)
+        assert _is_canonical(p)
+        for _ in range(3):
+            a0, x0 = rng.randint(-9, 9), rng.randint(-9, 9)
+            want = 1
+            for k in shape:
+                want *= _eval(scaled_laguerre(k), a0, x0)
+            assert _eval(p, a0, x0) == want
 
 
 def test_product_is_symmetric_in_the_shape():

