@@ -9,21 +9,32 @@ operator annihilates the entire input sequence, including a trailing
 holdout that never enters the linear system.  Overdetermination plus the
 holdout is the defense against fitting coincidences.
 
-Most candidates have no kernel at all, so each one is first screened
-modulo a fixed word-size prime p: its rows are reduced into F_p and
-eliminated there, stopping as soon as the rank reaches the number of
-unknowns, which usually takes little more than that many rows.  The
-filter is sound: any nonzero minor mod p is a nonzero integer minor, so
-the rank over Q is at least the rank over F_p, and a matrix of full column
-rank mod p has no rational kernel.  It can only let a kernel-free
-candidate through (when p divides the relevant minors), never drop one
-that has a kernel, so the operator found is the same as without it.
+The rows of every candidate of one order are cut from a single set built at
+the largest degrees: a candidate's row is the larger row at the columns
+whose powers of n and a fit, and the rows it would not have are exactly
+those that become zero.
 
-Candidates that pass go through exact, fraction-free linear algebra:
-integer rows, pivoting by smallest nonzero entry (bit length),
-cross-multiplication updates with the integer content divided out of
-every updated row.  Row scaling cannot change the kernel, so this is both
-exact and fast.
+Most candidates have no kernel, so each one is first screened modulo a
+fixed word-size prime p: its rows are reduced into F_p and eliminated
+there, in order, noting each row that raises the rank and stopping as soon
+as the rank reaches the number of unknowns, which usually takes little
+more than that many rows.  The filter is sound: any nonzero minor mod p is
+a nonzero integer minor, so the rank over Q is at least the rank over F_p,
+and a matrix of full column rank mod p has no rational kernel.  It can
+only let a kernel-free candidate through (when p divides the relevant
+minors), never drop one that has a kernel, so the operator found is the
+same as without it.
+
+Candidates that pass are solved exactly on the rows that raised the rank
+mod p alone, with fraction-free linear algebra: integer rows, pivoting by
+smallest nonzero entry (bit length), cross-multiplication updates with the
+integer content divided out of every updated row, and back-substitution
+that scales the integer kernel vector instead of dividing.  Row scaling
+cannot change the kernel, so this is exact.  The kernel of those rows
+contains the candidate's kernel; when each of its basis vectors also
+annihilates every other row, the two kernels are equal, and so are the
+pivots, the kernel dimension and the canonical vector.  When one does not,
+which takes p dividing a minor, all rows are eliminated instead.
 
 Each candidate is logged at DEBUG on the ``multiderange.guesser`` logger
 with its shape, its equations x unknowns and its outcome.
@@ -36,6 +47,7 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Sequence
 
 from .polys import BivarPoly
@@ -107,16 +119,22 @@ def nullspace_vector(rows: Sequence[Sequence]) -> list[Fraction] | None:
         scale = lcm(*(f.denominator for f in fr)) if fr else 1
         int_rows.append([int(f * scale) for f in fr])
     echelon, pivots = _echelon(int_rows)
-    return _kernel_vector(echelon, pivots, ncols)
+    free = _free_columns(pivots, ncols)
+    if not free:
+        return None
+    v = _kernel_vector(echelon, pivots, ncols, free[0])
+    return [Fraction(x, v[free[0]]) for x in v]
 
 
-def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+def _echelon(
+    rows: Sequence[Sequence[int]],
+) -> tuple[list[Sequence[int]], list[int]]:
     """Integer row echelon form (rows independently rescaled)."""
     work = [r for r in rows if any(r)]
     if not work:
         return [], []
     ncols = len(work[0])
-    echelon: list[list[int]] = []
+    echelon: list[Sequence[int]] = []
     pivots: list[int] = []
     for col in range(ncols):
         best = -1
@@ -153,16 +171,17 @@ def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return echelon, pivots
 
 
-def _full_rank_mod_p(rows: list[list[int]], ncols: int) -> bool:
-    """True when the rows reach rank ncols over F_p, i.e. certainly have no
-    nonzero rational kernel vector; False means the exact path must decide.
+def _independent_rows_mod_p(rows: Sequence[Sequence[int]], ncols: int) -> list[int]:
+    """Indices of the rows that raise the rank over F_p, taken in order.
 
-    Rows are taken in order and reduced against an echelon basis whose
-    pivots are normalized to 1; it returns as soon as the rank is ncols.
+    Rows are reduced against an echelon basis whose pivots are normalized
+    to 1; it stops as soon as the rank is ncols.  A result of length ncols
+    means the rows certainly have no nonzero rational kernel vector.
     """
     p = _PRIME
     basis: list[tuple[int, list[int]]] = []  # (pivot column, row from it on)
-    for row in rows:
+    picked: list[int] = []
+    for i, row in enumerate(rows):
         v = [x % p for x in row]
         for col, tail in basis:
             c = v[col] % p
@@ -170,32 +189,70 @@ def _full_rank_mod_p(rows: list[list[int]], ncols: int) -> bool:
                 # entries may leave [0, p) here; reduced once per row below
                 v[col:] = [a - c * b for a, b in zip(v[col:], tail)]
         v = [x % p for x in v]
-        lead = next((i for i, x in enumerate(v) if x), -1)
+        lead = next((c for c, x in enumerate(v) if x), -1)
         if lead < 0:
             continue
         inv = pow(v[lead], -1, p)
         insort(basis, (lead, [x * inv % p for x in v[lead:]]))
-        if len(basis) == ncols:
-            return True
-    return False
+        picked.append(i)
+        if len(picked) == ncols:
+            break
+    return picked
+
+
+def _free_columns(pivots: list[int], ncols: int) -> list[int]:
+    pivot_set = set(pivots)
+    return [c for c in range(ncols) if c not in pivot_set]
 
 
 def _kernel_vector(
-    echelon: list[list[int]], pivots: list[int], ncols: int
-) -> list[Fraction] | None:
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    if not free:
-        return None
-    v = [Fraction(0)] * ncols
-    v[free[0]] = Fraction(1)
+    echelon: list[Sequence[int]], pivots: list[int], ncols: int, free: int
+) -> list[int]:
+    """The integer kernel vector that is zero at every free column but
+    ``free``, positive there, with its content divided out."""
+    v = [0] * ncols
+    v[free] = 1
     for row, p in zip(reversed(echelon), reversed(pivots)):
-        s = Fraction(0)
+        s = 0
         for c in range(p + 1, ncols):
             if row[c] and v[c]:
-                s += Fraction(row[c]) * v[c]
-        v[p] = -s / row[p]
-    return v
+                s += row[c] * v[c]
+        # v[p] = -s / piv, made integral by scaling v by |piv| / gcd(s, piv)
+        piv = row[p]
+        g = gcd(s, piv)
+        d = abs(piv) // g
+        if d > 1:
+            v = [x * d for x in v]
+        v[p] = -(s // g) if piv > 0 else s // g
+    g = 0
+    for x in v:
+        g = gcd(g, x)
+    return [x // g for x in v] if g > 1 else v
+
+
+def _solve(
+    rows: Sequence[Sequence[int]], ncols: int
+) -> tuple[list[int], list[int] | None] | None:
+    """Pivots of the rows' echelon form and their canonical kernel vector
+    (None when there is no kernel), or None when rejected mod p.
+
+    The exact elimination runs on the rows found independent mod p; it is
+    repeated on all rows only when that kernel fails to annihilate them.
+    """
+    picked = _independent_rows_mod_p(rows, ncols)
+    if len(picked) == ncols:
+        return None
+    echelon, pivots = _echelon([rows[i] for i in picked])
+    for f in _free_columns(pivots, ncols):
+        v = _kernel_vector(echelon, pivots, ncols, f)
+        terms = [(c, x) for c, x in enumerate(v) if x]
+        if any(sum(row[c] * x for c, x in terms) for row in rows):
+            echelon, pivots = _echelon(rows)  # p divides a minor of the picked rows
+            break
+    free = _free_columns(pivots, ncols)
+    if not free:
+        return pivots, None
+    return pivots, _kernel_vector(echelon, pivots, ncols, free[0])
 
 
 def _fit_rows(
@@ -234,19 +291,33 @@ def _fit_rows(
     return rows
 
 
+def _column_subset(
+    rows: list[list[int]], r: int, dn: int, da: int, max_dn: int, max_da: int
+) -> list[tuple[int, ...]]:
+    """The rows of candidate (r, dn, da), cut from those of (r, max_dn, max_da).
+
+    They are the rows of _fit_rows(seq, r, dn, da), in the same order: the
+    smaller shape's row at (window, power of a) is the larger one at the
+    columns with n-power <= dn and a-power <= da, and every larger row the
+    smaller shape has no counterpart for is zero at those columns.
+    """
+    cols = [(j * (max_dn + 1) + p) * (max_da + 1) + q
+            for j in range(r + 1) for p in range(dn + 1) for q in range(da + 1)]
+    pick = itemgetter(*cols)
+    return [sub for sub in map(pick, rows) if any(sub)]
+
+
 def _operator_from_vector(
-    vec: list[Fraction], r: int, dn: int, da: int, start: int
+    vec: list[int], r: int, dn: int, da: int, start: int
 ) -> RecurrenceOperator | None:
-    scale = lcm(*(f.denominator for f in vec))
-    ints = [int(f * scale) for f in vec]
     coeffs = []
     u = 0
     for _ in range(r + 1):
         terms = {}
         for p in range(dn + 1):
             for q in range(da + 1):
-                if ints[u]:
-                    terms[(p, q)] = ints[u]
+                if vec[u]:
+                    terms[(p, q)] = vec[u]
                 u += 1
         coeffs.append(BivarPoly(terms))
     while coeffs and not coeffs[-1]:
@@ -257,14 +328,14 @@ def _operator_from_vector(
 
 
 def _try_candidate(
-    seq: PolySequence, rows: list[list[int]], r: int, dn: int, da: int,
+    seq: PolySequence, rows: Sequence[Sequence[int]], r: int, dn: int, da: int,
     unknowns: int,
 ) -> tuple[str, GuessResult | None]:
     """Outcome of one candidate shape, with the result when it verifies."""
-    if _full_rank_mod_p(rows, unknowns):
+    solved = _solve(rows, unknowns)
+    if solved is None:
         return "rejected mod p", None
-    echelon, pivots = _echelon(rows)
-    vec = _kernel_vector(echelon, pivots, unknowns)
+    pivots, vec = solved
     if vec is None:
         return "no exact kernel", None
     op = _operator_from_vector(vec, r, dn, da, seq.start)
@@ -294,13 +365,17 @@ def guess_operator(seq: PolySequence, spec: GuessSpec) -> GuessResult:
             f"{len(seq.values)} terms cannot support any search with "
             f"holdout {spec.holdout}"
         )
+    max_dn, max_da = spec.max_deg_n, spec.max_deg_a
     any_admissible = False
     for r in range(1, spec.max_order + 1):
-        for dn in range(spec.max_deg_n + 1):
-            for da in range(spec.max_deg_a + 1):
+        order_rows = _fit_rows(seq, r, max_dn, max_da, spec.holdout)
+        if order_rows is None:
+            continue
+        for dn in range(max_dn + 1):
+            for da in range(max_da + 1):
                 unknowns = (r + 1) * (dn + 1) * (da + 1)
-                rows = _fit_rows(seq, r, dn, da, spec.holdout)
-                if rows is None or len(rows) < unknowns:
+                rows = _column_subset(order_rows, r, dn, da, max_dn, max_da)
+                if len(rows) < unknowns:
                     continue
                 any_admissible = True
                 outcome, res = _try_candidate(seq, rows, r, dn, da, unknowns)

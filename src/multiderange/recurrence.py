@@ -75,10 +75,6 @@ class RecurrenceOperator:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def normalize(self) -> RecurrenceOperator:
-        """Idempotent by construction; kept as a regression tripwire."""
-        return RecurrenceOperator(self.coeffs, self.valid_from)
-
     def __str__(self) -> str:
         parts = [f"({c}) * F(n+{j})" if j else f"({c}) * F(n)"
                  for j, c in enumerate(self.coeffs) if c]

@@ -1,4 +1,5 @@
 import logging
+import random
 from fractions import Fraction
 
 import pytest
@@ -126,17 +127,18 @@ def test_rank_filter_keeps_a_matrix_with_a_kernel():
     # last row = 2*first + third, so (1, 1, -1) spans the rational kernel
     rows = [[1, 2, 3], [2, 4, 6], [1, 0, 1], [3, 4, 7]]
     assert nullspace_vector(rows) is not None
-    assert not guesser._full_rank_mod_p(rows, 3)
+    assert guesser._independent_rows_mod_p(rows, 3) == [0, 2]
 
 
 def test_rank_filter_drops_a_full_rank_matrix():
-    assert guesser._full_rank_mod_p([[0, 0, 0], [1, 5, 0], [2, 0, 1], [0, 3, 4]], 3)
+    rows = [[0, 0, 0], [1, 5, 0], [2, 0, 1], [0, 3, 4]]
+    assert guesser._independent_rows_mod_p(rows, 3) == [1, 2, 3]
 
 
 def test_rank_filter_passes_multiples_of_p_to_the_exact_path():
     p = guesser._PRIME
     rows = [[p, 0, 2 * p], [0, 3 * p, p], [p, p, 0]]  # det = -7 * p^3 != 0
-    assert not guesser._full_rank_mod_p(rows, 3)
+    assert guesser._independent_rows_mod_p(rows, 3) == []
     assert nullspace_vector(rows) is None
 
 
@@ -170,3 +172,88 @@ def test_each_candidate_is_logged_at_debug(caplog):
     # every smaller shape has no operator, and full column rank mod p shows it
     assert len(records) == 8
     assert all(r.getMessage().endswith("rejected mod p") for r in records[:-1])
+
+
+@pytest.mark.parametrize("k, terms", [(1, 15), (2, 16)])
+@pytest.mark.parametrize("start", [0, 1])
+def test_rows_cut_from_the_largest_shape_equal_rows_built_directly(k, terms, start):
+    seq = f_seq(k, terms, start)
+    for r in range(1, 4):
+        largest = guesser._fit_rows(seq, r, 3, 3, 2)
+        for dn in range(4):
+            for da in range(4):
+                direct = guesser._fit_rows(seq, r, dn, da, 2)
+                got = guesser._column_subset(largest, r, dn, da, 3, 3)
+                assert got == [tuple(row) for row in direct], (r, dn, da)
+
+
+def random_seq(seed, terms):
+    """F(n+1) = (b + c*n + d*a) F(n) from a random F(0)."""
+    rng = random.Random(seed)
+    b, c, d = (rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(3))
+    values = [AlphaPoly((rng.randint(1, 3), rng.randint(-3, 3)))]
+    for n in range(terms - 1):
+        values.append(AlphaPoly((b + c * n, d)) * values[-1])
+    return PolySequence(0, tuple(values))
+
+
+@pytest.fixture
+def echelon_calls(monkeypatch):
+    """Row counts of the guesser._echelon calls made while the test runs."""
+    calls = []
+    echelon = guesser._echelon
+
+    def counted(rows):
+        calls.append(len(rows))
+        return echelon(rows)
+
+    monkeypatch.setattr(guesser, "_echelon", counted)
+    return calls
+
+
+def proportional(u, v):
+    i = next(i for i, x in enumerate(v) if x)
+    return all(x * v[i] == y * u[i] for x, y in zip(u, v))
+
+
+@pytest.mark.parametrize("seq", [f_seq(1, 15), f_seq(2, 12), random_seq(6, 14)],
+                         ids=["F1", "F2", "random"])
+def test_solve_on_independent_rows_matches_the_full_solve(echelon_calls, seq):
+    solved = 0
+    for r in range(1, 4):
+        for dn in range(4):
+            for da in range(4):
+                unknowns = (r + 1) * (dn + 1) * (da + 1)
+                rows = guesser._fit_rows(seq, r, dn, da, 2)
+                if rows is None or len(rows) < unknowns:
+                    continue
+                echelon_calls.clear()
+                got = guesser._solve(rows, unknowns)
+                solve_calls = list(echelon_calls)
+                want = nullspace_vector(rows)
+                if got is None:  # rejected mod p
+                    assert want is None
+                    continue
+                solved += 1
+                # one exact elimination, on the rows independent mod p only
+                picked = guesser._independent_rows_mod_p(rows, unknowns)
+                assert solve_calls == [len(picked)]
+                pivots, vec = got
+                assert pivots == guesser._echelon(rows)[1]
+                if want is None:
+                    assert vec is None
+                    continue
+                assert all(sum(c * x for c, x in zip(row, vec)) == 0 for row in rows)
+                assert proportional(vec, want)
+    assert solved
+
+
+def test_unlucky_prime_minor_falls_back_to_all_rows(echelon_calls):
+    p = guesser._PRIME
+    rows = [[1, 1], [p, 2 * p]]  # rank 2 over Q, rank 1 mod p
+    assert guesser._independent_rows_mod_p(rows, 2) == [0]
+    assert guesser._solve(rows, 2) == ([0, 1], None)
+    assert echelon_calls == [1, 2]  # (-1, 1) fails the second row, so all rows ran
+    echelon_calls.clear()
+    assert guesser._solve([[1, 1], [2, 2], [3, 3]], 2) == ([0], [-1, 1])
+    assert echelon_calls == [1]
