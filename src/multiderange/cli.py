@@ -128,7 +128,11 @@ def _resolve_engine(args) -> str:
     if args.operator:
         return "operator-file"
     if args.engine == "auto":
-        return "recurrence" if args.k in (1, 2) else "direct"
+        try:
+            builtin_operator(args.k)
+        except UnsupportedK:
+            return "direct"
+        return "recurrence"
     return args.engine
 
 
@@ -139,17 +143,18 @@ def _seq_values(args, engine: str) -> PolySequence:
         return PolySequence(start=1, values=values[1:], k=k)
     if engine == "operator-file":
         op = load_operator(args.operator)
-    elif k in (1, 2):
-        op = builtin_operator(k)
     else:
-        raise UnsupportedK(f"k={k} has no built-in operator; supply --operator FILE")
-    # seed where the operator becomes valid; terms before that are direct
-    lo = max(0, min(op.valid_from, last))
-    direct = initial_conditions(k, lo + op.order).values
-    seed = PolySequence(start=lo, values=direct[lo:], k=k)
-    tail = extend_sequence(op, seed, last) if last >= seed.last else seed
-    values = direct[:lo] + tail.values
-    return PolySequence(start=1, values=values[1 : last + 1], k=k)
+        try:
+            op = builtin_operator(k)
+        except UnsupportedK:
+            raise UnsupportedK(
+                f"k={k} has no built-in operator; supply --operator FILE"
+            ) from None
+    # direct values up to op.valid_from, so the first step is on a valid window
+    seed = initial_conditions(k, min(max(0, op.valid_from), last) + op.order)
+    if last > seed.last:
+        seed = extend_sequence(op, seed, last)
+    return PolySequence(start=1, values=seed.values[1 : last + 1], k=k)
 
 
 def _cmd_seq(args) -> _Reply:
@@ -175,6 +180,8 @@ def _sequence_input(args) -> PolySequence:
         return load_sequence(args.file)
     if args.k is None or args.terms is None:
         raise ShapeParseError(f"{args.command} needs --file or both -k and --terms")
+    if args.terms < 1:
+        raise ShapeParseError("--terms must be positive")
     return PolySequence(
         start=0, values=tuple(fk_sequence_direct(args.k, args.terms - 1)), k=args.k
     )

@@ -7,7 +7,10 @@ Two immutable representations:
                The zero polynomial is the empty tuple.
   BivarPoly -- sparse polynomial in ``(n, a)``: a map (deg_n, deg_a) -> int
                with no zero entries.  Recurrence-operator coefficients are
-               sparse in (n, a), hence the map.
+               sparse in (n, a), hence the map.  Operators come from records
+               or the guesser, never from formulas, so BivarPoly has no ring
+               arithmetic: it evaluates, normalizes (negation, content
+               division) and prints.
 
 Coefficients are Python ints throughout, so there is no overflow and no
 rounding anywhere.  add_product is the one dense product kernel: AlphaPoly
@@ -309,18 +312,6 @@ class BivarPoly:
     def __setattr__(self, name, value):
         raise AttributeError("BivarPoly is immutable")
 
-    @classmethod
-    def const(cls, c: int) -> BivarPoly:
-        return cls({(0, 0): c})
-
-    @classmethod
-    def var_n(cls) -> BivarPoly:
-        return cls({(1, 0): 1})
-
-    @classmethod
-    def var_a(cls) -> BivarPoly:
-        return cls({(0, 1): 1})
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -334,48 +325,6 @@ class BivarPoly:
 
     def __neg__(self) -> BivarPoly:
         return BivarPoly({k: -v for k, v in self.terms.items()})
-
-    def __add__(self, other) -> BivarPoly:
-        if isinstance(other, int):
-            other = BivarPoly.const(other)
-        if not isinstance(other, BivarPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-        return BivarPoly(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> BivarPoly:
-        if isinstance(other, int):
-            other = BivarPoly.const(other)
-        return self + (-other)
-
-    def __rsub__(self, other) -> BivarPoly:
-        return (-self) + other
-
-    def __mul__(self, other) -> BivarPoly:
-        if isinstance(other, int):
-            return BivarPoly({k: v * other for k, v in self.terms.items()})
-        if not isinstance(other, BivarPoly):
-            return NotImplemented
-        out: dict[tuple[int, int], int] = {}
-        for (p1, q1), c1 in self.terms.items():
-            for (p2, q2), c2 in other.terms.items():
-                k = (p1 + p2, q1 + q2)
-                out[k] = out.get(k, 0) + c1 * c2
-        return BivarPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> BivarPoly:
-        if e < 0:
-            raise ValueError("negative power")
-        out = BivarPoly.const(1)
-        for _ in range(e):
-            out = out * self
-        return out
 
     @property
     def deg_n(self) -> int:
@@ -432,6 +381,3 @@ class BivarPoly:
     def __str__(self) -> str:
         return render_terms(list(self.terms.items()), ("n", "a"))
 
-
-BIVAR_N = BivarPoly.var_n()
-BIVAR_A = BivarPoly.var_a()

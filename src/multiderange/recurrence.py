@@ -5,24 +5,26 @@ vanish for every n >= valid_from.  Operators are kept normalized: integer
 content 1 and a positive leading coefficient of c_r in lexicographic term
 order (n before a), so equal operators compare structurally equal.
 
-Built-in operators for block sizes 1 and 2 extend the equal-blocks sequences
-F_k far beyond what direct evaluation reaches comfortably.  Extension solves
-for F(n+r) by exact polynomial division; a nonzero remainder always means a
-wrong operator, wrong seeds, or a transcription bug, never legitimate
-fractional output, so it raises.
+Every operator is a recurrence-operator/v1 record.  The built-in ones, for
+block sizes 1 and 2, ship next to this module as operators/k1.json and
+operators/k2.json, exactly as the guesser writes them, and extend the
+equal-blocks sequences F_k far beyond what direct evaluation reaches
+comfortably.  Extension solves for F(n+r) by exact polynomial division; a
+nonzero remainder always means a wrong operator, wrong seeds, or a
+transcription bug, never legitimate fractional output, so it raises.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 from pathlib import Path
 
 from .enumerator import fk_value
 from .polys import (
-    BIVAR_A,
-    BIVAR_N,
     AlphaPoly,
     BivarPoly,
     InexactDivision,
@@ -105,25 +107,22 @@ class PolySequence:
         return self.values[n - self.start]
 
 
-def builtin_operator(k: int) -> RecurrenceOperator:
-    """Shipped annihilating operators for the equal-blocks sequences.
+_OPERATORS = Path(__file__).with_name("operators")
 
-    Only block sizes 1 and 2 are built in; anything else must come from an
-    operator file or the guesser.
+
+@cache
+def builtin_operator(k: int) -> RecurrenceOperator:
+    """Shipped annihilating operator for the equal-blocks sequence F_k.
+
+    Read once per process from operators/k{k}.json; a block size without
+    such a file must get its operator from a file of its own or the guesser.
     """
-    n, a = BIVAR_N, BIVAR_A
-    if k == 1:
-        return RecurrenceOperator(
-            (-(a * (n + 1)), -(n + 1), BivarPoly.const(1)), valid_from=0
-        )
-    if k == 2:
-        c0 = 4 * a * (2 * n + 5) * (n + 2) * (n + 1) * (a + 1) ** 2
-        c1 = 2 * (n + 2) * (a + 1) * (
-            4 * a * n**2 + 12 * a * n - 4 * n**2 + 7 * a - 14 * n - 10
-        )
-        c2 = -2 * (n + 2) * (4 * a * n + 4 * n**2 + 8 * a + 16 * n + 17)
-        c3 = 2 * n + 3
-        return RecurrenceOperator((c0, c1, c2, c3), valid_from=0)
+    try:
+        return load_operator(_OPERATORS / f"k{k}.json")
+    except OSError as exc:
+        # a k too long for a file name is just as unsupported
+        if exc.errno not in (errno.ENOENT, errno.ENAMETOOLONG):
+            raise
     raise UnsupportedK(f"no built-in operator for k={k}")
 
 
@@ -132,12 +131,14 @@ def extend_sequence(
 ) -> PolySequence:
     """Extend a seed through index ``target`` by solving for F(n+r).
 
-    Each step divides by c_r(n, a) with a mandatory zero remainder.
+    Each step divides by c_r(n, a) with a mandatory zero remainder.  The
+    first step's window, n = seed.last + 1 - order, must be at least
+    op.valid_from.
     """
     if len(seed) < op.order:
         raise ValueError(f"seed must supply at least {op.order} values")
-    if seed.start < op.valid_from:
-        raise ValueError("seed starts before the operator is valid")
+    if target > seed.last and seed.last + 1 - op.order < op.valid_from:
+        raise ValueError("seed ends before the operator is valid")
     if target < seed.last:
         raise ValueError("target precedes the last seed index")
     values = list(seed.values)
@@ -200,10 +201,14 @@ def initial_conditions(k: int, r: int) -> PolySequence:
 
 def fk_sequence_via_recurrence(k: int, last: int,
                                op: RecurrenceOperator | None = None) -> PolySequence:
-    """[F_k(0), ..., F_k(last)] from directly computed seeds plus extension."""
+    """[F_k(0), ..., F_k(last)] from directly computed seeds plus extension.
+
+    The terms before op.valid_from are direct values too, so the first step
+    uses a window the operator is valid on.
+    """
     if op is None:
         op = builtin_operator(k)
-    seed = initial_conditions(k, op.order)
+    seed = initial_conditions(k, min(max(0, op.valid_from), last) + op.order)
     if last < seed.last:
         return PolySequence(start=0, values=seed.values[: last + 1], k=k)
     return extend_sequence(op, seed, last)
@@ -289,11 +294,16 @@ def save_operator(op: RecurrenceOperator, path: str | Path) -> None:
 
 
 def load_operator(path: str | Path) -> RecurrenceOperator:
+    return operator_from_record(_read_json(path, "operator file"))
+
+
+def _read_json(path: str | Path, what: str):
     try:
-        obj = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"operator file: invalid JSON at line {exc.lineno}") from None
-    return operator_from_record(obj)
+        raise SchemaError(f"{what}: invalid JSON at line {exc.lineno}") from None
+    except RecursionError:
+        raise SchemaError(f"{what}: JSON nested too deeply") from None
 
 
 def sequence_to_record(seq: PolySequence) -> dict:
@@ -331,8 +341,4 @@ def save_sequence(seq: PolySequence, path: str | Path) -> None:
 
 
 def load_sequence(path: str | Path) -> PolySequence:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"sequence file: invalid JSON at line {exc.lineno}") from None
-    return sequence_from_record(obj)
+    return sequence_from_record(_read_json(path, "sequence file"))

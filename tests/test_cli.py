@@ -2,10 +2,11 @@ import json
 import sys
 import tracemalloc
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
-from multiderange import cli, enumerator, polys
+from multiderange import cli, enumerator, polys, recurrence
 from multiderange import selftest as selftest_mod
 from multiderange.cli import parse_shape, ShapeParseError
 from multiderange.polys import AlphaPoly
@@ -167,7 +168,7 @@ def test_seq_count_within_the_seed(capsys, k, count):
 def test_seq_recurrence_unsupported_k(capsys):
     rc, _, err = run_cli(capsys, "seq", "3", "4", "--engine", "recurrence")
     assert rc == 2
-    assert "no built-in operator" in err
+    assert err == "error: k=3 has no built-in operator; supply --operator FILE\n"
 
 
 def test_seq_direct_engine_for_large_k(capsys):
@@ -184,6 +185,32 @@ def test_seq_with_operator_file(capsys, tmp_path):
     assert rc1 == rc2 == 0
     assert env1["inputs"]["engine"] == "operator-file"
     assert env1["result"] == env2["result"]
+
+
+SHIPPED = Path(recurrence.__file__).with_name("operators")
+
+
+@pytest.mark.parametrize("k, bounds", [
+    (1, ("--terms", "15", "--max-order", "2", "--max-deg-n", "1", "--max-deg-a", "1")),
+    (2, ("--terms", "25")),
+])
+def test_shipped_operator_files_are_what_guess_writes(capsys, tmp_path, k, bounds):
+    out = tmp_path / "op.json"
+    rc, _, _ = run_machine(capsys, "guess", "-k", str(k), *bounds, "--out", str(out))
+    assert rc == 0
+    assert out.read_bytes() == (SHIPPED / f"k{k}.json").read_bytes()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_seq_with_shipped_operator_file(capsys, k):
+    rc1, env1, _ = run_machine(capsys, "seq", str(k), "40",
+                               "--operator", str(SHIPPED / f"k{k}.json"))
+    rc2, env2, _ = run_machine(capsys, "seq", str(k), "40")
+    assert rc1 == rc2 == 0
+    assert (env1["inputs"].pop("engine"), env2["inputs"].pop("engine")) == (
+        "operator-file", "recurrence")
+    del env1["timing_ms"], env2["timing_ms"]
+    assert env1 == env2
 
 
 @pytest.mark.parametrize("k, terms", [(1, 20), (2, 30)])
@@ -325,6 +352,27 @@ def test_verify_schema_error(capsys, tmp_path):
                          "--terms", "8")
     assert rc == 2
     assert "operator.coeffs" in err
+
+
+@pytest.mark.parametrize("command", ["guess", "verify"])
+def test_deeply_nested_json_is_a_schema_error(capsys, tmp_path, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    flag = "--file" if command == "guess" else "--operator"
+    rc, out, err = run_cli(capsys, command, flag, str(deep), "-k", "1", "--terms", "8")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "nested too deeply" in err
+
+
+@pytest.mark.parametrize("command", ["guess", "verify"])
+@pytest.mark.parametrize("terms", ["0", "-3"])
+def test_terms_below_one_is_a_usage_error(capsys, tmp_path, command, terms):
+    extra = ("--operator", str(SHIPPED / "k1.json")) if command == "verify" else ()
+    rc, out, err = run_cli(capsys, command, *extra, "-k", "1", "--terms", terms)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: --terms must be positive\n"
 
 
 def test_verify_constant_sequence_against_shift_minus_one(capsys, tmp_path):

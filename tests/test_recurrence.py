@@ -31,10 +31,8 @@ from multiderange.recurrence import (
     verify_operator,
 )
 
-N = BivarPoly.var_n()
-A = BivarPoly.var_a()
-
-SHIFT_MINUS_ONE = RecurrenceOperator((BivarPoly.const(-1), BivarPoly.const(1)))
+ONE = BivarPoly({(0, 0): 1})
+SHIFT_MINUS_ONE = RecurrenceOperator((BivarPoly({(0, 0): -1}), ONE))
 
 
 def const_seq(values, start=0):
@@ -45,19 +43,33 @@ def test_builtin_k1_coefficients():
     op = builtin_operator(1)
     assert op.order == 2
     assert op.valid_from == 0
-    assert op.coeffs[0] == -(A * (N + 1))
-    assert op.coeffs[1] == -(N + 1)
-    assert op.coeffs[2] == BivarPoly.const(1)
+    assert op.coeffs[0] == BivarPoly({(0, 1): -1, (1, 1): -1})  # -a(n + 1)
+    assert op.coeffs[1] == BivarPoly({(0, 0): -1, (1, 0): -1})  # -(n + 1)
+    assert op.coeffs[2] == ONE
 
 
 def test_builtin_k2_coefficients():
     op = builtin_operator(2)
+    assert builtin_operator(2) is op  # parsed once per process
     assert op.order == 3
-    assert op.coeffs[3] == 2 * N + 3
+    assert op.valid_from == 0
+    assert op.coeffs[3] == BivarPoly({(0, 0): 3, (1, 0): 2})  # 2n + 3
     # spot values of the other coefficients at small points
     assert op.coeffs[0].eval_n(0)(1) == 4 * 1 * 5 * 2 * 1 * 4
     assert op.coeffs[2].eval_n(0)(0) == -2 * 2 * 17
     assert op.coeffs[1].eval_n(0)(0) == 2 * 2 * 1 * (-10)
+    # the shipped record equals the closed form on a grid wider than every
+    # degree, hence identically
+    closed = (
+        lambda n, a: 4 * a * (2 * n + 5) * (n + 2) * (n + 1) * (a + 1) ** 2,
+        lambda n, a: 2 * (n + 2) * (a + 1) * (
+            4 * a * n**2 + 12 * a * n - 4 * n**2 + 7 * a - 14 * n - 10
+        ),
+        lambda n, a: -2 * (n + 2) * (4 * a * n + 4 * n**2 + 8 * a + 16 * n + 17),
+        lambda n, a: 2 * n + 3,
+    )
+    for c, f in zip(op.coeffs, closed):
+        assert all(c.eval_n(n)(a) == f(n, a) for n in range(-4, 5) for a in range(-4, 5))
 
 
 def test_builtin_unsupported():
@@ -65,6 +77,8 @@ def test_builtin_unsupported():
         builtin_operator(3)
     with pytest.raises(UnsupportedK):
         builtin_operator(0)
+    with pytest.raises(UnsupportedK):
+        builtin_operator(10**300)  # longer than any file name
 
 
 def test_extend_k1():
@@ -92,6 +106,15 @@ def test_extend_matches_direct_evaluation(k):
     ext = fk_sequence_via_recurrence(k, 10)
     for n in range(11):
         assert ext.value_at(n) == fk_value(k, n)
+
+
+@pytest.mark.parametrize("valid_from", [-2, 0, 1, 3, 50])
+@pytest.mark.parametrize("last", [0, 1, 2, 5, 20])
+def test_extension_seeds_through_valid_from(valid_from, last):
+    op = RecurrenceOperator(builtin_operator(2).coeffs, valid_from=valid_from)
+    ext = fk_sequence_via_recurrence(2, last, op)
+    assert ext.start == 0
+    assert ext.values == tuple(fk_value(2, n) for n in range(last + 1))
 
 
 def test_extended_values_keep_the_structural_invariants():
@@ -124,7 +147,7 @@ def test_f1_to_1000_at_alpha_one_gives_derangement_numbers():
 
 
 def test_specialize_alpha_rejects_degenerate():
-    op = RecurrenceOperator((BivarPoly.const(-1), A))
+    op = RecurrenceOperator((BivarPoly({(0, 0): -1}), BivarPoly({(0, 1): 1})))
     with pytest.raises(ValueError):
         specialize_alpha(op, 0)
 
@@ -137,16 +160,26 @@ def test_extend_preconditions():
     with pytest.raises(ValueError):
         extend_sequence(op, seed, 0)  # target before last seed index
     assert extend_sequence(op, seed, 1).values == seed.values
+    # a step's window must be valid, not the seed's first index
+    late = RecurrenceOperator(op.coeffs, valid_from=1)
+    with pytest.raises(ValueError):
+        extend_sequence(late, seed, 2)  # first window n=0
+    assert extend_sequence(late, seed, 1).values == seed.values  # no step
+    seed3 = initial_conditions(1, 3)
+    assert extend_sequence(late, seed3, 5).values == tuple(fk_value(1, n) for n in range(6))
 
 
 def test_extend_inexact_division():
-    halver = RecurrenceOperator((BivarPoly.const(-1), BivarPoly.const(2)))
+    halver = RecurrenceOperator((BivarPoly({(0, 0): -1}), BivarPoly({(0, 0): 2})))
     with pytest.raises(InexactDivision):
         extend_sequence(halver, const_seq([1]), 3)
 
 
 def test_extend_leading_coefficient_zero():
-    op = RecurrenceOperator((-(N - 2), N - 2))  # F(n+1) = F(n), dies at n=2
+    # (n - 2) F(n+1) = (n - 2) F(n): F(n+1) = F(n), dies at n=2
+    op = RecurrenceOperator(
+        (BivarPoly({(0, 0): 2, (1, 0): -1}), BivarPoly({(0, 0): -2, (1, 0): 1}))
+    )
     ext = extend_sequence(op, const_seq([7]), 1)
     assert ext.value_at(1) == AlphaPoly((7,))
     with pytest.raises(LeadingCoefficientZero):
@@ -180,16 +213,19 @@ def test_initial_conditions():
 
 def test_normalization():
     op = builtin_operator(1)
-    scaled = RecurrenceOperator(tuple(c * -6 for c in op.coeffs), op.valid_from)
+    scaled = RecurrenceOperator(
+        tuple(BivarPoly({pq: -6 * v for pq, v in c.terms.items()}) for c in op.coeffs),
+        op.valid_from,
+    )
     assert scaled == op
     assert RecurrenceOperator(op.coeffs, op.valid_from) == op
 
 
 def test_operator_requires_nonzero_leading():
     with pytest.raises(ValueError):
-        RecurrenceOperator((BivarPoly.const(1), BivarPoly()))
+        RecurrenceOperator((ONE, BivarPoly()))
     with pytest.raises(ValueError):
-        RecurrenceOperator((BivarPoly.const(1),))
+        RecurrenceOperator((ONE,))
 
 
 def test_operator_file_round_trip(tmp_path):
