@@ -43,10 +43,10 @@ from .recurrence import (
     WindowTooShort,
     builtin_operator,
     extend_sequence,
-    initial_conditions,
     load_operator,
     load_sequence,
     operator_from_record,
+    operator_seed,
     operator_to_record,
     save_operator,
     save_sequence,
@@ -61,7 +61,6 @@ from .guesser import (
     InsufficientTerms,
     NotFound,
     guess_operator,
-    nullspace_vector,
 )
 
 __version__ = "0.1.0"
@@ -92,14 +91,13 @@ __all__ = [
     "fk_value",
     "guess_operator",
     "identified_count",
-    "initial_conditions",
     "laguerre_product",
     "load_operator",
     "load_sequence",
     "moment_functional",
     "normalize_shape",
-    "nullspace_vector",
     "operator_from_record",
+    "operator_seed",
     "operator_to_record",
     "poly_from_record",
     "poly_to_record",

@@ -23,6 +23,8 @@ from typing import Callable
 
 from . import selftest as selftest_mod
 from .enumerator import (
+    MAX_GROUND_SET,
+    SHAPE_TOO_LARGE,
     fk_sequence_direct,
     identified_count,
     weighted_derangement_poly,
@@ -35,9 +37,9 @@ from .recurrence import (
     builtin_operator,
     extend_sequence,
     first_failure,
-    initial_conditions,
     load_operator,
     load_sequence,
+    operator_seed,
     operator_to_record,
     sequence_to_record,
 )
@@ -48,12 +50,6 @@ class ShapeParseError(ValueError):
 
 
 _SHAPE_PART = re.compile(r"(\d+)(?:\^(\d+))?")
-
-# Largest ground set (sum of block sizes) and number of blocks a shape may
-# have.  Checked before each component is expanded, so "4^1000000000" fails
-# at once instead of allocating; shapes near the limit already take far
-# longer than anyone waits.
-MAX_GROUND_SET = 10_000
 
 
 def parse_shape(text: str) -> tuple[int, ...]:
@@ -70,9 +66,7 @@ def parse_shape(text: str) -> tuple[int, ...]:
         total += k * reps
         blocks += reps
         if total > MAX_GROUND_SET or blocks > MAX_GROUND_SET:
-            raise ShapeParseError(
-                f"shape too large: more than {MAX_GROUND_SET} elements or blocks"
-            )
+            raise ShapeParseError(SHAPE_TOO_LARGE)
         out.extend([k] * reps)
     return tuple(out)
 
@@ -150,8 +144,7 @@ def _seq_values(args, engine: str) -> PolySequence:
             raise UnsupportedK(
                 f"k={k} has no built-in operator; supply --operator FILE"
             ) from None
-    # direct values up to op.valid_from, so the first step is on a valid window
-    seed = initial_conditions(k, min(max(0, op.valid_from), last) + op.order)
+    seed = operator_seed(k, op, last)
     if last > seed.last:
         seed = extend_sequence(op, seed, last)
     return PolySequence(start=1, values=seed.values[1 : last + 1], k=k)

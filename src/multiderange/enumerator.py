@@ -11,6 +11,12 @@ x^m -> a(a+1)...(a+m-1), which realizes the underlying Gamma-weight
 integral exactly, in pure integer-polynomial arithmetic.  The result for
 shape (k_1,...,k_n) counts labeled elements; divide the a=1 value by
 prod(k_i!) to identify the elements within each block.
+
+The equal-blocks values F_k(n), n blocks of size k, have one generator,
+fk_sequence_direct, which carries the product of n Laguerre factors from
+one n to the next; fk_value builds each product from scratch and is the
+reference the generator is tested against.  Both refuse a ground set
+above MAX_GROUND_SET before allocating anything.
 """
 
 from __future__ import annotations
@@ -18,8 +24,15 @@ from __future__ import annotations
 from math import factorial, prod
 from typing import Sequence
 
-from .laguerre import XAPoly, laguerre_product
+from .laguerre import XAPoly, _mul, laguerre_product, scaled_laguerre
 from .polys import AlphaPoly, add_product, rising_factorial
+
+# Largest ground set (sum of block sizes) and number of blocks a shape may
+# have.  Checked before anything is expanded or allocated, so "4^1000000000"
+# or a block of 10^9 elements fails at once; shapes near the limit already
+# take far longer than anyone waits.
+MAX_GROUND_SET = 10_000
+SHAPE_TOO_LARGE = f"shape too large: more than {MAX_GROUND_SET} elements or blocks"
 
 
 def normalize_shape(shape: Sequence[int]) -> tuple[int, ...]:
@@ -55,9 +68,8 @@ def weighted_derangement_poly(shape: Sequence[int]) -> AlphaPoly:
     derangement has length at least 2).
     """
     blocks = normalize_shape(shape)
-    total = sum(blocks)
-    sign = -1 if total % 2 else 1
-    return sign * moment_functional(laguerre_product(blocks))
+    poly = moment_functional(laguerre_product(blocks))
+    return -poly if sum(blocks) % 2 else poly
 
 
 def count_derangements(shape: Sequence[int]) -> int:
@@ -80,15 +92,34 @@ def identified_count(shape: Sequence[int]) -> int:
     return q
 
 
-def fk_value(k: int, n: int) -> AlphaPoly:
-    """Weight enumerator for n equal blocks of size k; 1 when n = 0."""
+def _check_equal_blocks(k: int, last: int) -> None:
     if k < 1:
         raise ValueError("k must be positive")
+    if k * last > MAX_GROUND_SET:
+        raise ValueError(SHAPE_TOO_LARGE)
+
+
+def fk_value(k: int, n: int) -> AlphaPoly:
+    """Weight enumerator for n equal blocks of size k; 1 when n = 0."""
+    _check_equal_blocks(k, n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     return weighted_derangement_poly((k,) * n)
 
 
 def fk_sequence_direct(k: int, last: int) -> list[AlphaPoly]:
-    """[fk_value(k, 0), ..., fk_value(k, last)], each computed from scratch."""
-    return [fk_value(k, n) for n in range(last + 1)]
+    """[F_k(0), ..., F_k(last)], equal to fk_value(k, n) for each n.
+
+    F_k(n) = (-1)^(kn) * moment_functional(P_n) with P_0 = 1 and
+    P_n = P_{n-1} * scaled_laguerre(k), so each value costs one product
+    with a single factor instead of a product of n factors.
+    """
+    _check_equal_blocks(k, last)
+    p: XAPoly = ((1,),)
+    values = []
+    for n in range(last + 1):
+        if n:
+            p = _mul(p, scaled_laguerre(k))
+        v = moment_functional(p)
+        values.append(-v if k * n % 2 else v)
+    return values

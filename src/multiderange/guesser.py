@@ -34,7 +34,8 @@ cannot change the kernel, so this is exact.  The kernel of those rows
 contains the candidate's kernel; when each of its basis vectors also
 annihilates every other row, the two kernels are equal, and so are the
 pivots, the kernel dimension and the canonical vector.  When one does not,
-which takes p dividing a minor, all rows are eliminated instead.
+which takes p dividing a minor, all rows are eliminated instead.  Every
+step works on integers; no rational number is ever formed.
 
 Each candidate is logged at DEBUG on the ``multiderange.guesser`` logger
 with its shape, its equations x unknowns and its outcome.
@@ -45,8 +46,7 @@ from __future__ import annotations
 import logging
 from bisect import insort
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import itemgetter
 from typing import Sequence
 
@@ -99,31 +99,6 @@ class GuessResult:
     kernel_dim: int
     equations: int
     unknowns: int
-
-
-def nullspace_vector(rows: Sequence[Sequence]) -> list[Fraction] | None:
-    """One nonzero kernel vector of a rational matrix, or None.
-
-    Deterministic: fixed pivot rule, and the returned vector is the
-    canonical kernel basis vector with the most trailing zero entries.
-    """
-    rows = [list(r) for r in rows]
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    int_rows = []
-    for r in rows:
-        if len(r) != ncols:
-            raise ValueError("ragged matrix")
-        fr = [Fraction(x) for x in r]
-        scale = lcm(*(f.denominator for f in fr)) if fr else 1
-        int_rows.append([int(f * scale) for f in fr])
-    echelon, pivots = _echelon(int_rows)
-    free = _free_columns(pivots, ncols)
-    if not free:
-        return None
-    v = _kernel_vector(echelon, pivots, ncols, free[0])
-    return [Fraction(x, v[free[0]]) for x in v]
 
 
 def _echelon(

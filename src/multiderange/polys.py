@@ -4,7 +4,9 @@ Two immutable representations:
 
   AlphaPoly -- dense polynomial in the cycle-marking variable ``a``: a tuple
                of int coefficients, ascending powers, no trailing zeros.
-               The zero polynomial is the empty tuple.
+               The zero polynomial is the empty tuple.  Values are built
+               by the kernels below, so AlphaPoly has no ring arithmetic
+               either: it negates, evaluates, compares and prints.
   BivarPoly -- sparse polynomial in ``(n, a)``: a map (deg_n, deg_a) -> int
                with no zero entries.  Recurrence-operator coefficients are
                sparse in (n, a), hence the map.  Operators come from records
@@ -13,9 +15,9 @@ Two immutable representations:
                division) and prints.
 
 Coefficients are Python ints throughout, so there is no overflow and no
-rounding anywhere.  add_product is the one dense product kernel: AlphaPoly
-multiplication, the Laguerre product, the moment functional and the
-recurrence steps all accumulate into an int list through it.  divide_exact
+rounding anywhere.  add_product is the one dense product kernel: the
+Laguerre product, the moment functional and the recurrence steps all
+accumulate into an int list through it.  divide_exact
 is integer long division that only accepts remainder-free, integral
 quotients.  The public constructors check that every coefficient is an
 int; results built inside this package, from coefficients that are ints by
@@ -98,40 +100,6 @@ class AlphaPoly:
 
     def __neg__(self) -> AlphaPoly:
         return AlphaPoly._trusted([-c for c in self.coeffs])
-
-    def __add__(self, other) -> AlphaPoly:
-        if isinstance(other, int):
-            other = AlphaPoly._trusted([other])
-        if not isinstance(other, AlphaPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return AlphaPoly._trusted(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> AlphaPoly:
-        return self + (-other)
-
-    def __rsub__(self, other) -> AlphaPoly:
-        return (-self) + other
-
-    def __mul__(self, other) -> AlphaPoly:
-        if isinstance(other, int):
-            if other == 0:
-                return _ZERO
-            return AlphaPoly._trusted([c * other for c in self.coeffs])
-        if not isinstance(other, AlphaPoly):
-            return NotImplemented
-        out: list[int] = []
-        add_product(out, self.coeffs, other.coeffs)
-        return AlphaPoly._trusted(out)
-
-    __rmul__ = __mul__
 
     def __call__(self, v: int) -> int:
         """Exact Horner evaluation at an integer."""

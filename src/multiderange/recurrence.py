@@ -9,9 +9,12 @@ Every operator is a recurrence-operator/v1 record.  The built-in ones, for
 block sizes 1 and 2, ship next to this module as operators/k1.json and
 operators/k2.json, exactly as the guesser writes them, and extend the
 equal-blocks sequences F_k far beyond what direct evaluation reaches
-comfortably.  Extension solves for F(n+r) by exact polynomial division; a
-nonzero remainder always means a wrong operator, wrong seeds, or a
-transcription bug, never legitimate fractional output, so it raises.
+comfortably.  operator_seed is the one rule for how many direct values an
+operator needs: F_k from index 0 through op.valid_from plus order - 1
+more, from the enumerator's generator.  Extension solves for F(n+r) by
+exact polynomial division; a nonzero remainder always means a wrong
+operator, wrong seeds, or a transcription bug, never legitimate
+fractional output, so it raises.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from functools import cache
 from math import gcd
 from pathlib import Path
 
-from .enumerator import fk_value
+from .enumerator import fk_sequence_direct
 from .polys import (
     AlphaPoly,
     BivarPoly,
@@ -192,23 +195,23 @@ def verify_operator(op: RecurrenceOperator, seq: PolySequence) -> bool:
     return first_failure(op, seq) is None
 
 
-def initial_conditions(k: int, r: int) -> PolySequence:
-    """First r values of the equal-blocks sequence, computed directly."""
-    if k < 1 or r < 1:
-        raise ValueError("k and r must be positive")
-    return PolySequence(start=0, values=tuple(fk_value(k, n) for n in range(r)), k=k)
+def operator_seed(k: int, op: RecurrenceOperator, last: int) -> PolySequence:
+    """Directly computed F_k(0..m) from which op extends F_k through ``last``.
+
+    m = min(max(0, op.valid_from), last) + op.order - 1: the terms before
+    op.valid_from are direct values too, so the first step uses a window
+    the operator is valid on.
+    """
+    m = min(max(0, op.valid_from), last) + op.order - 1
+    return PolySequence(start=0, values=tuple(fk_sequence_direct(k, m)), k=k)
 
 
 def fk_sequence_via_recurrence(k: int, last: int,
                                op: RecurrenceOperator | None = None) -> PolySequence:
-    """[F_k(0), ..., F_k(last)] from directly computed seeds plus extension.
-
-    The terms before op.valid_from are direct values too, so the first step
-    uses a window the operator is valid on.
-    """
+    """[F_k(0), ..., F_k(last)]: operator_seed, then extension."""
     if op is None:
         op = builtin_operator(k)
-    seed = initial_conditions(k, min(max(0, op.valid_from), last) + op.order)
+    seed = operator_seed(k, op, last)
     if last < seed.last:
         return PolySequence(start=0, values=seed.values[: last + 1], k=k)
     return extend_sequence(op, seed, last)

@@ -171,6 +171,39 @@ def test_seq_recurrence_unsupported_k(capsys):
     assert err == "error: k=3 has no built-in operator; supply --operator FILE\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("seq", "1" + "0" * 300, "1"), ("guess", "-k", "1" + "0" * 300, "--terms", "3")],
+    ids=["seq", "guess"],
+)
+def test_block_size_past_the_budget_is_a_usage_error(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {enumerator.SHAPE_TOO_LARGE}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (("seq", "1000000", "1"), 2, "shape too large"),
+        # F_k(0) = 1 needs no Laguerre factor, so a huge k is harmless there
+        (("guess", "-k", "1" + "0" * 300, "--terms", "1"), 1, "no operator found"),
+    ],
+    ids=["seq", "guess-one-term"],
+)
+def test_block_size_budget_fails_before_allocating(capsys, argv, code, message):
+    tracemalloc.start()
+    try:
+        rc, out, err = run_cli(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == code
+    assert message in out + err
+    assert peak < 1_000_000
+
+
 def test_seq_direct_engine_for_large_k(capsys):
     rc, env, _ = run_machine(capsys, "seq", "3", "3")
     assert rc == 0

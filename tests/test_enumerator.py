@@ -4,7 +4,10 @@ from math import factorial, prod
 import pytest
 
 from multiderange.enumerator import (
+    MAX_GROUND_SET,
+    SHAPE_TOO_LARGE,
     count_derangements,
+    fk_sequence_direct,
     fk_value,
     identified_count,
     moment_functional,
@@ -31,7 +34,7 @@ def test_moment_functional_examples():
     assert moment_functional(one) == ALPHA_ONE
     assert moment_functional(x) == A
     x2_minus_x = ((), (-1,), (1,))
-    assert moment_functional(x2_minus_x) == A * A
+    assert moment_functional(x2_minus_x) == AlphaPoly((0, 0, 1))  # a^2
     assert moment_functional(()) == AlphaPoly()
 
 
@@ -63,6 +66,25 @@ def test_fk_values():
         fk_value(0, 3)
     with pytest.raises(ValueError):
         fk_value(1, -1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_direct_generator_matches_fk_value(k):
+    assert fk_sequence_direct(k, 12) == [fk_value(k, n) for n in range(13)]
+    assert fk_sequence_direct(k, 0) == [ALPHA_ONE]
+    assert fk_sequence_direct(k, -1) == []
+
+
+def test_equal_blocks_budget():
+    for k, last in ((10**300, 1), (1, MAX_GROUND_SET + 1), (2, MAX_GROUND_SET // 2 + 1)):
+        with pytest.raises(ValueError) as exc:
+            fk_sequence_direct(k, last)
+        assert str(exc.value) == SHAPE_TOO_LARGE
+        with pytest.raises(ValueError) as exc:
+            fk_value(k, last)
+        assert str(exc.value) == SHAPE_TOO_LARGE
+    with pytest.raises(ValueError, match="k must be positive"):
+        fk_sequence_direct(0, 3)
 
 
 def test_shape_permutation_invariance():

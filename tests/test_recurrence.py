@@ -18,10 +18,10 @@ from multiderange.recurrence import (
     extend_sequence,
     first_failure,
     fk_sequence_via_recurrence,
-    initial_conditions,
     load_operator,
     load_sequence,
     operator_from_record,
+    operator_seed,
     operator_to_record,
     save_operator,
     save_sequence,
@@ -165,7 +165,8 @@ def test_extend_preconditions():
     with pytest.raises(ValueError):
         extend_sequence(late, seed, 2)  # first window n=0
     assert extend_sequence(late, seed, 1).values == seed.values  # no step
-    seed3 = initial_conditions(1, 3)
+    seed3 = operator_seed(1, late, 5)
+    assert len(seed3) == 3
     assert extend_sequence(late, seed3, 5).values == tuple(fk_value(1, n) for n in range(6))
 
 
@@ -199,16 +200,30 @@ def test_verify_window_too_short():
         verify_operator(builtin_operator(1), const_seq([1, 0]))
 
 
-def test_initial_conditions():
-    assert initial_conditions(1, 2).values == (ALPHA_ONE, AlphaPoly())
-    assert initial_conditions(2, 3).values == (
+def test_operator_seed():
+    seed = operator_seed(1, builtin_operator(1), 10)
+    assert (seed.start, seed.k) == (0, 1)
+    assert seed.values == (ALPHA_ONE, AlphaPoly())
+    assert operator_seed(2, builtin_operator(2), 10).values == (
         ALPHA_ONE,
         AlphaPoly(),
         AlphaPoly((0, 2, 2)),
     )
-    assert initial_conditions(4, 1).values == (ALPHA_ONE,)
+    assert operator_seed(4, SHIFT_MINUS_ONE, 10).values == (ALPHA_ONE,)
     with pytest.raises(ValueError):
-        initial_conditions(0, 2)
+        operator_seed(0, builtin_operator(1), 2)
+
+
+@pytest.mark.parametrize("valid_from", [-2, 0, 1, 3, 50])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_operator_seed_matches_fk_value(k, valid_from):
+    for order in (1, 2, 3):
+        op = RecurrenceOperator((ONE,) * (order + 1), valid_from=valid_from)
+        for last in (0, 1, 2, 5, 9):
+            seed = operator_seed(k, op, last)
+            m = min(max(0, valid_from), last) + order - 1
+            assert (seed.start, seed.k) == (0, k)
+            assert seed.values == tuple(fk_value(k, n) for n in range(m + 1))
 
 
 def test_normalization():
