@@ -15,15 +15,17 @@ whose powers of n and a fit, and the rows it would not have are exactly
 those that become zero.
 
 Most candidates have no kernel, so each one is first screened modulo a
-fixed word-size prime p: its rows are reduced into F_p and eliminated
-there, in order, noting each row that raises the rank and stopping as soon
-as the rank reaches the number of unknowns, which usually takes little
-more than that many rows.  The filter is sound: any nonzero minor mod p is
-a nonzero integer minor, so the rank over Q is at least the rank over F_p,
-and a matrix of full column rank mod p has no rational kernel.  It can
-only let a kernel-free candidate through (when p divides the relevant
-minors), never drop one that has a kernel, so the operator found is the
-same as without it.
+fixed word-size prime p: its rows are taken in order, noting each row that
+raises the rank over F_p and stopping as soon as the rank reaches the
+number of unknowns, which usually takes little more than that many rows.
+The basis is kept in reduced echelon form and stored by non-pivot column,
+so a row's residual is one dot product per non-pivot column; a candidate
+that has a kernel reduces its many dependent rows at that cost.  The
+filter is sound: any nonzero minor mod p is a nonzero integer minor, so the
+rank over Q is at least the rank over F_p, and a matrix of full column rank
+mod p has no rational kernel.  It can only let a kernel-free candidate
+through (when p divides the relevant minors), never drop one that has a
+kernel, so the operator found is the same as without it.
 
 Candidates that pass are solved exactly on the rows that raised the rank
 mod p alone, with fraction-free linear algebra: integer rows, pivoting by
@@ -37,6 +39,9 @@ pivots, the kernel dimension and the canonical vector.  When one does not,
 which takes p dividing a minor, all rows are eliminated instead.  Every
 step works on integers; no rational number is ever formed.
 
+An order whose largest system would exceed MAX_SYSTEM_ENTRIES equations x
+unknowns is refused with ValueError before its rows are built.
+
 Each candidate is logged at DEBUG on the ``multiderange.guesser`` logger
 with its shape, its equations x unknowns and its outcome.
 """
@@ -44,19 +49,23 @@ with its shape, its equations x unknowns and its outcome.
 from __future__ import annotations
 
 import logging
-from bisect import insort
 from dataclasses import dataclass
 from math import gcd
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Sequence
 
-from .polys import BivarPoly
+from .polys import AlphaPoly, BivarPoly
 from .recurrence import PolySequence, RecurrenceOperator, verify_operator
 
 _log = logging.getLogger(__name__)
 
 # Modulus of the rank filter; a Mersenne prime, so unlucky minors are rare.
 _PRIME = (1 << 61) - 1
+
+# Largest equations x unknowns of one order's system.  The F_3 search at
+# bounds (4, 7, 7) on 60 terms needs about 2 690 x 320, and its rows of
+# up to 1016-bit entries hold about 64 MB.
+MAX_SYSTEM_ENTRIES = 2_000_000
 
 
 class NotFound(Exception):
@@ -149,26 +158,33 @@ def _echelon(
 def _independent_rows_mod_p(rows: Sequence[Sequence[int]], ncols: int) -> list[int]:
     """Indices of the rows that raise the rank over F_p, taken in order.
 
-    Rows are reduced against an echelon basis whose pivots are normalized
-    to 1; it stops as soon as the rank is ncols.  A result of length ncols
-    means the rows certainly have no nonzero rational kernel vector.
+    The basis is kept in reduced echelon form, stored by non-pivot column:
+    cols[f][b] is the entry of basis row b at column f, its pivot entry is 1
+    and its other pivot entries are 0.  A row's residual at f is therefore
+    row[f] minus one dot product of the row's pivot entries with cols[f].
+    It stops as soon as the rank is ncols.  A result of length ncols means
+    the rows certainly have no nonzero rational kernel vector.
     """
     p = _PRIME
-    basis: list[tuple[int, list[int]]] = []  # (pivot column, row from it on)
+    pivots: list[int] = []
+    cols: dict[int, list[int]] = {f: [] for f in range(ncols)}
     picked: list[int] = []
     for i, row in enumerate(rows):
-        v = [x % p for x in row]
-        for col, tail in basis:
-            c = v[col] % p
-            if c:
-                # entries may leave [0, p) here; reduced once per row below
-                v[col:] = [a - c * b for a, b in zip(v[col:], tail)]
-        v = [x % p for x in v]
-        lead = next((c for c, x in enumerate(v) if x), -1)
-        if lead < 0:
+        g = [row[q] for q in pivots]
+        res = [(f, x) for f, col in cols.items()
+               if (x := (row[f] - sum(map(mul, g, col))) % p)]
+        if not res:
             continue
-        inv = pow(v[lead], -1, p)
-        insort(basis, (lead, [x * inv % p for x in v[lead:]]))
+        c, x = res[0]
+        inv = pow(x, -1, p)
+        new = {f: y * inv % p for f, y in res}  # the new basis row, 1 at c
+        at_c = cols.pop(c)
+        for f, col in cols.items():
+            z = new.get(f, 0)
+            if z:  # clear column c from the old basis rows
+                col[:] = [(a - b * z) % p for a, b in zip(col, at_c)]
+            col.append(z)
+        pivots.append(c)
         picked.append(i)
         if len(picked) == ncols:
             break
@@ -231,38 +247,44 @@ def _solve(
 
 
 def _fit_rows(
-    seq: PolySequence, r: int, dn: int, da: int, holdout: int
-) -> list[list[int]] | None:
-    """Equation rows over the fitting segment (holdout excluded)."""
-    fit = seq.values[: len(seq.values) - holdout]
-    positions = len(fit) - r
-    if positions < 1:
-        return None
+    fit: Sequence[AlphaPoly], start: int, r: int, dn: int, da: int
+) -> list[list[int]]:
+    """Equation rows of candidate (r, dn, da) over the fitting segment.
+
+    Window t (n = start + t) and power a^s give the row whose entry for the
+    monomial n^p a^q of c_j is n^p times the a^(s-q) coefficient of
+    fit[t + j].  Raises ValueError, before building anything, when rows x
+    unknowns would exceed MAX_SYSTEM_ENTRIES.
+    """
+    degrees = [v.degree for v in fit]
+    tops = [max(degrees[t : t + r + 1]) for t in range(len(fit) - r)]
     unknowns = (r + 1) * (dn + 1) * (da + 1)
+    equations = sum(d + da + 1 for d in tops if d >= 0)
+    if equations * unknowns > MAX_SYSTEM_ENTRIES:
+        raise ValueError(
+            f"guess system too large: {equations} equations x {unknowns} "
+            f"unknowns at order {r} exceed the budget of {MAX_SYSTEM_ENTRIES} entries"
+        )
+    # padded[t][s + da - q] is the a^(s-q) coefficient of fit[t], 0 outside
+    top = max(degrees, default=-1)
+    padded = [(0,) * da + v.coeffs + (0,) * (top + da - v.degree) for v in fit]
     rows: list[list[int]] = []
-    for t in range(positions):
-        n = seq.start + t
-        window = fit[t : t + r + 1]
-        max_deg = max(v.degree for v in window)
+    for t, max_deg in enumerate(tops):
         if max_deg < 0:
             continue  # all-zero window constrains nothing
-        npows = [n**p for p in range(dn + 1)]
+        n = start + t
+        npows = [n**p for p in range(1, dn + 1)]
+        window = padded[t : t + r + 1]
         for s in range(max_deg + da + 1):
-            row = [0] * unknowns
-            nonzero = False
-            u = 0
-            for j in range(r + 1):
-                vj = window[j]
-                for p in range(dn + 1):
-                    npow = npows[p]
-                    for q in range(da + 1):
-                        c = vj.coeff(s - q) if 0 <= s - q else 0
-                        if c:
-                            row[u] = npow * c
-                            nonzero = True
-                        u += 1
-            if nonzero:
-                rows.append(row)
+            segs = [v[s : s + da + 1][::-1] for v in window]
+            if not any(map(any, segs)):
+                continue
+            row: list[int] = []
+            for seg in segs:
+                row += seg
+                for npow in npows:
+                    row += [npow * c for c in seg]
+            rows.append(row)
     return rows
 
 
@@ -332,8 +354,10 @@ def guess_operator(seq: PolySequence, spec: GuessSpec) -> GuessResult:
 
     Candidates are tried by increasing order, then deg_n, then deg_a; the
     first operator that annihilates the whole sequence (holdout included)
-    wins.  Raises NotFound when every admissible candidate fails, and
-    InsufficientTerms when no candidate even has enough equations.
+    wins.  Raises NotFound when every admissible candidate fails,
+    InsufficientTerms when no candidate even has enough equations, and
+    ValueError when an order reached by the search exceeds
+    MAX_SYSTEM_ENTRIES.
     """
     if len(seq.values) < 2 + spec.holdout:
         raise InsufficientTerms(
@@ -341,11 +365,11 @@ def guess_operator(seq: PolySequence, spec: GuessSpec) -> GuessResult:
             f"holdout {spec.holdout}"
         )
     max_dn, max_da = spec.max_deg_n, spec.max_deg_a
+    fit = seq.values[: len(seq.values) - spec.holdout]
     any_admissible = False
-    for r in range(1, spec.max_order + 1):
-        order_rows = _fit_rows(seq, r, max_dn, max_da, spec.holdout)
-        if order_rows is None:
-            continue
+    # an order needs a window of r + 1 fitted terms; higher ones have none
+    for r in range(1, min(spec.max_order, len(fit) - 1) + 1):
+        order_rows = _fit_rows(fit, seq.start, r, max_dn, max_da)
         for dn in range(max_dn + 1):
             for da in range(max_da + 1):
                 unknowns = (r + 1) * (dn + 1) * (da + 1)

@@ -1,12 +1,13 @@
 import json
 import sys
+import time
 import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
-from multiderange import cli, enumerator, polys, recurrence
+from multiderange import cli, enumerator, guesser, polys, recurrence
 from multiderange import selftest as selftest_mod
 from multiderange.cli import parse_shape, ShapeParseError
 from multiderange.polys import AlphaPoly
@@ -189,8 +190,10 @@ def test_block_size_past_the_budget_is_a_usage_error(capsys, argv):
         (("seq", "1000000", "1"), 2, "shape too large"),
         # F_k(0) = 1 needs no Laguerre factor, so a huge k is harmless there
         (("guess", "-k", "1" + "0" * 300, "--terms", "1"), 1, "no operator found"),
+        (("guess", "-k", "1", "--terms", "10", "--max-deg-n", "100000",
+          "--max-deg-a", "100000"), 2, "guess system too large"),
     ],
-    ids=["seq", "guess-one-term"],
+    ids=["seq", "guess-one-term", "guess-system"],
 )
 def test_block_size_budget_fails_before_allocating(capsys, argv, code, message):
     tracemalloc.start()
@@ -344,6 +347,23 @@ def test_guess_constant_sequence_file(capsys, tmp_path):
                              "--max-order", "1", "--max-deg-n", "0", "--max-deg-a", "0")
     assert rc == 0
     assert env["result"]["operator"]["coeffs"] == [[[0, 0, "-1"]], [[0, 0, "1"]]]
+
+
+def test_guess_order_bound_past_the_terms_changes_nothing(capsys, monkeypatch):
+    calls = []
+    fit_rows = guesser._fit_rows
+    monkeypatch.setattr(guesser, "_fit_rows", lambda *a: calls.append(a) or fit_rows(*a))
+    argv = ("guess", "-k", "1", "--terms", "40", "--max-deg-n", "0", "--max-deg-a", "0")
+    rc, small, _ = run_machine(capsys, *argv, "--max-order", "40")
+    t0 = time.perf_counter()
+    rc_huge, huge, _ = run_machine(capsys, *argv, "--max-order", "1000000000")
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == rc_huge == 1
+    assert huge["result"] == small["result"] == {
+        "found": False, "reason": "no operator within the given bounds fits the data"}
+    assert huge["inputs"] == {**small["inputs"], "max_order": 1000000000}
+    # 35 fitted terms: orders 1..34 have a window, each built once per run
+    assert len(calls) == 2 * 34
 
 
 def test_guess_insufficient_terms(capsys):

@@ -1,5 +1,6 @@
 import logging
 import random
+from bisect import insort
 
 import pytest
 
@@ -27,6 +28,11 @@ def const_seq(values, start=0):
 def f_seq(k, terms, start=0):
     values = tuple(fk_value(k, n) for n in range(start, start + terms))
     return PolySequence(start, values, k=k)
+
+
+def fit_rows(seq, r, dn, da, holdout):
+    fit = seq.values[: len(seq.values) - holdout]
+    return guesser._fit_rows(fit, seq.start, r, dn, da)
 
 
 def nullspace_vector(rows):
@@ -182,10 +188,10 @@ def test_each_candidate_is_logged_at_debug(caplog):
 def test_rows_cut_from_the_largest_shape_equal_rows_built_directly(k, terms, start):
     seq = f_seq(k, terms, start)
     for r in range(1, 4):
-        largest = guesser._fit_rows(seq, r, 3, 3, 2)
+        largest = fit_rows(seq, r, 3, 3, 2)
         for dn in range(4):
             for da in range(4):
-                direct = guesser._fit_rows(seq, r, dn, da, 2)
+                direct = fit_rows(seq, r, dn, da, 2)
                 got = guesser._column_subset(largest, r, dn, da, 3, 3)
                 assert got == [tuple(row) for row in direct], (r, dn, da)
 
@@ -229,8 +235,8 @@ def test_solve_on_independent_rows_matches_the_full_solve(echelon_calls, seq):
         for dn in range(4):
             for da in range(4):
                 unknowns = (r + 1) * (dn + 1) * (da + 1)
-                rows = guesser._fit_rows(seq, r, dn, da, 2)
-                if rows is None or len(rows) < unknowns:
+                rows = fit_rows(seq, r, dn, da, 2)
+                if len(rows) < unknowns:
                     continue
                 echelon_calls.clear()
                 got = guesser._solve(rows, unknowns)
@@ -262,3 +268,106 @@ def test_unlucky_prime_minor_falls_back_to_all_rows(echelon_calls):
     echelon_calls.clear()
     assert guesser._solve([[1, 1], [2, 2], [3, 3]], 2) == ([0], [-1, 1])
     assert echelon_calls == [1]
+
+
+def in_order_reducer(rows, ncols, p):
+    """Reference: the rank screen reducing each row against an echelon basis
+    stored by rows, pivots normalized to 1, stopping at rank ncols."""
+    basis = []
+    picked = []
+    for i, row in enumerate(rows):
+        v = [x % p for x in row]
+        for col, tail in basis:
+            c = v[col] % p
+            if c:
+                v[col:] = [a - c * b for a, b in zip(v[col:], tail)]
+        v = [x % p for x in v]
+        lead = next((c for c, x in enumerate(v) if x), -1)
+        if lead < 0:
+            continue
+        inv = pow(v[lead], -1, p)
+        insort(basis, (lead, [x * inv % p for x in v[lead:]]))
+        picked.append(i)
+        if len(picked) == ncols:
+            break
+    return picked
+
+
+def planted_rank_matrix(rng, p):
+    """Integer combinations of a few random rows, with zero rows, rows and
+    entries that are multiples of p, and sometimes 40-digit entries."""
+    ncols = rng.randint(1, 9)
+    rank = rng.randint(0, ncols)
+    bound = 10**40 if rng.random() < 0.3 else 4
+    basis = [[rng.randint(-bound, bound) for _ in range(ncols)] for _ in range(rank)]
+    rows = []
+    for _ in range(rng.randint(1, 2 * ncols + 3)):
+        row = [0] * ncols
+        if basis and rng.random() > 0.15:
+            for b in basis:
+                c = rng.randint(-3, 3)
+                row = [x + c * y for x, y in zip(row, b)]
+        if rng.random() < 0.2:
+            row = [x * p for x in row]
+        if rng.random() < 0.2:
+            row[rng.randrange(ncols)] += p * rng.randint(-2, 2)
+        rows.append(row)
+    return rows, ncols
+
+
+@pytest.mark.parametrize("prime", [guesser._PRIME, 2, 3])
+def test_screen_matches_the_in_order_reducer(monkeypatch, prime):
+    monkeypatch.setattr(guesser, "_PRIME", prime)
+    rng = random.Random(prime)
+    for _ in range(300):
+        rows, ncols = planted_rank_matrix(rng, prime)
+        want = in_order_reducer(rows, ncols, prime)
+        assert guesser._independent_rows_mod_p(rows, ncols) == want, rows
+
+
+def plain_fit_rows(seq, r, dn, da, holdout):
+    """Reference: every equation row built entry by entry."""
+    fit = seq.values[: len(seq.values) - holdout]
+    unknowns = (r + 1) * (dn + 1) * (da + 1)
+    rows = []
+    for t in range(len(fit) - r):
+        n = seq.start + t
+        window = fit[t : t + r + 1]
+        max_deg = max(v.degree for v in window)
+        if max_deg < 0:
+            continue
+        for s in range(max_deg + da + 1):
+            row = [0] * unknowns
+            u = 0
+            for j in range(r + 1):
+                for p in range(dn + 1):
+                    for q in range(da + 1):
+                        row[u] = n**p * window[j].coeff(s - q) if s >= q else 0
+                        u += 1
+            if any(row):
+                rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("holdout", [3, 5, 7])
+@pytest.mark.parametrize("start", [0, 1])
+@pytest.mark.parametrize("values", [f_seq(1, 16).values, f_seq(2, 14).values,
+                                    random_seq(6, 14).values],
+                         ids=["F1", "F2", "random"])
+def test_fit_rows_match_the_plain_builder(values, start, holdout):
+    seq = PolySequence(start, values)
+    for r in range(1, 4):
+        for dn in range(4):
+            for da in range(4):
+                want = plain_fit_rows(seq, r, dn, da, holdout)
+                assert fit_rows(seq, r, dn, da, holdout) == want, (r, dn, da)
+
+
+def test_system_budget_admits_the_f3_search():
+    # F_3(n) has a-degree floor(3n/2) and F_3(1) = 0: the fitted F_3(1..55)
+    # of a 60-term file with holdout 5, at bounds (4, 7, 7)
+    fit = [AlphaPoly([1] * (3 * n // 2 + 1) if n > 1 else []) for n in range(1, 56)]
+    rows = guesser._fit_rows(fit, 1, 4, 7, 7)
+    assert len(rows) * len(rows[0]) <= guesser.MAX_SYSTEM_ENTRIES
+    with pytest.raises(ValueError, match="guess system too large"):
+        guesser._fit_rows(fit, 1, 4, 15, 15)
