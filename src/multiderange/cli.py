@@ -5,7 +5,8 @@ an envelope {command, inputs, result, timing_ms}; --format machine prints
 it as JSON (big integers as decimal strings throughout), --format text
 prints a human-readable rendering.  --out additionally writes the primary
 result artifact (polynomial / sequence / operator record) as JSON to a
-file, which is what the guess -> verify pipeline consumes.
+file, which is what the guess -> verify pipeline consumes; a failed guess
+writes none.
 
 Exit codes: 0 success, 1 verification or guess failure, 2 usage, parse or
 schema error.
@@ -30,9 +31,10 @@ from .enumerator import (
     weighted_derangement_poly,
 )
 from .guesser import GuessSpec, InsufficientTerms, NotFound, guess_operator
-from .polys import SchemaError, poly_to_record
+from .polys import poly_to_record
 from .recurrence import (
     PolySequence,
+    RecurrenceOperator,
     UnsupportedK,
     builtin_operator,
     extend_sequence,
@@ -118,32 +120,26 @@ def _cmd_count(args) -> _Reply:
     return inputs, str(value), lambda: [f"count = {value}"], 0
 
 
-def _resolve_engine(args) -> str:
+def _seq_engine(args) -> tuple[str, RecurrenceOperator | None]:
+    """The engine seq reports, and the operator it extends with (None: direct)."""
     if args.operator:
-        return "operator-file"
-    if args.engine == "auto":
-        try:
-            builtin_operator(args.k)
-        except UnsupportedK:
-            return "direct"
-        return "recurrence"
-    return args.engine
+        return "operator-file", load_operator(args.operator)
+    if args.engine == "direct":
+        return "direct", None
+    try:
+        return "recurrence", builtin_operator(args.k)
+    except UnsupportedK:
+        if args.engine == "auto":
+            return "direct", None
+        raise UnsupportedK(
+            f"k={args.k} has no built-in operator; supply --operator FILE"
+        ) from None
 
 
-def _seq_values(args, engine: str) -> PolySequence:
-    k, last = args.k, args.count
-    if engine == "direct":
+def _seq_values(k: int, last: int, op: RecurrenceOperator | None) -> PolySequence:
+    if op is None:
         values = tuple(fk_sequence_direct(k, last))
         return PolySequence(start=1, values=values[1:], k=k)
-    if engine == "operator-file":
-        op = load_operator(args.operator)
-    else:
-        try:
-            op = builtin_operator(k)
-        except UnsupportedK:
-            raise UnsupportedK(
-                f"k={k} has no built-in operator; supply --operator FILE"
-            ) from None
     seed = operator_seed(k, op, last)
     if last > seed.last:
         seed = extend_sequence(op, seed, last)
@@ -153,8 +149,8 @@ def _seq_values(args, engine: str) -> PolySequence:
 def _cmd_seq(args) -> _Reply:
     if args.k < 1 or args.count < 1:
         raise ShapeParseError("k and COUNT must be positive")
-    engine = _resolve_engine(args)
-    seq = _seq_values(args, engine)
+    engine, op = _seq_engine(args)
+    seq = _seq_values(args.k, args.count, op)
     inputs = {"k": args.k, "count": args.count, "engine": engine, "alpha": args.alpha}
     if args.alpha is not None:
         values = [str(v(args.alpha)) for v in seq.values]
@@ -232,6 +228,8 @@ def _cmd_verify(args) -> _Reply:
 
 
 def _cmd_selftest(args) -> _Reply:
+    if args.cap < 0:
+        raise ShapeParseError("--cap must be nonnegative")
     results = selftest_mod.run_all(cap=args.cap)
     rows = [
         {"name": r.name, "passed": r.passed, "detail": r.detail,
@@ -329,10 +327,7 @@ def _main(argv) -> int:
     t0 = time.perf_counter()
     try:
         inputs, result, text, exit_code = args.handler(args)
-    except (ShapeParseError, SchemaError, UnsupportedK, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UnsupportedK, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
@@ -347,10 +342,11 @@ def _main(argv) -> int:
     }
     _print_envelope(envelope, text, args.format)
     if args.out is not None:
-        artifact = result
-        if args.command == "guess" and isinstance(result, dict):
-            artifact = result.get("operator", result)
-        _write_artifact(args.out, artifact)
+        # a failed guess has no operator to write
+        if args.command != "guess":
+            _write_artifact(args.out, result)
+        elif result["found"]:
+            _write_artifact(args.out, result["operator"])
     return exit_code
 
 

@@ -65,11 +65,10 @@ def laguerre_product(shape: Sequence[int]) -> XAPoly:
 
     Zero blocks contribute a factor 1.  Factors are multiplied in
     nondecreasing k to keep intermediate degrees balanced; the result is
-    independent of order.
+    independent of order.  A negative entry comes first in that order, so
+    scaled_laguerre rejects it before any product is formed.
     """
     ks = sorted(k for k in shape if k)
-    if any(k < 0 for k in shape):
-        raise ValueError("shape entries must be nonnegative")
     out: XAPoly = ((1,),)
     for k in ks:
         out = _mul(out, scaled_laguerre(k))

@@ -1,8 +1,9 @@
 """Brute-force ground truth for derangement weight enumerators.
 
-Everything here enumerates permutations directly and counts cycles by orbit
-traversal.  It is deliberately dumb: the only cleverness allowed is pruning
-a partial assignment as soon as an element lands in its own block.  A small
+Everything here enumerates permutations directly and counts cycles with one
+orbit-traversal counter, _cycles.  It is deliberately dumb: the only
+cleverness allowed is pruning a partial assignment as soon as an element
+lands in its own block.  A small
 cap keeps runtimes sane; callers who need larger shapes use the
 Laguerre-moment path and this module to cross-check it on small cases.
 
@@ -36,15 +37,20 @@ def cycle_count(perm: Sequence[int]) -> int:
         if not isinstance(v, int) or not 1 <= v <= m or seen[v]:
             raise NotABijection(f"not a bijection on 1..{m}: {list(perm)!r}")
         seen[v] = True
-    visited = [False] * (m + 1)
+    return _cycles([v - 1 for v in perm])
+
+
+def _cycles(image: Sequence[int]) -> int:
+    # orbit traversal over a valid 0-based image list
+    visited = [False] * len(image)
     cycles = 0
-    for start in range(1, m + 1):
+    for start in range(len(image)):
         if not visited[start]:
             cycles += 1
             v = start
             while not visited[v]:
                 visited[v] = True
-                v = perm[v - 1]
+                v = image[v]
     return cycles
 
 
@@ -78,7 +84,9 @@ def enumerate_derangements(shape: Sequence[int], cap: int = DEFAULT_CAP) -> Alph
 
     def extend(pos: int, used: int) -> None:
         if pos == total:
-            counts[_cycles_min2(image)] += 1
+            # the oracle's self-check: pruning leaves no fixed point
+            assert all(v != i for i, v in enumerate(image))
+            counts[_cycles(image)] += 1
             return
         for v in allowed[pos]:
             bit = 1 << v
@@ -88,24 +96,6 @@ def enumerate_derangements(shape: Sequence[int], cap: int = DEFAULT_CAP) -> Alph
 
     extend(0, 0)
     return AlphaPoly(counts)
-
-
-def _cycles_min2(image: list[int]) -> int:
-    # orbit traversal over 0-based images; derangements never have 1-cycles
-    m = len(image)
-    visited = [False] * m
-    cycles = 0
-    for start in range(m):
-        if not visited[start]:
-            cycles += 1
-            length = 0
-            v = start
-            while not visited[v]:
-                visited[v] = True
-                v = image[v]
-                length += 1
-            assert length >= 2, "derangement produced a fixed point"
-    return cycles
 
 
 def cycle_enumerator_all(n: int, cap: int = DEFAULT_CAP) -> AlphaPoly:
@@ -120,14 +110,5 @@ def cycle_enumerator_all(n: int, cap: int = DEFAULT_CAP) -> AlphaPoly:
         raise CapExceeded(f"n={n} exceeds brute-force cap {cap}")
     counts = [0] * (n + 1)
     for perm in permutations(range(n)):
-        visited = [False] * n
-        cycles = 0
-        for start in range(n):
-            if not visited[start]:
-                cycles += 1
-                v = start
-                while not visited[v]:
-                    visited[v] = True
-                    v = perm[v]
-        counts[cycles] += 1
+        counts[_cycles(perm)] += 1
     return AlphaPoly(counts)

@@ -264,17 +264,13 @@ class BivarPoly:
 
     terms: dict[tuple[int, int], int]
 
-    def __init__(self, terms: Mapping[tuple[int, int], int] | Iterable = ()) -> None:
-        acc: dict[tuple[int, int], int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for (p, q), c in items:
-            c = _as_int(c)
+    def __init__(self, terms: Mapping[tuple[int, int], int] = {}) -> None:
+        for (p, q), c in terms.items():
+            _as_int(c)
             if p < 0 or q < 0:
                 raise ValueError("negative exponent")
-            key = (int(p), int(q))
-            acc[key] = acc.get(key, 0) + c
         object.__setattr__(
-            self, "terms", {k: v for k, v in sorted(acc.items()) if v}
+            self, "terms", {k: v for k, v in sorted(terms.items()) if v}
         )
 
     def __setattr__(self, name, value):

@@ -32,6 +32,7 @@ from .polys import (
     BivarPoly,
     InexactDivision,
     SchemaError,
+    _parse_int,
     add_product,
     divide_exact,
     poly_from_record,
@@ -119,6 +120,8 @@ def builtin_operator(k: int) -> RecurrenceOperator:
 
     Read once per process from operators/k{k}.json; a block size without
     such a file must get its operator from a file of its own or the guesser.
+    Without the operators directory the install is broken, and that raises
+    FileNotFoundError rather than UnsupportedK.
     """
     try:
         return load_operator(_OPERATORS / f"k{k}.json")
@@ -126,6 +129,10 @@ def builtin_operator(k: int) -> RecurrenceOperator:
         # a k too long for a file name is just as unsupported
         if exc.errno not in (errno.ENOENT, errno.ENAMETOOLONG):
             raise
+    if not _OPERATORS.is_dir():
+        raise FileNotFoundError(
+            errno.ENOENT, "operator directory missing", str(_OPERATORS)
+        )
     raise UnsupportedK(f"no built-in operator for k={k}")
 
 
@@ -273,13 +280,7 @@ def operator_from_record(obj) -> RecurrenceOperator:
             p, q, c = mono
             if not (isinstance(p, int) and isinstance(q, int) and p >= 0 and q >= 0):
                 raise SchemaError(f"{where}[{i}]: bad exponents {p!r}, {q!r}")
-            if isinstance(c, str):
-                try:
-                    c = int(c, 10)
-                except ValueError:
-                    raise SchemaError(f"{where}[{i}]: bad coefficient {c!r}") from None
-            elif not isinstance(c, int):
-                raise SchemaError(f"{where}[{i}]: bad coefficient {c!r}")
+            c = _parse_int(c, f"{where}[{i}]")
             if c == 0:
                 raise SchemaError(f"{where}[{i}]: zero coefficient stored")
             if prev is not None and (p, q) <= prev:

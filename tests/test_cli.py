@@ -207,6 +207,24 @@ def test_block_size_budget_fails_before_allocating(capsys, argv, code, message):
     assert peak < 1_000_000
 
 
+def test_missing_operator_directory_is_an_error(capsys, monkeypatch, tmp_path):
+    missing = tmp_path / "operators"
+    monkeypatch.setattr(recurrence, "_OPERATORS", missing)
+    builtin_operator.cache_clear()
+    try:
+        for k in ("2", "3"):
+            rc, out, err = run_cli(capsys, "seq", k, "5")
+            assert (rc, out) == (2, "")
+            assert err.startswith("error: ") and str(missing) in err
+    finally:
+        monkeypatch.undo()
+        builtin_operator.cache_clear()
+    for k, engine in (("2", "recurrence"), ("3", "direct")):
+        rc, env, _ = run_machine(capsys, "seq", k, "5")
+        assert rc == 0
+        assert env["inputs"]["engine"] == engine
+
+
 def test_seq_direct_engine_for_large_k(capsys):
     rc, env, _ = run_machine(capsys, "seq", "3", "3")
     assert rc == 0
@@ -372,6 +390,21 @@ def test_guess_insufficient_terms(capsys):
     assert env["result"]["found"] is False
 
 
+def test_failed_guess_leaves_the_out_file_alone(capsys, tmp_path):
+    out = tmp_path / "op.json"
+    save_operator(builtin_operator(1), out)
+    before = out.read_bytes()
+    fresh = tmp_path / "fresh.json"
+    for path in (out, fresh):
+        rc, env, _ = run_machine(capsys, "guess", "-k", "1", "--terms", "8",
+                                 "--max-order", "1", "--max-deg-n", "0",
+                                 "--max-deg-a", "0", "--out", str(path))
+        assert rc == 1
+        assert env["result"]["found"] is False
+    assert out.read_bytes() == before
+    assert not fresh.exists()
+
+
 def test_guess_requires_a_source(capsys):
     rc, _, err = run_cli(capsys, "guess")
     assert rc == 2
@@ -452,6 +485,15 @@ def test_selftest_with_lowered_cap(capsys):
     rows = {r["name"]: r for r in env["result"]}
     assert rows["oracle-sweep"]["passed"] is True
     assert "total <= 4" in rows["oracle-sweep"]["detail"]
+
+
+def test_selftest_negative_cap_is_a_usage_error(capsys):
+    rc, out, err = run_cli(capsys, "selftest", "--cap", "-1")
+    assert (rc, out) == (2, "")
+    assert err == "error: --cap must be nonnegative\n"
+    rc, env, _ = run_machine(capsys, "selftest", "--cap", "0")
+    assert rc == 0
+    assert env["inputs"] == {"cap": 0}
 
 
 def test_selftest_full(capsys):

@@ -1,7 +1,10 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+from multiderange import oracle
 from multiderange.oracle import (
     CapExceeded,
     NotABijection,
@@ -63,3 +66,9 @@ def test_cap():
 @pytest.mark.parametrize("n", range(8))
 def test_cycle_identity(n):
     assert cycle_enumerator_all(n) == rising_factorial(n)
+
+
+def test_oracle_is_independent_of_the_enumerator():
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert imported == {"__future__", "itertools", "typing", "polys"}

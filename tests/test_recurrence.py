@@ -280,6 +280,22 @@ def test_operator_record_rejects_malformed(mangle):
         operator_from_record(rec)
 
 
+@pytest.mark.parametrize(
+    "coeff, message",
+    [
+        ("1.5", "not a decimal integer: '1.5'"),
+        ("", "not a decimal integer: ''"),
+        (1.5, "expected a decimal string"),
+    ],
+)
+def test_operator_record_rejects_a_bad_coefficient(coeff, message):
+    rec = operator_to_record(builtin_operator(2))
+    rec["coeffs"][1][2][2] = coeff
+    with pytest.raises(SchemaError) as info:
+        operator_from_record(rec)
+    assert str(info.value) == f"operator.coeffs[1][2]: {message}"
+
+
 def test_sequence_file_round_trip(tmp_path):
     seq = PolySequence(0, tuple(fk_value(1, n) for n in range(5)), k=1)
     path = tmp_path / "f1.json"
