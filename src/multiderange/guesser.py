@@ -15,32 +15,31 @@ whose powers of n and a fit, and the rows it would not have are exactly
 those that become zero.
 
 Most candidates have no kernel, so each one is first screened modulo a
-fixed word-size prime p: its rows are taken in order, noting each row that
-raises the rank over F_p and stopping as soon as the rank reaches the
-number of unknowns, which usually takes little more than that many rows.
-The basis is kept in reduced echelon form and stored by non-pivot column,
-so a row's residual is one dot product per non-pivot column; a candidate
-that has a kernel reduces its many dependent rows at that cost.  The
-filter is sound: any nonzero minor mod p is a nonzero integer minor, so the
-rank over Q is at least the rank over F_p, and a matrix of full column rank
-mod p has no rational kernel.  It can only let a kernel-free candidate
-through (when p divides the relevant minors), never drop one that has a
-kernel, so the operator found is the same as without it.
+fixed word-size prime p: its rows are taken in order, and the screen stops
+as soon as the rank over F_p reaches the number of unknowns, which usually
+takes little more than that many rows.  The basis is kept in reduced
+echelon form and stored by non-pivot column, so a row's residual is one
+dot product per non-pivot column; a candidate that has a kernel reduces
+its many dependent rows at that cost.  The filter is sound: any nonzero
+minor mod p is a nonzero integer minor, so the rank over Q is at least the
+rank over F_p, and a matrix of full column rank mod p has no rational
+kernel.  It can only let a kernel-free candidate through (when p divides
+the relevant minors), never drop one that has a kernel, so the operator
+found is the same as without it.
 
-Candidates that pass are solved exactly on the rows that raised the rank
-mod p alone, with fraction-free linear algebra: integer rows, pivoting by
-smallest nonzero entry (bit length), cross-multiplication updates with the
-integer content divided out of every updated row, and back-substitution
-that scales the integer kernel vector instead of dividing.  Row scaling
-cannot change the kernel, so this is exact.  The kernel of those rows
-contains the candidate's kernel; when each of its basis vectors also
-annihilates every other row, the two kernels are equal, and so are the
-pivots, the kernel dimension and the canonical vector.  When one does not,
-which takes p dividing a minor, all rows are eliminated instead.  Every
-step works on integers; no rational number is ever formed.
+A candidate that passes has its kernel read off the screen's basis, one
+vector per non-pivot column, and lifted to the integers: the vectors of
+further primes are combined by CRT, rebuilt by rational reconstruction and
+certified by an exact dot product with every row.  Since the rank over Q
+is at least the rank mod p, d certified vectors, each 1 at its own
+non-pivot column and 0 at the others, show that the rational kernel has
+dimension d.  Each is zero past its column, so the rational pivots are
+the same and the vector at the first non-pivot column is the canonical
+one.  A prime of full rank shows there is no kernel.  Every step works on
+integers.
 
-An order whose largest system would exceed MAX_SYSTEM_ENTRIES equations x
-unknowns is refused with ValueError before its rows are built.
+An order whose rows would exceed MAX_SYSTEM_BITS, counting each entry's
+slot and bit length, is refused with ValueError before they are built.
 
 Each candidate is logged at DEBUG on the ``multiderange.guesser`` logger
 with its shape, its equations x unknowns and its outcome.
@@ -50,9 +49,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from math import gcd
+from itertools import count
+from math import gcd, isqrt
 from operator import itemgetter, mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .polys import AlphaPoly, BivarPoly
 from .recurrence import PolySequence, RecurrenceOperator, verify_operator
@@ -62,10 +62,10 @@ _log = logging.getLogger(__name__)
 # Modulus of the rank filter; a Mersenne prime, so unlucky minors are rare.
 _PRIME = (1 << 61) - 1
 
-# Largest equations x unknowns of one order's system.  The F_3 search at
-# bounds (4, 7, 7) on 60 terms needs about 2 690 x 320, and its rows of
-# up to 1016-bit entries hold about 64 MB.
-MAX_SYSTEM_ENTRIES = 2_000_000
+# Largest size of one order's rows in bits, a 64-bit slot plus the bit length
+# per entry.  F_3 at bounds (4, 7, 7) on 55 fitted terms needs 0.40 G, and
+# F_4 at (5, 10, 14) on 41 fitted terms 0.82 G (rows of 50 and 102 MB).
+MAX_SYSTEM_BITS = 2_000_000_000
 
 
 class NotFound(Exception):
@@ -110,66 +110,21 @@ class GuessResult:
     unknowns: int
 
 
-def _echelon(
-    rows: Sequence[Sequence[int]],
-) -> tuple[list[Sequence[int]], list[int]]:
-    """Integer row echelon form (rows independently rescaled)."""
-    work = [r for r in rows if any(r)]
-    if not work:
-        return [], []
-    ncols = len(work[0])
-    echelon: list[Sequence[int]] = []
-    pivots: list[int] = []
-    for col in range(ncols):
-        best = -1
-        best_bits = 0
-        for idx, row in enumerate(work):
-            e = row[col]
-            if e:
-                bits = abs(e).bit_length()
-                if best < 0 or bits < best_bits:
-                    best, best_bits = idx, bits
-        if best < 0:
-            continue
-        piv_row = work.pop(best)
-        piv = piv_row[col]
-        reduced = []
-        for row in work:
-            e = row[col]
-            if e:
-                upd = [piv * rj - e * pj for rj, pj in zip(row, piv_row)]
-                g = 0
-                for v in upd:
-                    g = gcd(g, v)
-                if g > 1:
-                    upd = [v // g for v in upd]
-                if any(upd):
-                    reduced.append(upd)
-            else:
-                reduced.append(row)
-        work = reduced
-        echelon.append(piv_row)
-        pivots.append(col)
-        if not work:
-            break
-    return echelon, pivots
+def _basis_mod_p(
+    rows: Sequence[Sequence[int]], ncols: int, p: int
+) -> tuple[list[int], dict[int, list[int]]]:
+    """Pivots and non-pivot columns of the rows' reduced echelon basis mod p.
 
-
-def _independent_rows_mod_p(rows: Sequence[Sequence[int]], ncols: int) -> list[int]:
-    """Indices of the rows that raise the rank over F_p, taken in order.
-
-    The basis is kept in reduced echelon form, stored by non-pivot column:
-    cols[f][b] is the entry of basis row b at column f, its pivot entry is 1
-    and its other pivot entries are 0.  A row's residual at f is therefore
-    row[f] minus one dot product of the row's pivot entries with cols[f].
-    It stops as soon as the rank is ncols.  A result of length ncols means
-    the rows certainly have no nonzero rational kernel vector.
+    Rows are taken in order, stopping at rank ncols.  A row that raises the
+    rank pivots at its lowest column with a nonzero residual, so the sorted
+    pivots are the greedy column basis.  cols[f][b] is the entry of basis
+    row b at the non-pivot column f; its pivot entry is 1 and its other
+    pivot entries are 0, so a row's residual at f is row[f] minus one dot
+    product of the row's pivot entries with cols[f].
     """
-    p = _PRIME
     pivots: list[int] = []
     cols: dict[int, list[int]] = {f: [] for f in range(ncols)}
-    picked: list[int] = []
-    for i, row in enumerate(rows):
+    for row in rows:
         g = [row[q] for q in pivots]
         res = [(f, x) for f, col in cols.items()
                if (x := (row[f] - sum(map(mul, g, col))) % p)]
@@ -185,65 +140,108 @@ def _independent_rows_mod_p(rows: Sequence[Sequence[int]], ncols: int) -> list[i
                 col[:] = [(a - b * z) % p for a, b in zip(col, at_c)]
             col.append(z)
         pivots.append(c)
-        picked.append(i)
-        if len(picked) == ncols:
+        if len(pivots) == ncols:
             break
-    return picked
+    return pivots, cols
 
 
-def _free_columns(pivots: list[int], ncols: int) -> list[int]:
-    pivot_set = set(pivots)
-    return [c for c in range(ncols) if c not in pivot_set]
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the bases that make it exact for odd 37 < n < 2**64."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        xs = [pow(a, (n - 1) >> (s - i), n) for i in range(s)]  # a^(d 2^i)
+        if xs[0] != 1 and n - 1 not in xs:
+            return False
+    return True
 
 
-def _kernel_vector(
-    echelon: list[Sequence[int]], pivots: list[int], ncols: int, free: int
-) -> list[int]:
-    """The integer kernel vector that is zero at every free column but
-    ``free``, positive there, with its content divided out."""
-    v = [0] * ncols
-    v[free] = 1
-    for row, p in zip(reversed(echelon), reversed(pivots)):
-        s = 0
-        for c in range(p + 1, ncols):
-            if row[c] and v[c]:
-                s += row[c] * v[c]
-        # v[p] = -s / piv, made integral by scaling v by |piv| / gcd(s, piv)
-        piv = row[p]
-        g = gcd(s, piv)
-        d = abs(piv) // g
-        if d > 1:
-            v = [x * d for x in v]
-        v[p] = -(s // g) if piv > 0 else s // g
-    g = 0
+def _primes() -> Iterator[int]:
+    """_PRIME, then the primes below 2**62 in descending order."""
+    yield _PRIME
+    yield from filter(_is_prime, count((1 << 62) - 1, -2))
+
+
+def _rational_lift(v: list[int], m: int) -> list[int] | None:
+    """Integers proportional to the rationals with residues v mod m, found
+    against a running common denominator (a residue 0 stays 0), or None
+    when one has no reconstruction within sqrt(m / 2)."""
+    bound = isqrt(m >> 1)
+    den = 1
+    out: list[int] = []
     for x in v:
-        g = gcd(g, x)
-    return [x // g for x in v] if g > 1 else v
+        # half-extended Euclid: x * den = r1 / s1 mod m, |r1| <= bound
+        r0, r1, s0, s1 = m, x * den % m, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+        if abs(s1) > bound:
+            return None
+        if s1 < 0:
+            r1, s1 = -r1, -s1
+        if s1 > 1:
+            out = [y * s1 for y in out]
+            den *= s1
+        out.append(r1)
+    return out
 
 
 def _solve(
     rows: Sequence[Sequence[int]], ncols: int
-) -> tuple[list[int], list[int] | None] | None:
-    """Pivots of the rows' echelon form and their canonical kernel vector
-    (None when there is no kernel), or None when rejected mod p.
+) -> tuple[int, list[int] | None] | None:
+    """Rank over Q and canonical kernel vector of the rows (None when there
+    is no kernel), or None when rejected mod _PRIME.
 
-    The exact elimination runs on the rows found independent mod p; it is
-    repeated on all rows only when that kernel fails to annihilate them.
+    Mod p the kernel vector of the non-pivot column f is 1 at f, 0 at the
+    other non-pivot columns and -cols[f][b] at pivot b.  The primes with the
+    best pivots (highest rank, then smallest sorted pivots) are combined by
+    CRT; the others are unlucky.  A lifted vector must be positive at f, so
+    the certified vectors are independent.
     """
-    picked = _independent_rows_mod_p(rows, ncols)
-    if len(picked) == ncols:
-        return None
-    echelon, pivots = _echelon([rows[i] for i in picked])
-    for f in _free_columns(pivots, ncols):
-        v = _kernel_vector(echelon, pivots, ncols, f)
-        terms = [(c, x) for c, x in enumerate(v) if x]
-        if any(sum(row[c] * x for c, x in terms) for row in rows):
-            echelon, pivots = _echelon(rows)  # p divides a minor of the picked rows
-            break
-    free = _free_columns(pivots, ncols)
-    if not free:
-        return pivots, None
-    return pivots, _kernel_vector(echelon, pivots, ncols, free[0])
+    best = None
+    for p in _primes():
+        pivots, cols = _basis_mod_p(rows, ncols, p)
+        if len(pivots) == ncols:
+            return None if best is None else (ncols, None)
+        key = (-len(pivots), sorted(pivots))
+        at = {q: b for b, q in enumerate(pivots)}  # pivot column -> basis row
+        vecs = [[-col[at[c]] % p if c in at else int(c == f) for c in range(ncols)]
+                for f, col in cols.items()]
+        if best is None or key < best:
+            best, free, m, acc = key, list(cols), p, vecs
+        elif key == best:  # CRT: x = a mod m and x = b mod p
+            t = pow(m, -1, p)
+            acc = [[a + m * ((b - a) * t % p) for a, b in zip(u, v)]
+                   for u, v in zip(acc, vecs)]
+            m *= p
+        else:
+            continue
+        lifted = [_rational_lift(u, m) for u in acc]
+        if all(w and w[f] > 0 and not any(sum(map(mul, row, w)) for row in rows)
+               for f, w in zip(free, lifted)):
+            g = gcd(*lifted[0])
+            return ncols - len(lifted), [y // g for y in lifted[0]]
+
+
+def _check_budget(fit: Sequence[AlphaPoly], start: int, r: int, dn: int, da: int) -> None:
+    """Raise ValueError when _fit_rows(fit, start, r, dn, da) would exceed
+    MAX_SYSTEM_BITS, from the degrees and bit lengths alone."""
+    degrees = [v.degree for v in fit]
+    tops = [max(degrees[t : t + r + 1]) for t in range(len(fit) - r)]
+    unknowns = (r + 1) * (dn + 1) * (da + 1)
+    equations = sum(d + da + 1 for d in tops if d >= 0)
+    # a coefficient c of fit[t + j] enters da + 1 rows of window t, times n^p
+    # for each p <= dn, and n^p * c has at most p*bitlen(n) + bitlen(c) bits
+    cbits = [sum(c.bit_length() for c in v.coeffs) for v in fit]
+    tri = dn * (dn + 1) // 2
+    bits = 64 * equations * unknowns + (da + 1) * sum(
+        (degrees[u] + 1) * tri * (start + t).bit_length() + (dn + 1) * cbits[u]
+        for t, d in enumerate(tops) if d >= 0 for u in range(t, t + r + 1))
+    if bits > MAX_SYSTEM_BITS:
+        raise ValueError(
+            f"guess system too large: {equations} equations x {unknowns} "
+            f"unknowns at order {r} need about {bits} bits, over the budget "
+            f"of {MAX_SYSTEM_BITS}"
+        )
 
 
 def _fit_rows(
@@ -253,18 +251,12 @@ def _fit_rows(
 
     Window t (n = start + t) and power a^s give the row whose entry for the
     monomial n^p a^q of c_j is n^p times the a^(s-q) coefficient of
-    fit[t + j].  Raises ValueError, before building anything, when rows x
-    unknowns would exceed MAX_SYSTEM_ENTRIES.
+    fit[t + j].  Raises ValueError, before building anything, when the
+    rows would exceed MAX_SYSTEM_BITS.
     """
+    _check_budget(fit, start, r, dn, da)
     degrees = [v.degree for v in fit]
     tops = [max(degrees[t : t + r + 1]) for t in range(len(fit) - r)]
-    unknowns = (r + 1) * (dn + 1) * (da + 1)
-    equations = sum(d + da + 1 for d in tops if d >= 0)
-    if equations * unknowns > MAX_SYSTEM_ENTRIES:
-        raise ValueError(
-            f"guess system too large: {equations} equations x {unknowns} "
-            f"unknowns at order {r} exceed the budget of {MAX_SYSTEM_ENTRIES} entries"
-        )
     # padded[t][s + da - q] is the a^(s-q) coefficient of fit[t], 0 outside
     top = max(degrees, default=-1)
     padded = [(0,) * da + v.coeffs + (0,) * (top + da - v.degree) for v in fit]
@@ -332,7 +324,7 @@ def _try_candidate(
     solved = _solve(rows, unknowns)
     if solved is None:
         return "rejected mod p", None
-    pivots, vec = solved
+    rank, vec = solved
     if vec is None:
         return "no exact kernel", None
     op = _operator_from_vector(vec, r, dn, da, seq.start)
@@ -343,7 +335,7 @@ def _try_candidate(
     return "accepted", GuessResult(
         operator=op,
         candidate=(r, dn, da),
-        kernel_dim=unknowns - len(pivots),
+        kernel_dim=unknowns - rank,
         equations=len(rows),
         unknowns=unknowns,
     )
@@ -356,8 +348,7 @@ def guess_operator(seq: PolySequence, spec: GuessSpec) -> GuessResult:
     first operator that annihilates the whole sequence (holdout included)
     wins.  Raises NotFound when every admissible candidate fails,
     InsufficientTerms when no candidate even has enough equations, and
-    ValueError when an order reached by the search exceeds
-    MAX_SYSTEM_ENTRIES.
+    ValueError when an order reached by the search exceeds MAX_SYSTEM_BITS.
     """
     if len(seq.values) < 2 + spec.holdout:
         raise InsufficientTerms(

@@ -1,6 +1,10 @@
 import logging
 import random
 from bisect import insort
+from fractions import Fraction
+from itertools import islice
+from math import factorial, gcd, lcm
+from operator import mul
 
 import pytest
 
@@ -35,14 +39,45 @@ def fit_rows(seq, r, dn, da, holdout):
     return guesser._fit_rows(fit, seq.start, r, dn, da)
 
 
-def nullspace_vector(rows):
-    """Reference: the canonical kernel vector of an elimination on all rows."""
-    ncols = len(rows[0])
-    echelon, pivots = guesser._echelon(rows)
-    free = guesser._free_columns(pivots, ncols)
+def reference_solve(rows, ncols):
+    """Reference: the pivots and the canonical kernel vector (None when
+    there is none) of a Gauss-Jordan elimination on all rows over Q."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        i = next((i for i in range(len(pivots), len(m)) if m[i][c]), None)
+        if i is None:
+            continue
+        b = len(pivots)
+        m[b], m[i] = m[i], m[b]
+        m[b] = [x / m[b][c] for x in m[b]]
+        m = [row if k == b or not row[c] else [x - row[c] * y for x, y in zip(row, m[b])]
+             for k, row in enumerate(m)]
+        pivots.append(c)
+    free = [c for c in range(ncols) if c not in pivots]
     if not free:
-        return None
-    return guesser._kernel_vector(echelon, pivots, ncols, free[0])
+        return pivots, None
+    v = [Fraction(0)] * ncols
+    v[free[0]] = Fraction(1)
+    for b, q in enumerate(pivots):
+        v[q] = -m[b][free[0]]
+    den = lcm(*(x.denominator for x in v))
+    w = [int(x * den) for x in v]
+    g = gcd(*w)
+    return pivots, [x // g for x in w]
+
+
+def nullspace_vector(rows):
+    """The canonical kernel vector of guesser._solve, checked against the
+    reference."""
+    ncols = len(rows[0])
+    pivots, want = reference_solve(rows, ncols)
+    got = guesser._solve(rows, ncols)
+    if got is None:  # rejected mod p
+        assert want is None
+    else:
+        assert got == (len(pivots), want)
+    return want
 
 
 def test_nullspace_forced_direction():
@@ -136,19 +171,22 @@ def test_rank_filter_keeps_a_matrix_with_a_kernel():
     # last row = 2*first + third, so (1, 1, -1) spans the rational kernel
     rows = [[1, 2, 3], [2, 4, 6], [1, 0, 1], [3, 4, 7]]
     assert nullspace_vector(rows) is not None
-    assert guesser._independent_rows_mod_p(rows, 3) == [0, 2]
+    pivots, cols = guesser._basis_mod_p(rows, 3, guesser._PRIME)
+    assert pivots == [0, 1] and list(cols) == [2]
 
 
 def test_rank_filter_drops_a_full_rank_matrix():
     rows = [[0, 0, 0], [1, 5, 0], [2, 0, 1], [0, 3, 4]]
-    assert guesser._independent_rows_mod_p(rows, 3) == [1, 2, 3]
+    assert guesser._basis_mod_p(rows, 3, guesser._PRIME) == ([0, 1, 2], {})
+    assert guesser._solve(rows, 3) is None
 
 
 def test_rank_filter_passes_multiples_of_p_to_the_exact_path():
     p = guesser._PRIME
     rows = [[p, 0, 2 * p], [0, 3 * p, p], [p, p, 0]]  # det = -7 * p^3 != 0
-    assert guesser._independent_rows_mod_p(rows, 3) == []
+    assert guesser._basis_mod_p(rows, 3, p)[0] == []
     assert nullspace_vector(rows) is None
+    assert guesser._solve(rows, 3) == (3, None)
 
 
 @pytest.mark.parametrize("prime", [2, 3])
@@ -209,27 +247,22 @@ def random_seq(seed, terms):
 
 
 @pytest.fixture
-def echelon_calls(monkeypatch):
-    """Row counts of the guesser._echelon calls made while the test runs."""
+def screen_primes(monkeypatch):
+    """The prime of each guesser._basis_mod_p call made while the test runs."""
     calls = []
-    echelon = guesser._echelon
+    screen = guesser._basis_mod_p
 
-    def counted(rows):
-        calls.append(len(rows))
-        return echelon(rows)
+    def counted(rows, ncols, p):
+        calls.append(p)
+        return screen(rows, ncols, p)
 
-    monkeypatch.setattr(guesser, "_echelon", counted)
+    monkeypatch.setattr(guesser, "_basis_mod_p", counted)
     return calls
-
-
-def proportional(u, v):
-    i = next(i for i, x in enumerate(v) if x)
-    return all(x * v[i] == y * u[i] for x, y in zip(u, v))
 
 
 @pytest.mark.parametrize("seq", [f_seq(1, 15), f_seq(2, 12), random_seq(6, 14)],
                          ids=["F1", "F2", "random"])
-def test_solve_on_independent_rows_matches_the_full_solve(echelon_calls, seq):
+def test_solve_matches_the_reference_on_every_admissible_candidate(screen_primes, seq):
     solved = 0
     for r in range(1, 4):
         for dn in range(4):
@@ -238,44 +271,126 @@ def test_solve_on_independent_rows_matches_the_full_solve(echelon_calls, seq):
                 rows = fit_rows(seq, r, dn, da, 2)
                 if len(rows) < unknowns:
                     continue
-                echelon_calls.clear()
+                screen_primes.clear()
                 got = guesser._solve(rows, unknowns)
-                solve_calls = list(echelon_calls)
-                want = nullspace_vector(rows)
+                pivots, want = reference_solve(rows, unknowns)
                 if got is None:  # rejected mod p
                     assert want is None
+                    assert screen_primes == [guesser._PRIME]
                     continue
                 solved += 1
-                # one exact elimination, on the rows independent mod p only
-                picked = guesser._independent_rows_mod_p(rows, unknowns)
-                assert solve_calls == [len(picked)]
-                pivots, vec = got
-                assert pivots == guesser._echelon(rows)[1]
-                if want is None:
-                    assert vec is None
-                    continue
-                assert all(sum(c * x for c, x in zip(row, vec)) == 0 for row in rows)
-                assert proportional(vec, want)
+                assert got == (len(pivots), want)
+                # entries within sqrt(p / 2) lift from the first prime alone
+                if want is None or 2 * max(map(abs, want)) ** 2 < guesser._PRIME:
+                    assert screen_primes == [guesser._PRIME]
+                else:
+                    assert len(screen_primes) > 1
     assert solved
 
 
-def test_unlucky_prime_minor_falls_back_to_all_rows(echelon_calls):
+def test_unlucky_prime_minor_takes_the_next_prime(screen_primes):
     p = guesser._PRIME
     rows = [[1, 1], [p, 2 * p]]  # rank 2 over Q, rank 1 mod p
-    assert guesser._independent_rows_mod_p(rows, 2) == [0]
-    assert guesser._solve(rows, 2) == ([0, 1], None)
-    assert echelon_calls == [1, 2]  # (-1, 1) fails the second row, so all rows ran
-    echelon_calls.clear()
-    assert guesser._solve([[1, 1], [2, 2], [3, 3]], 2) == ([0], [-1, 1])
-    assert echelon_calls == [1]
+    assert guesser._basis_mod_p(rows, 2, p)[0] == [0]
+    screen_primes.clear()
+    # (-1, 1) fails the second row, and the next prime has full rank
+    assert guesser._solve(rows, 2) == (2, None)
+    assert screen_primes == [p, next_primes(1)[0]]
+    screen_primes.clear()
+    assert guesser._solve([[1, 1], [2, 2], [3, 3]], 2) == (1, [-1, 1])
+    assert screen_primes == [p]
+
+
+def next_primes(count):
+    """The primes that guesser._solve takes after _PRIME."""
+    return list(islice(guesser._primes(), 1, count + 1))
+
+
+def test_unlucky_prime_with_the_same_rank_is_replaced(screen_primes):
+    # mod p the row is (0, 1), so the kernel mod p is (1, 0); over Q the
+    # pivot is column 0, and (-1, p) needs two further primes to lift
+    p = guesser._PRIME
+    assert reference_solve([[p, 1]], 2) == ([0], [-1, p])
+    assert guesser._solve([[p, 1]], 2) == (1, [-1, p])
+    assert screen_primes == [p, *next_primes(2)]
+
+
+def test_prime_of_lower_rank_is_dropped(screen_primes):
+    # rank 2 over Q and mod p, rank 1 mod the next prime q, which is
+    # skipped; the 101-bit kernel needs three more primes with p
+    q = next_primes(1)[0]
+    x = 2**100 + 7
+    rows = [[1, 1, x], [q, 2 * q, 3 * q]]
+    assert guesser._basis_mod_p(rows, 3, q)[0] == [0]
+    screen_primes.clear()
+    assert guesser._solve(rows, 3) == (2, [3 - 2 * x, x - 3, 1])
+    assert screen_primes == [guesser._PRIME, *next_primes(4)]
+
+
+@pytest.mark.parametrize("fake", [lambda w: [0] * len(w), lambda w: [-x for x in w]],
+                         ids=["zero", "negated"])
+def test_lifted_vector_must_be_positive_at_its_column(monkeypatch, screen_primes, fake):
+    # both fakes annihilate every row, but only a vector positive at its
+    # non-pivot column proves the kernel's dimension and is canonical
+    lift = guesser._rational_lift
+    calls = []
+
+    def fake_first(v, m):
+        calls.append(m)
+        return fake(lift(v, m)) if len(calls) == 1 else lift(v, m)
+
+    monkeypatch.setattr(guesser, "_rational_lift", fake_first)
+    assert guesser._solve([[1, 1], [2, 2]], 2) == (1, [-1, 1])
+    assert screen_primes == [guesser._PRIME, *next_primes(1)]
+
+
+def big_kernel_matrix(rng, ncols, rank, digits):
+    """2 * ncols integer combinations of rank random rows with entries of
+    the given number of digits, so the kernel vectors at the first free
+    columns have about rank * digits digits.  With two or more free columns
+    the last column copies the first, which adds a small kernel vector."""
+    bound = 10**digits
+    basis = [[rng.randint(-bound, bound) for _ in range(ncols)] for _ in range(rank)]
+    if ncols - rank > 1:
+        for row in basis:
+            row[-1] = row[0]
+    rows = []
+    for _ in range(2 * ncols):
+        cs = [rng.randint(-3, 3) for _ in basis]
+        rows.append([sum(map(mul, cs, col)) for col in zip(*basis)])
+    return rows
+
+
+@pytest.mark.parametrize("ncols, rank", [(5, 4), (6, 4), (8, 5)])
+def test_solve_lifts_planted_kernels_of_over_100_digits(screen_primes, ncols, rank):
+    rows = big_kernel_matrix(random.Random(ncols), ncols, rank, 30)
+    pivots, want = reference_solve(rows, ncols)
+    assert pivots == list(range(rank))
+    assert min(map(abs, want[: rank + 1])) > 10**100
+    assert not any(want[rank + 1 :])  # zero at the other free columns
+    assert guesser._solve(rows, ncols) == (rank, want)
+    assert len(screen_primes) > 2
+
+
+def test_is_prime_is_exact():
+    sieve = [True] * 30000
+    for i in range(2, 174):
+        sieve[i * i :: i] = [False] * len(sieve[i * i :: i])
+    assert all(guesser._is_prime(n) == sieve[n] for n in range(39, 30000, 2))
+    # strong pseudoprimes to bases 2-7 and to the first nine prime bases
+    assert not guesser._is_prime(3215031751)
+    assert not guesser._is_prime(3825123056546413051)
+    # the largest primes below 2^62 (2^62 - 57, -87, -117)
+    assert next_primes(3) == [2**62 - 57, 2**62 - 87, 2**62 - 117]
 
 
 def in_order_reducer(rows, ncols, p):
     """Reference: the rank screen reducing each row against an echelon basis
-    stored by rows, pivots normalized to 1, stopping at rank ncols."""
+    stored by rows, pivots normalized to 1, stopping at rank ncols; the
+    pivot of each row that raised the rank, in order."""
     basis = []
-    picked = []
-    for i, row in enumerate(rows):
+    pivots = []
+    for row in rows:
         v = [x % p for x in row]
         for col, tail in basis:
             c = v[col] % p
@@ -287,10 +402,10 @@ def in_order_reducer(rows, ncols, p):
             continue
         inv = pow(v[lead], -1, p)
         insort(basis, (lead, [x * inv % p for x in v[lead:]]))
-        picked.append(i)
-        if len(picked) == ncols:
+        pivots.append(lead)
+        if len(pivots) == ncols:
             break
-    return picked
+    return pivots
 
 
 def planted_rank_matrix(rng, p):
@@ -321,8 +436,23 @@ def test_screen_matches_the_in_order_reducer(monkeypatch, prime):
     rng = random.Random(prime)
     for _ in range(300):
         rows, ncols = planted_rank_matrix(rng, prime)
-        want = in_order_reducer(rows, ncols, prime)
-        assert guesser._independent_rows_mod_p(rows, ncols) == want, rows
+        pivots, cols = guesser._basis_mod_p(rows, ncols, prime)
+        assert pivots == in_order_reducer(rows, ncols, prime), rows
+        assert sorted(pivots + list(cols)) == list(range(ncols))
+        # each non-pivot column's kernel vector, read off cols, is one mod p
+        for f, col in cols.items():
+            v = [0] * ncols
+            v[f] = 1
+            for q, y in zip(pivots, col):
+                v[q] = -y
+            assert all(sum(map(mul, row, v)) % prime == 0 for row in rows)
+        # the lift agrees with the exact reference, the small prime first
+        want_pivots, want = reference_solve(rows, ncols)
+        got = guesser._solve(rows, ncols)
+        if got is None:
+            assert want is None and len(pivots) == ncols
+        else:
+            assert got == (len(want_pivots), want), rows
 
 
 def plain_fit_rows(seq, r, dn, da, holdout):
@@ -364,10 +494,21 @@ def test_fit_rows_match_the_plain_builder(values, start, holdout):
 
 
 def test_system_budget_admits_the_f3_search():
-    # F_3(n) has a-degree floor(3n/2) and F_3(1) = 0: the fitted F_3(1..55)
-    # of a 60-term file with holdout 5, at bounds (4, 7, 7)
-    fit = [AlphaPoly([1] * (3 * n // 2 + 1) if n > 1 else []) for n in range(1, 56)]
-    rows = guesser._fit_rows(fit, 1, 4, 7, 7)
-    assert len(rows) * len(rows[0]) <= guesser.MAX_SYSTEM_ENTRIES
+    # F_k(n) has a-degree floor(kn/2) and coefficients below (kn)!, and
+    # F_k(1) = 0: the fitted F_3(1..55) of a 60-term file with holdout 5
+    # at bounds (4, 7, 7), and F_4(0..40) at (5, 10, 14), with every
+    # coefficient raised to (kn)!
+    def bound(k, n):
+        return AlphaPoly([factorial(k * n)] * (k * n // 2 + 1) if n != 1 else [])
+
+    guesser._check_budget([bound(3, n) for n in range(1, 56)], 1, 4, 7, 7)
+    guesser._check_budget([bound(4, n) for n in range(41)], 0, 5, 10, 14)
     with pytest.raises(ValueError, match="guess system too large"):
-        guesser._fit_rows(fit, 1, 4, 15, 15)
+        guesser._check_budget([bound(4, n) for n in range(81)], 0, 5, 10, 14)
+    # few entries, but each n^p * c grows with deg_n: 1.9 M entries, 1.6 GB
+    f1 = f_seq(1, 35).values
+    with pytest.raises(ValueError, match="guess system too large"):
+        guesser._check_budget(f1, 0, 1, 2900, 0)
+    # zero entries still take a slot: a huge deg_a on small data
+    with pytest.raises(ValueError, match="guess system too large"):
+        guesser._check_budget(f1[:5], 0, 1, 0, 100_000)
