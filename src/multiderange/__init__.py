@@ -11,7 +11,6 @@ discovers such recurrences from data.
 
 from .polys import (
     AlphaPoly,
-    BivarPoly,
     InexactDivision,
     SchemaError,
     divide_exact,
@@ -67,7 +66,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlphaPoly",
-    "BivarPoly",
     "CapExceeded",
     "GuessResult",
     "GuessSpec",

@@ -19,7 +19,6 @@ import json
 import re
 import sys
 import time
-from pathlib import Path
 from typing import Callable
 
 from . import selftest as selftest_mod
@@ -36,6 +35,7 @@ from .recurrence import (
     PolySequence,
     RecurrenceOperator,
     UnsupportedK,
+    _write_json,
     builtin_operator,
     extend_sequence,
     first_failure,
@@ -87,10 +87,6 @@ def _print_envelope(envelope: dict, text: Callable[[], list[str]], fmt: str) -> 
         for line in text():
             print(line)
         print(f"time: {envelope['timing_ms']:.3f} ms")
-
-
-def _write_artifact(path: str, artifact) -> None:
-    Path(path).write_text(json.dumps(artifact, indent=2) + "\n")
 
 
 def _shape_value(shape: tuple[int, ...], identified: bool, alpha: int | None) -> int:
@@ -344,9 +340,9 @@ def _main(argv) -> int:
     if args.out is not None:
         # a failed guess has no operator to write
         if args.command != "guess":
-            _write_artifact(args.out, result)
+            _write_json(args.out, result)
         elif result["found"]:
-            _write_artifact(args.out, result["operator"])
+            _write_json(args.out, result["operator"])
     return exit_code
 
 

@@ -15,8 +15,9 @@ prod(k_i!) to identify the elements within each block.
 The equal-blocks values F_k(n), n blocks of size k, have one generator,
 fk_sequence_direct, which carries the product of n Laguerre factors from
 one n to the next; fk_value builds each product from scratch and is the
-reference the generator is tested against.  Both refuse a ground set
-above MAX_GROUND_SET before allocating anything.
+reference the generator is tested against.  They, and normalize_shape
+for every other shape, refuse a ground set above MAX_GROUND_SET before
+allocating anything.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ SHAPE_TOO_LARGE = f"shape too large: more than {MAX_GROUND_SET} elements or bloc
 
 
 def normalize_shape(shape: Sequence[int]) -> tuple[int, ...]:
-    """Validate block sizes and drop zero blocks (they contribute factor 1)."""
+    """Validate block sizes and the ground set's size against
+    MAX_GROUND_SET, and drop zero blocks (they contribute factor 1)."""
     out = []
     for k in shape:
         if not isinstance(k, int):
@@ -45,6 +47,8 @@ def normalize_shape(shape: Sequence[int]) -> tuple[int, ...]:
             raise ValueError(f"shape entries must be nonnegative, got {k}")
         if k:
             out.append(k)
+    if sum(out) > MAX_GROUND_SET:
+        raise ValueError(SHAPE_TOO_LARGE)
     return tuple(out)
 
 
@@ -83,9 +87,8 @@ def count_derangements(shape: Sequence[int]) -> int:
 
 def identified_count(shape: Sequence[int]) -> int:
     """count_derangements with each block's elements identified."""
-    blocks = normalize_shape(shape)
-    labeled = count_derangements(blocks)
-    scale = prod(factorial(k) for k in blocks)
+    labeled = count_derangements(shape)  # validates the shape
+    scale = prod(factorial(k) for k in shape)
     q, r = divmod(labeled, scale)
     if r:
         raise ArithmeticError("labeled count not divisible by block factorials")

@@ -49,12 +49,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, product
 from math import gcd, isqrt
 from operator import itemgetter, mul
 from typing import Iterator, Sequence
 
-from .polys import AlphaPoly, BivarPoly
+from .polys import AlphaPoly
 from .recurrence import PolySequence, RecurrenceOperator, verify_operator
 
 _log = logging.getLogger(__name__)
@@ -297,18 +297,14 @@ def _column_subset(
 
 
 def _operator_from_vector(
-    vec: list[int], r: int, dn: int, da: int, start: int
+    vec: list[int], dn: int, da: int, start: int
 ) -> RecurrenceOperator | None:
-    coeffs = []
-    u = 0
-    for _ in range(r + 1):
-        terms = {}
-        for p in range(dn + 1):
-            for q in range(da + 1):
-                if vec[u]:
-                    terms[(p, q)] = vec[u]
-                u += 1
-        coeffs.append(BivarPoly(terms))
+    """The operator whose c_j(n, a) has the coefficient of n^p a^q at
+    vec[(j * (dn + 1) + p) * (da + 1) + q], or None below order 1."""
+    monomials = list(product(range(dn + 1), range(da + 1)))
+    w = len(monomials)
+    coeffs = [tuple((p, q, x) for (p, q), x in zip(monomials, vec[u : u + w]) if x)
+              for u in range(0, len(vec), w)]
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     if len(coeffs) < 2:
@@ -327,7 +323,7 @@ def _try_candidate(
     rank, vec = solved
     if vec is None:
         return "no exact kernel", None
-    op = _operator_from_vector(vec, r, dn, da, seq.start)
+    op = _operator_from_vector(vec, dn, da, seq.start)
     if op is None:
         return "kernel gives no recurrence", None
     if not verify_operator(op, seq):

@@ -1,18 +1,13 @@
 """Exact polynomial arithmetic over arbitrary-precision integers.
 
-Two immutable representations:
-
-  AlphaPoly -- dense polynomial in the cycle-marking variable ``a``: a tuple
-               of int coefficients, ascending powers, no trailing zeros.
-               The zero polynomial is the empty tuple.  Values are built
-               by the kernels below, so AlphaPoly has no ring arithmetic
-               either: it negates, evaluates, compares and prints.
-  BivarPoly -- sparse polynomial in ``(n, a)``: a map (deg_n, deg_a) -> int
-               with no zero entries.  Recurrence-operator coefficients are
-               sparse in (n, a), hence the map.  Operators come from records
-               or the guesser, never from formulas, so BivarPoly has no ring
-               arithmetic: it evaluates, normalizes (negation, content
-               division) and prints.
+AlphaPoly is the one polynomial class: a dense polynomial in the
+cycle-marking variable ``a``, kept as an immutable tuple of int
+coefficients, ascending powers, no trailing zeros.  The zero polynomial is
+the empty tuple.  Values are built by the kernels below, so AlphaPoly has
+no ring arithmetic: it negates, evaluates, compares and prints.
+Recurrence-operator coefficients, polynomials in (n, a), are plain
+(deg_n, deg_a, coefficient) triples owned by ``recurrence``; render_terms
+prints both forms.
 
 Coefficients are Python ints throughout, so there is no overflow and no
 rounding anywhere.  add_product is the one dense product kernel: the
@@ -27,8 +22,7 @@ construction, skip that check.
 from __future__ import annotations
 
 from functools import cache
-from math import gcd
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Sequence
 
 
 class SchemaError(ValueError):
@@ -40,8 +34,9 @@ class InexactDivision(ArithmeticError):
 
 
 def _as_int(c) -> int:
-    # bool is an int subclass and harmless; reject floats and rationals loudly.
-    if isinstance(c, int):
+    # Reject floats and rationals loudly, and bools, which records would
+    # spell "True".
+    if type(c) is int:
         return c
     raise TypeError(f"coefficients must be int, got {type(c).__name__}")
 
@@ -112,7 +107,7 @@ class AlphaPoly:
         return f"AlphaPoly({list(self.coeffs)!r})"
 
     def __str__(self) -> str:
-        return render_terms([((m,), c) for m, c in enumerate(self.coeffs)], ("a",))
+        return render_terms(enumerate(self.coeffs), ("a",))
 
 
 _ZERO = AlphaPoly()
@@ -136,13 +131,13 @@ def add_product(acc: list[int], p: Sequence[int], q: Sequence[int]) -> None:
 
 
 def render_terms(terms, names: tuple[str, ...]) -> str:
-    """Human-readable form, descending exponents, explicit signs."""
-    items = [(e, c) for e, c in terms if c]
+    """Human-readable form of (exponents..., coefficient) tuples, one
+    exponent per name: descending exponents, explicit signs."""
+    items = sorted((t for t in terms if t[-1]), reverse=True)
     if not items:
         return "0"
-    items.sort(key=lambda t: t[0], reverse=True)
     parts: list[str] = []
-    for exps, c in items:
+    for *exps, c in items:
         mag = abs(c)
         factors = []
         for name, e in zip(names, exps):
@@ -229,7 +224,7 @@ def poly_to_record(p: AlphaPoly) -> dict:
 
 def poly_from_record(obj, where: str = "polynomial") -> AlphaPoly:
     """Parse the machine form back; strict about canonical shape."""
-    if isinstance(obj, int):
+    if type(obj) is int:  # JSON true/false are bools, not ints
         return AlphaPoly._trusted([obj])
     if isinstance(obj, str):
         return AlphaPoly._trusted([_parse_int(obj, where)])
@@ -247,7 +242,7 @@ def poly_from_record(obj, where: str = "polynomial") -> AlphaPoly:
 
 
 def _parse_int(value, where: str) -> int:
-    if isinstance(value, int):
+    if type(value) is int:  # JSON true/false are bools, not ints
         return value
     if isinstance(value, str):
         try:
@@ -255,93 +250,3 @@ def _parse_int(value, where: str) -> int:
         except ValueError:
             raise SchemaError(f"{where}: not a decimal integer: {value!r}") from None
     raise SchemaError(f"{where}: expected a decimal string")
-
-
-class BivarPoly:
-    """Sparse polynomial in (n, a): {(deg_n, deg_a): coefficient}."""
-
-    __slots__ = ("terms",)
-
-    terms: dict[tuple[int, int], int]
-
-    def __init__(self, terms: Mapping[tuple[int, int], int] = {}) -> None:
-        for (p, q), c in terms.items():
-            _as_int(c)
-            if p < 0 or q < 0:
-                raise ValueError("negative exponent")
-        object.__setattr__(
-            self, "terms", {k: v for k, v in sorted(terms.items()) if v}
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BivarPoly is immutable")
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BivarPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __neg__(self) -> BivarPoly:
-        return BivarPoly({k: -v for k, v in self.terms.items()})
-
-    @property
-    def deg_n(self) -> int:
-        return max((p for p, _ in self.terms), default=-1)
-
-    @property
-    def deg_a(self) -> int:
-        return max((q for _, q in self.terms), default=-1)
-
-    def eval_n(self, n: int) -> AlphaPoly:
-        """Substitute an integer for n, leaving a polynomial in a."""
-        if not self.terms:
-            return _ZERO
-        out = [0] * (self.deg_a + 1)
-        for (p, q), c in self.terms.items():
-            out[q] += c * n**p
-        return AlphaPoly._trusted(out)
-
-    def substitute_a(self, a: int) -> BivarPoly:
-        """Substitute an integer for a, leaving a polynomial in n."""
-        out: dict[tuple[int, int], int] = {}
-        for (p, q), c in self.terms.items():
-            k = (p, 0)
-            out[k] = out.get(k, 0) + c * a**q
-        return BivarPoly(out)
-
-    def content(self) -> int:
-        """gcd of all coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self.terms.values():
-            g = gcd(g, c)
-        return g
-
-    def div_int(self, d: int) -> BivarPoly:
-        """Exact division of every coefficient by a common integer factor."""
-        if any(c % d for c in self.terms.values()):
-            raise InexactDivision(f"content division by {d} is not exact")
-        return BivarPoly({k: c // d for k, c in self.terms.items()})
-
-    def leading_coefficient(self) -> int:
-        """Coefficient of the lexicographically largest term (n before a)."""
-        if not self.terms:
-            return 0
-        return self.terms[max(self.terms)]
-
-    def monomials(self) -> Iterator[tuple[int, int, int]]:
-        """(deg_n, deg_a, coefficient) triples, sorted by (deg_n, deg_a)."""
-        for (p, q), c in sorted(self.terms.items()):
-            yield p, q, c
-
-    def __repr__(self) -> str:
-        return f"BivarPoly({self.terms!r})"
-
-    def __str__(self) -> str:
-        return render_terms(list(self.terms.items()), ("n", "a"))
-

@@ -1,9 +1,14 @@
 """Linear shift-operator recurrences with (n, a)-polynomial coefficients.
 
 An operator of order r is c_0(n,a) F(n) + ... + c_r(n,a) F(n+r), asserted to
-vanish for every n >= valid_from.  Operators are kept normalized: integer
-content 1 and a positive leading coefficient of c_r in lexicographic term
-order (n before a), so equal operators compare structurally equal.
+vanish for every n >= valid_from.  Each c_j is stored as the operator
+file stores it: a tuple of int triples (deg_n, deg_a, coefficient), sorted
+by (deg_n, deg_a), with no zero coefficient.  The form is sparse on
+purpose: a record may name one monomial of a huge degree, and a dense form
+would turn that small file into an unbounded allocation.  Operators are
+kept normalized: integer content 1 and a positive coefficient in the last
+triple of c_r, the largest monomial in lexicographic order (n before a),
+so equal operators compare structurally equal.
 
 Every operator is a recurrence-operator/v1 record.  The built-in ones, for
 block sizes 1 and 2, ship next to this module as operators/k1.json and
@@ -29,7 +34,6 @@ from pathlib import Path
 from .enumerator import fk_sequence_direct
 from .polys import (
     AlphaPoly,
-    BivarPoly,
     InexactDivision,
     SchemaError,
     _parse_int,
@@ -37,7 +41,11 @@ from .polys import (
     divide_exact,
     poly_from_record,
     poly_to_record,
+    render_terms,
 )
+
+# c_j(n, a) as sorted (deg_n, deg_a, coefficient) triples
+Coeff = tuple[tuple[int, int, int], ...]
 
 OPERATOR_SCHEMA = "recurrence-operator/v1"
 SEQUENCE_SCHEMA = "poly-sequence/v1"
@@ -59,32 +67,52 @@ class WindowTooShort(ValueError):
 class RecurrenceOperator:
     """Normalized shift operator; coeffs[j] multiplies F(n+j)."""
 
-    coeffs: tuple[BivarPoly, ...]
+    coeffs: tuple[Coeff, ...]
     valid_from: int = 0
 
     def __post_init__(self):
-        coeffs = tuple(self.coeffs)
+        """Check the triples and normalize them: zero terms dropped, content
+        divided out, last triple of the top coefficient positive."""
+        if type(self.valid_from) is not int:
+            raise TypeError("valid_from must be an int")
+        coeffs = [tuple(c) for c in self.coeffs]
+        for c in coeffs:
+            for p, q, x in c:
+                if any(type(v) is not int for v in (p, q, x)):  # bools are refused too
+                    raise TypeError("operator coefficients must be int triples")
+                if p < 0 or q < 0:
+                    raise ValueError("negative exponent")
+            keys = [(p, q) for p, q, _ in c]
+            if any(u >= v for u, v in zip(keys, keys[1:])):
+                raise ValueError("monomials must be sorted by (deg_n, deg_a), without repeats")
+        coeffs = [[t for t in c if t[2]] for c in coeffs]
         if len(coeffs) < 2:
             raise ValueError("operator needs order at least 1")
         if not coeffs[-1]:
             raise ValueError("leading coefficient must be nonzero")
-        g = 0
-        for c in coeffs:
-            g = gcd(g, c.content())
-        if g > 1:
-            coeffs = tuple(c.div_int(g) for c in coeffs)
-        if coeffs[-1].leading_coefficient() < 0:
-            coeffs = tuple(-c for c in coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
+        g = gcd(*(x for c in coeffs for _, _, x in c))
+        if coeffs[-1][-1][2] < 0:
+            g = -g
+        object.__setattr__(self, "coeffs", tuple(
+            tuple((p, q, x // g) for p, q, x in c) for c in coeffs
+        ))
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
     def __str__(self) -> str:
-        parts = [f"({c}) * F(n+{j})" if j else f"({c}) * F(n)"
+        parts = [f"({render_terms(c, ('n', 'a'))}) * F({f'n+{j}' if j else 'n'})"
                  for j, c in enumerate(self.coeffs) if c]
         return " + ".join(parts) + " = 0"
+
+
+def coeff_at(c: Coeff, n: int) -> list[int]:
+    """c(n, a) at an integer n, as coefficients in a; trailing zeros possible."""
+    out = [0] * (max((q for _, q, _ in c), default=-1) + 1)
+    for p, q, x in c:
+        out[q] += x * n**p
+    return out
 
 
 @dataclass(frozen=True)
@@ -153,16 +181,16 @@ def extend_sequence(
         raise ValueError("target precedes the last seed index")
     values = list(seed.values)
     r = op.order
-    lead = op.coeffs[r]
+    # F(n+r) = -(sum_{j<r} c_j F(n+j)) / c_r = (sum_{j<r} c_j F(n+j)) / -c_r
+    neg_lead = tuple((p, q, -x) for p, q, x in op.coeffs[r])
     while seed.start + len(values) - 1 < target:
         n = seed.start + len(values) - r
-        lead_at_n = lead.eval_n(n)
+        lead_at_n = AlphaPoly._trusted(coeff_at(neg_lead, n))
         if not lead_at_n:
             raise LeadingCoefficientZero(f"leading coefficient vanishes at n={n}")
-        # F(n+r) = -(sum_{j<r} c_j F(n+j)) / c_r = (sum_{j<r} c_j F(n+j)) / -c_r
         partial = _apply(op, n, values, len(values) - r, r)
         try:
-            values.append(divide_exact(AlphaPoly._trusted(partial), -lead_at_n))
+            values.append(divide_exact(AlphaPoly._trusted(partial), lead_at_n))
         except InexactDivision as exc:
             raise InexactDivision(f"inexact step at n={n}: {exc}") from None
     return PolySequence(start=seed.start, values=tuple(values), k=seed.k)
@@ -178,7 +206,7 @@ def _apply(op: RecurrenceOperator, n: int, values, base: int, terms: int) -> lis
     for j in range(terms):
         v = values[base + j].coeffs
         if v:
-            add_product(acc, op.coeffs[j].eval_n(n).coeffs, v)
+            add_product(acc, coeff_at(op.coeffs[j], n), v)
     return acc
 
 
@@ -230,10 +258,15 @@ def specialize_alpha(op: RecurrenceOperator, a: int) -> RecurrenceOperator:
     Useful for plain counting: at a=1 the k=1 operator reproduces the
     classical derangement-number recurrence.
     """
-    coeffs = tuple(c.substitute_a(a) for c in op.coeffs)
-    if not coeffs[-1]:
+    coeffs = []
+    for c in op.coeffs:
+        at_a: dict[int, int] = {}
+        for p, q, x in c:
+            at_a[p] = at_a.get(p, 0) + x * a**q
+        coeffs.append(tuple((p, 0, x) for p, x in at_a.items()))
+    if not any(x for _, _, x in coeffs[-1]):
         raise ValueError(f"operator degenerates at a={a}")
-    return RecurrenceOperator(coeffs, op.valid_from)
+    return RecurrenceOperator(tuple(coeffs), op.valid_from)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +280,7 @@ def operator_to_record(op: RecurrenceOperator) -> dict:
         "order": op.order,
         "valid_from": op.valid_from,
         "coeffs": [
-            [[p, q, str(c)] for p, q, c in poly.monomials()] for poly in op.coeffs
+            [[p, q, str(x)] for p, q, x in c] for c in op.coeffs
         ],
     }
 
@@ -259,10 +292,10 @@ def operator_from_record(obj) -> RecurrenceOperator:
     if schema != OPERATOR_SCHEMA:
         raise SchemaError(f"operator.schema: expected {OPERATOR_SCHEMA!r}")
     order = obj.get("order")
-    if not isinstance(order, int) or order < 1:
+    if type(order) is not int or order < 1:  # JSON true/false are bools, not ints
         raise SchemaError("operator.order: expected a positive integer")
     valid_from = obj.get("valid_from", 0)
-    if not isinstance(valid_from, int):
+    if type(valid_from) is not int:
         raise SchemaError("operator.valid_from: expected an integer")
     raw = obj.get("coeffs")
     if not isinstance(raw, list) or len(raw) != order + 1:
@@ -272,29 +305,27 @@ def operator_from_record(obj) -> RecurrenceOperator:
         where = f"operator.coeffs[{j}]"
         if not isinstance(mono_list, list):
             raise SchemaError(f"{where}: expected a list of monomials")
-        terms = {}
-        prev = None
+        terms: list[tuple[int, int, int]] = []
         for i, mono in enumerate(mono_list):
             if not (isinstance(mono, list) and len(mono) == 3):
                 raise SchemaError(f"{where}[{i}]: expected [deg_n, deg_a, coeff]")
             p, q, c = mono
-            if not (isinstance(p, int) and isinstance(q, int) and p >= 0 and q >= 0):
+            if not (type(p) is int and type(q) is int and p >= 0 and q >= 0):
                 raise SchemaError(f"{where}[{i}]: bad exponents {p!r}, {q!r}")
             c = _parse_int(c, f"{where}[{i}]")
             if c == 0:
                 raise SchemaError(f"{where}[{i}]: zero coefficient stored")
-            if prev is not None and (p, q) <= prev:
+            if terms and (p, q) <= terms[-1][:2]:
                 raise SchemaError(f"{where}[{i}]: monomials must be sorted by (deg_n, deg_a)")
-            prev = (p, q)
-            terms[(p, q)] = c
-        coeffs.append(BivarPoly(terms))
+            terms.append((p, q, c))
+        coeffs.append(tuple(terms))
     if not coeffs[-1]:
         raise SchemaError("operator.coeffs: leading coefficient is zero")
     return RecurrenceOperator(tuple(coeffs), valid_from=valid_from)
 
 
 def save_operator(op: RecurrenceOperator, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(operator_to_record(op), indent=2) + "\n")
+    _write_json(path, operator_to_record(op))
 
 
 def load_operator(path: str | Path) -> RecurrenceOperator:
@@ -308,6 +339,11 @@ def _read_json(path: str | Path, what: str):
         raise SchemaError(f"{what}: invalid JSON at line {exc.lineno}") from None
     except RecursionError:
         raise SchemaError(f"{what}: JSON nested too deeply") from None
+
+
+def _write_json(path: str | Path, record) -> None:
+    """Write a record in the artifact layout: indent 2, trailing newline."""
+    Path(path).write_text(json.dumps(record, indent=2) + "\n")
 
 
 def sequence_to_record(seq: PolySequence) -> dict:
@@ -326,10 +362,10 @@ def sequence_from_record(obj) -> PolySequence:
     if schema != SEQUENCE_SCHEMA:
         raise SchemaError(f"sequence.schema: expected {SEQUENCE_SCHEMA!r}")
     start = obj.get("start", 0)
-    if not isinstance(start, int):
+    if type(start) is not int:  # JSON true/false are bools, not ints
         raise SchemaError("sequence.start: expected an integer")
     k = obj.get("k")
-    if k is not None and not isinstance(k, int):
+    if k is not None and type(k) is not int:
         raise SchemaError("sequence.k: expected an integer or null")
     raw = obj.get("values")
     if not isinstance(raw, list) or not raw:
@@ -341,7 +377,7 @@ def sequence_from_record(obj) -> PolySequence:
 
 
 def save_sequence(seq: PolySequence, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(sequence_to_record(seq), indent=2) + "\n")
+    _write_json(path, sequence_to_record(seq))
 
 
 def load_sequence(path: str | Path) -> PolySequence:

@@ -54,6 +54,9 @@ DECK_COEFFS: dict[int, int] = {
 
 DECK_IDENTIFIED_COUNT = 1493804444499093354916284290188948031229880469556
 
+# Largest ground set the oracle suites check; cap can only lower it.
+ORACLE_BOUND = 8
+
 
 @dataclass
 class SuiteResult:
@@ -82,9 +85,9 @@ def compositions(total: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def sweep_suite(max_total: int = 8, cap: int = oracle.DEFAULT_CAP) -> SuiteResult:
+def sweep_suite(cap: int = oracle.DEFAULT_CAP) -> SuiteResult:
     """Laguerre-moment path versus brute force on every small shape."""
-    bound = min(max_total, cap)
+    bound = min(ORACLE_BOUND, cap)
 
     def run():
         checked = 0
@@ -100,9 +103,9 @@ def sweep_suite(max_total: int = 8, cap: int = oracle.DEFAULT_CAP) -> SuiteResul
     return _timed("oracle-sweep", run)
 
 
-def cycle_identity_suite(max_n: int = 8, cap: int = oracle.DEFAULT_CAP) -> SuiteResult:
+def cycle_identity_suite(cap: int = oracle.DEFAULT_CAP) -> SuiteResult:
     """Sum of a^cycles over all permutations equals the rising factorial."""
-    bound = min(max_n, cap)
+    bound = min(ORACLE_BOUND, cap)
 
     def run():
         for n in range(bound + 1):

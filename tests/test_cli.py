@@ -440,6 +440,18 @@ def test_verify_schema_error(capsys, tmp_path):
     assert "operator.coeffs" in err
 
 
+def test_booleans_in_an_operator_file_are_a_schema_error(capsys, tmp_path):
+    bad = tmp_path / "bools.json"
+    bad.write_text(json.dumps({
+        "schema": "recurrence-operator/v1", "order": True, "valid_from": False,
+        "coeffs": [[[0, 0, "-1"]], [[False, False, True]]],
+    }))
+    rc, out, err = run_cli(capsys, "verify", "--operator", str(bad), "-k", "1",
+                           "--terms", "5")
+    assert rc == 2 and out == ""
+    assert "operator.order" in err
+
+
 @pytest.mark.parametrize("command", ["guess", "verify"])
 def test_deeply_nested_json_is_a_schema_error(capsys, tmp_path, command):
     deep = tmp_path / "deep.json"

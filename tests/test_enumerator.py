@@ -3,6 +3,7 @@ from math import factorial, prod
 
 import pytest
 
+from multiderange import enumerator
 from multiderange.enumerator import (
     MAX_GROUND_SET,
     SHAPE_TOO_LARGE,
@@ -85,6 +86,17 @@ def test_equal_blocks_budget():
         assert str(exc.value) == SHAPE_TOO_LARGE
     with pytest.raises(ValueError, match="k must be positive"):
         fk_sequence_direct(0, 3)
+
+
+def test_shape_budget(monkeypatch):
+    # the library refuses what parse_shape refuses, before any product
+    monkeypatch.setattr(enumerator, "MAX_GROUND_SET", 10)
+    assert normalize_shape([6, 0, 4]) == (6, 4)
+    for fn in (normalize_shape, weighted_derangement_poly, count_derangements,
+               identified_count):
+        with pytest.raises(ValueError) as exc:
+            fn([6, 5])
+        assert str(exc.value) == SHAPE_TOO_LARGE
 
 
 def test_shape_permutation_invariance():

@@ -16,7 +16,7 @@ from multiderange.guesser import (
     NotFound,
     guess_operator,
 )
-from multiderange.polys import AlphaPoly, BivarPoly, add_product
+from multiderange.polys import AlphaPoly, add_product
 from multiderange.recurrence import (
     PolySequence,
     RecurrenceOperator,
@@ -102,14 +102,14 @@ def test_nullspace_all_zero_matrix():
 
 def test_guess_constant_sequence():
     res = guess_operator(const_seq([1] * 10), GuessSpec(2, 1, 1))
-    want = RecurrenceOperator((BivarPoly({(0, 0): -1}), BivarPoly({(0, 0): 1})))
+    want = RecurrenceOperator((((0, 0, -1),), ((0, 0, 1),)))
     assert res.operator == want
     assert res.candidate == (1, 0, 0)
 
 
 def test_guess_geometric_sequence():
     res = guess_operator(const_seq([2**t for t in range(10)]), GuessSpec(2, 1, 1))
-    want = RecurrenceOperator((BivarPoly({(0, 0): -2}), BivarPoly({(0, 0): 1})))
+    want = RecurrenceOperator((((0, 0, -2),), ((0, 0, 1),)))
     assert res.operator == want
 
 

@@ -8,15 +8,16 @@ from hypothesis import given, strategies as st
 from multiderange.polys import (
     ALPHA_ONE,
     AlphaPoly,
-    BivarPoly,
     InexactDivision,
     SchemaError,
     add_product,
     divide_exact,
     poly_from_record,
     poly_to_record,
+    render_terms,
     rising_factorial,
 )
+from multiderange.recurrence import RecurrenceOperator, coeff_at, specialize_alpha
 
 A = AlphaPoly((0, 1))
 
@@ -73,6 +74,8 @@ def test_evaluation_examples():
 def test_rejects_non_int_coefficients():
     with pytest.raises(TypeError):
         AlphaPoly((1.5,))
+    with pytest.raises(TypeError):  # poly_to_record would write "True"
+        AlphaPoly((True,))
 
 
 @given(small_coeffs, small_coeffs, small_coeffs)
@@ -275,33 +278,40 @@ def test_text_rendering():
     assert str(AlphaPoly((0, 0, 1))) == "a^2"
 
 
-# --- BivarPoly ------------------------------------------------------------
+# --- operator coefficients: (deg_n, deg_a, c) triples --------------------
+
+ONE = ((0, 0, 1),)
 
 
 def test_bivar_eval():
-    p = BivarPoly({(0, 0): 3, (1, 0): 2})  # 2n + 3
-    assert p.eval_n(0) == AlphaPoly((3,))
-    assert p.eval_n(5) == AlphaPoly((13,))
-    q = BivarPoly({(0, 1): 20, (1, 1): 8})  # 4a(2n + 5)
-    assert q.eval_n(0) == AlphaPoly((0, 20))
-    assert q.eval_n(1)(2) == 56
-    assert q.substitute_a(1) == BivarPoly({(0, 0): 20, (1, 0): 8})
+    p = ((0, 0, 3), (1, 0, 2))  # 2n + 3
+    assert coeff_at(p, 0) == [3]
+    assert coeff_at(p, 5) == [13]
+    q = ((0, 1, 20), (1, 1, 8))  # 4a(2n + 5)
+    assert coeff_at(q, 0) == [0, 20]
+    assert AlphaPoly(coeff_at(q, 1))(2) == 56
+    assert specialize_alpha(RecurrenceOperator((p, q)), 1).coeffs == (
+        p, ((0, 0, 20), (1, 0, 8)),
+    )
 
 
 def test_bivar_content_and_leading():
-    p = BivarPoly({(1, 0): 6, (1, 1): 4})  # 4na + 6n
-    assert p.content() == 2
-    assert p.div_int(2) == BivarPoly({(1, 0): 3, (1, 1): 2})
-    with pytest.raises(InexactDivision):
-        p.div_int(4)
-    assert BivarPoly({(0, 0): -5, (1, 0): 1}).leading_coefficient() == 1
-    assert BivarPoly({(0, 0): 5, (1, 0): -1}).leading_coefficient() == -1
+    # 4na + 6n over 6n: the content 2 is divided out
+    op = RecurrenceOperator((((1, 0, 6),), ((1, 0, 6), (1, 1, 4))))
+    assert op.coeffs == (((1, 0, 3),), ((1, 0, 3), (1, 1, 2)))
+    # the last triple of the top coefficient is made positive
+    want = (ONE, ((0, 0, -5), (1, 0, 1)))
+    assert RecurrenceOperator(want).coeffs == want
+    negated = ((0, 0, -1),), ((0, 0, 5), (1, 0, -1))
+    assert RecurrenceOperator(negated).coeffs == want
     # lex order puts n before a: the n term leads the a^2 term
-    assert BivarPoly({(1, 0): 1, (0, 2): 3}).leading_coefficient() == 1
+    assert RecurrenceOperator((ONE, ((0, 2, 3), (1, 0, -1)))).coeffs[1] == (
+        (0, 2, -3), (1, 0, 1),
+    )
 
 
 def test_bivar_degrees_and_str():
-    p = BivarPoly({(2, 1): 4, (0, 1): 7, (1, 0): -14, (0, 0): -10})
-    assert p.deg_n == 2 and p.deg_a == 1
-    assert str(BivarPoly({(0, 0): 3, (1, 0): 2})) == "2*n + 3"
-    assert str(BivarPoly()) == "0"
+    p = ((0, 0, -10), (0, 1, 7), (1, 0, -14), (2, 1, 4))
+    assert render_terms(p, ("n", "a")) == "4*n^2*a - 14*n + 7*a - 10"
+    assert render_terms(((0, 0, 3), (1, 0, 2)), ("n", "a")) == "2*n + 3"
+    assert render_terms((), ("n", "a")) == "0"

@@ -1,12 +1,16 @@
+import json
+from math import gcd
+
 import pytest
+from hypothesis import given, strategies as st
 
 from multiderange.enumerator import fk_value
 from multiderange.polys import (
     ALPHA_ONE,
     AlphaPoly,
-    BivarPoly,
     InexactDivision,
     SchemaError,
+    poly_from_record,
 )
 from multiderange.recurrence import (
     LeadingCoefficientZero,
@@ -15,6 +19,7 @@ from multiderange.recurrence import (
     UnsupportedK,
     WindowTooShort,
     builtin_operator,
+    coeff_at,
     extend_sequence,
     first_failure,
     fk_sequence_via_recurrence,
@@ -31,8 +36,8 @@ from multiderange.recurrence import (
     verify_operator,
 )
 
-ONE = BivarPoly({(0, 0): 1})
-SHIFT_MINUS_ONE = RecurrenceOperator((BivarPoly({(0, 0): -1}), ONE))
+ONE = ((0, 0, 1),)
+SHIFT_MINUS_ONE = RecurrenceOperator((((0, 0, -1),), ONE))
 
 
 def const_seq(values, start=0):
@@ -43,8 +48,8 @@ def test_builtin_k1_coefficients():
     op = builtin_operator(1)
     assert op.order == 2
     assert op.valid_from == 0
-    assert op.coeffs[0] == BivarPoly({(0, 1): -1, (1, 1): -1})  # -a(n + 1)
-    assert op.coeffs[1] == BivarPoly({(0, 0): -1, (1, 0): -1})  # -(n + 1)
+    assert op.coeffs[0] == ((0, 1, -1), (1, 1, -1))  # -a(n + 1)
+    assert op.coeffs[1] == ((0, 0, -1), (1, 0, -1))  # -(n + 1)
     assert op.coeffs[2] == ONE
 
 
@@ -53,11 +58,11 @@ def test_builtin_k2_coefficients():
     assert builtin_operator(2) is op  # parsed once per process
     assert op.order == 3
     assert op.valid_from == 0
-    assert op.coeffs[3] == BivarPoly({(0, 0): 3, (1, 0): 2})  # 2n + 3
+    assert op.coeffs[3] == ((0, 0, 3), (1, 0, 2))  # 2n + 3
     # spot values of the other coefficients at small points
-    assert op.coeffs[0].eval_n(0)(1) == 4 * 1 * 5 * 2 * 1 * 4
-    assert op.coeffs[2].eval_n(0)(0) == -2 * 2 * 17
-    assert op.coeffs[1].eval_n(0)(0) == 2 * 2 * 1 * (-10)
+    assert AlphaPoly(coeff_at(op.coeffs[0], 0))(1) == 4 * 1 * 5 * 2 * 1 * 4
+    assert AlphaPoly(coeff_at(op.coeffs[2], 0))(0) == -2 * 2 * 17
+    assert AlphaPoly(coeff_at(op.coeffs[1], 0))(0) == 2 * 2 * 1 * (-10)
     # the shipped record equals the closed form on a grid wider than every
     # degree, hence identically
     closed = (
@@ -69,7 +74,8 @@ def test_builtin_k2_coefficients():
         lambda n, a: 2 * n + 3,
     )
     for c, f in zip(op.coeffs, closed):
-        assert all(c.eval_n(n)(a) == f(n, a) for n in range(-4, 5) for a in range(-4, 5))
+        assert all(AlphaPoly(coeff_at(c, n))(a) == f(n, a)
+                   for n in range(-4, 5) for a in range(-4, 5))
 
 
 def test_builtin_unsupported():
@@ -147,7 +153,7 @@ def test_f1_to_1000_at_alpha_one_gives_derangement_numbers():
 
 
 def test_specialize_alpha_rejects_degenerate():
-    op = RecurrenceOperator((BivarPoly({(0, 0): -1}), BivarPoly({(0, 1): 1})))
+    op = RecurrenceOperator((((0, 0, -1),), ((0, 1, 1),)))
     with pytest.raises(ValueError):
         specialize_alpha(op, 0)
 
@@ -171,16 +177,14 @@ def test_extend_preconditions():
 
 
 def test_extend_inexact_division():
-    halver = RecurrenceOperator((BivarPoly({(0, 0): -1}), BivarPoly({(0, 0): 2})))
+    halver = RecurrenceOperator((((0, 0, -1),), ((0, 0, 2),)))
     with pytest.raises(InexactDivision):
         extend_sequence(halver, const_seq([1]), 3)
 
 
 def test_extend_leading_coefficient_zero():
     # (n - 2) F(n+1) = (n - 2) F(n): F(n+1) = F(n), dies at n=2
-    op = RecurrenceOperator(
-        (BivarPoly({(0, 0): 2, (1, 0): -1}), BivarPoly({(0, 0): -2, (1, 0): 1}))
-    )
+    op = RecurrenceOperator((((0, 0, 2), (1, 0, -1)), ((0, 0, -2), (1, 0, 1))))
     ext = extend_sequence(op, const_seq([7]), 1)
     assert ext.value_at(1) == AlphaPoly((7,))
     with pytest.raises(LeadingCoefficientZero):
@@ -229,16 +233,95 @@ def test_operator_seed_matches_fk_value(k, valid_from):
 def test_normalization():
     op = builtin_operator(1)
     scaled = RecurrenceOperator(
-        tuple(BivarPoly({pq: -6 * v for pq, v in c.terms.items()}) for c in op.coeffs),
+        tuple(tuple((p, q, -6 * x) for p, q, x in c) for c in op.coeffs),
         op.valid_from,
     )
     assert scaled == op
     assert RecurrenceOperator(op.coeffs, op.valid_from) == op
 
 
+def test_operator_text_rendering():
+    assert str(builtin_operator(1)) == (
+        "(-n*a - a) * F(n) + (-n - 1) * F(n+1) + (1) * F(n+2) = 0"
+    )
+    assert str(builtin_operator(2)) == (
+        "(8*n^3*a^3 + 16*n^3*a^2 + 8*n^3*a + 44*n^2*a^3 + 88*n^2*a^2 + 44*n^2*a"
+        " + 76*n*a^3 + 152*n*a^2 + 76*n*a + 40*a^3 + 80*a^2 + 40*a) * F(n)"
+        " + (8*n^3*a^2 - 8*n^3 + 40*n^2*a^2 - 4*n^2*a - 44*n^2 + 62*n*a^2"
+        " - 14*n*a - 76*n + 28*a^2 - 12*a - 40) * F(n+1)"
+        " + (-8*n^3 - 8*n^2*a - 48*n^2 - 32*n*a - 98*n - 32*a - 68) * F(n+2)"
+        " + (2*n + 3) * F(n+3) = 0"
+    )
+
+
+def test_operator_drops_zero_terms():
+    op = RecurrenceOperator((((0, 0, 4), (0, 3, 0), (1, 0, 2)), ((0, 0, 0), (0, 1, 2))))
+    assert op.coeffs == (((0, 0, 2), (1, 0, 1)), ((0, 1, 1),))
+
+
+@pytest.mark.parametrize(
+    "coeffs, error",
+    [
+        ((ONE, ((0, 0, 1.0),)), TypeError),
+        ((ONE, ((0, 0, True),)), TypeError),
+        ((ONE, ((False, 0, 1),)), TypeError),
+        ((ONE, ((0, "1", 1),)), TypeError),
+        ((ONE, ((0, -1, 1),)), ValueError),
+        ((ONE, ((0, 0, 1), (0, 0, 2))), ValueError),  # repeated monomial
+        ((ONE, ((1, 0, 1), (0, 0, 1))), ValueError),  # unsorted
+        ((ONE, ((0, 1, 1), (0, 0, 1))), ValueError),  # unsorted in deg_a
+        ((ONE, ((0, 0, 1), (0, 0))), ValueError),  # not a triple
+    ],
+)
+def test_operator_checks_its_triples(coeffs, error):
+    with pytest.raises(error):
+        RecurrenceOperator(coeffs)
+
+
+triple_dicts = st.dictionaries(
+    st.tuples(st.integers(0, 60), st.integers(0, 60)),
+    st.integers(-(10**30), 10**30),
+    max_size=6,
+)
+
+
+@given(st.lists(triple_dicts, min_size=2, max_size=4), st.integers(-5, 5))
+def test_random_sparse_triples(dicts, n):
+    raw = [tuple((p, q, c) for (p, q), c in sorted(d.items())) for d in dicts]
+    if not any(c for _, _, c in raw[-1]):
+        with pytest.raises(ValueError):
+            RecurrenceOperator(tuple(raw))
+        return
+    op = RecurrenceOperator(tuple(raw))
+    # the stored form: sorted, no zero term, content 1, top's last triple > 0
+    for c in op.coeffs:
+        assert all(x for _, _, x in c)
+        assert [t[:2] for t in c] == sorted({t[:2] for t in c})
+    assert gcd(*(x for c in op.coeffs for _, _, x in c)) == 1
+    assert op.coeffs[-1][-1][2] > 0
+    # a fixed nonzero multiple of the input
+    scale = {t[:2]: t[2] for t in raw[-1]}[op.coeffs[-1][-1][:2]] // op.coeffs[-1][-1][2]
+    for c, d in zip(op.coeffs, dicts):
+        assert {(p, q): scale * x for p, q, x in c} == {k: v for k, v in d.items() if v}
+    assert RecurrenceOperator(op.coeffs, op.valid_from) == op
+    rec = json.loads(json.dumps(operator_to_record(op)))
+    assert operator_from_record(rec) == op
+    for c in op.coeffs:
+        at_n = AlphaPoly(coeff_at(c, n))
+        for a in (-3, 0, 2):
+            assert at_n(a) == sum(x * n**p * a**q for p, q, x in c)
+
+
+@pytest.mark.parametrize("valid_from", [True, 1.5, "1"])
+def test_operator_valid_from_must_be_an_int(valid_from):
+    # save_operator would write it, and operator_from_record refuse it
+    with pytest.raises(TypeError):
+        RecurrenceOperator(builtin_operator(1).coeffs, valid_from=valid_from)
+
+
 def test_operator_requires_nonzero_leading():
     with pytest.raises(ValueError):
-        RecurrenceOperator((ONE, BivarPoly()))
+        RecurrenceOperator((ONE, ()))
     with pytest.raises(ValueError):
         RecurrenceOperator((ONE,))
 
@@ -294,6 +377,55 @@ def test_operator_record_rejects_a_bad_coefficient(coeff, message):
     with pytest.raises(SchemaError) as info:
         operator_from_record(rec)
     assert str(info.value) == f"operator.coeffs[1][2]: {message}"
+
+
+@pytest.mark.parametrize(
+    "mangle, message",
+    [
+        (lambda r: r.update(order=True), "operator.order: expected a positive integer"),
+        (lambda r: r.update(valid_from=False), "operator.valid_from: expected an integer"),
+        (lambda r: r["coeffs"][0].__setitem__(0, [False, 1, "-1"]),
+         "operator.coeffs[0][0]: bad exponents False, 1"),
+        (lambda r: r["coeffs"][0].__setitem__(0, [0, True, "-1"]),
+         "operator.coeffs[0][0]: bad exponents 0, True"),
+        (lambda r: r["coeffs"][2].__setitem__(0, [0, 0, True]),
+         "operator.coeffs[2][0]: expected a decimal string"),
+        (lambda r: r["coeffs"][2].__setitem__(0, [0, 0, 1]), None),  # a bare int is fine
+    ],
+)
+def test_operator_record_rejects_booleans(mangle, message):
+    rec = operator_to_record(builtin_operator(1))
+    mangle(rec)
+    if message is None:
+        assert operator_from_record(rec) == builtin_operator(1)
+        return
+    with pytest.raises(SchemaError) as info:
+        operator_from_record(rec)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("start", True, "sequence.start: expected an integer"),
+        ("k", False, "sequence.k: expected an integer or null"),
+        ("values", [True], "sequence.values[0]: expected an object, got bool"),
+        ("values", [{"variable": "a", "coeffs": [False]}],
+         "sequence.values[0].coeffs[0]: expected a decimal string"),
+    ],
+)
+def test_sequence_record_rejects_booleans(field, value, message):
+    rec = {"schema": "poly-sequence/v1", "start": 0, "k": 1, "values": ["1"]}
+    rec[field] = value
+    with pytest.raises(SchemaError) as info:
+        sequence_from_record(rec)
+    assert str(info.value) == message
+
+
+def test_poly_record_rejects_a_bare_boolean():
+    assert poly_from_record(1) == AlphaPoly((1,))
+    with pytest.raises(SchemaError):
+        poly_from_record(True)
 
 
 def test_sequence_file_round_trip(tmp_path):
