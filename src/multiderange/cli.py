@@ -5,11 +5,15 @@ an envelope {command, inputs, result, timing_ms}; --format machine prints
 it as JSON (big integers as decimal strings throughout), --format text
 prints a human-readable rendering.  --out additionally writes the primary
 result artifact (polynomial / sequence / operator record) as JSON to a
-file, which is what the guess -> verify pipeline consumes; a failed guess
-writes none.
+file, which is what the guess -> verify pipeline consumes.  The file is
+opened once the command has succeeded and before anything is printed: a
+command that fails, or a guess that finds nothing, leaves an existing file
+as it was, and a file that cannot be opened exits 2 with nothing printed.
+The envelope and the artifact are written in one pass, from the same
+chunks of the record.
 
 Exit codes: 0 success, 1 verification or guess failure, 2 usage, parse or
-schema error.
+schema error, or an --out file that cannot be opened.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from .recurrence import (
     PolySequence,
     RecurrenceOperator,
     UnsupportedK,
-    _write_json,
     builtin_operator,
     extend_sequence,
     first_failure,
@@ -43,6 +46,7 @@ from .recurrence import (
     load_sequence,
     operator_seed,
     operator_to_record,
+    record_chunks,
     sequence_to_record,
 )
 
@@ -80,13 +84,27 @@ def parse_shape(text: str) -> tuple[int, ...]:
 _Reply = tuple[dict, object, Callable[[], list[str]], int]
 
 
-def _print_envelope(envelope: dict, text: Callable[[], list[str]], fmt: str) -> None:
-    if fmt == "machine":
-        print(json.dumps(envelope, indent=2))
+def _print_envelope(args, inputs: dict, result, timing_ms: float,
+                    text: Callable[[], list[str]], tee=None) -> None:
+    """Print the envelope; in machine format also write the result's chunks to tee.
+
+    Machine output is json.dumps(envelope, indent=2), written piece by
+    piece: each chunk of the result record goes to tee as it is and to
+    stdout indented two more spaces, so that the record is encoded once and
+    the whole text is never held in memory.
+    """
+    if args.format == "machine":
+        head = json.dumps({"command": args.command, "inputs": inputs}, indent=2)
+        sys.stdout.write(head[:-2] + ',\n  "result": ')
+        for chunk in record_chunks(result):
+            sys.stdout.write(chunk.replace("\n", "\n  "))
+            if tee is not None:
+                tee.write(chunk)
+        sys.stdout.write(f',\n  "timing_ms": {json.dumps(timing_ms)}\n}}\n')
     else:
         for line in text():
             print(line)
-        print(f"time: {envelope['timing_ms']:.3f} ms")
+        print(f"time: {timing_ms:.3f} ms")
 
 
 def _shape_value(shape: tuple[int, ...], identified: bool, alpha: int | None) -> int:
@@ -153,7 +171,9 @@ def _cmd_seq(args) -> _Reply:
         result: object = {"start": 1, "values": values}
     else:
         values = seq.values
-        result = sequence_to_record(seq)
+        # the text rendering converts the values itself; only JSON needs the
+        # record, so a text-format seq without --out returns none
+        result = sequence_to_record(seq) if args.format == "machine" or args.out else None
     return inputs, result, lambda: [
         f"F_{args.k}({n}) = {v}" for n, v in enumerate(values, start=1)
     ], 0
@@ -330,19 +350,23 @@ def _main(argv) -> int:
         # an operator file that is wrong for the requested sequence
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    envelope = {
-        "command": args.command,
-        "inputs": inputs,
-        "result": result,
-        "timing_ms": round((time.perf_counter() - t0) * 1000.0, 3),
-    }
-    _print_envelope(envelope, text, args.format)
-    if args.out is not None:
-        # a failed guess has no operator to write
-        if args.command != "guess":
-            _write_json(args.out, result)
-        elif result["found"]:
-            _write_json(args.out, result["operator"])
+    timing_ms = round((time.perf_counter() - t0) * 1000.0, 3)
+    # a failed guess has no operator to write
+    artifact = result.get("operator") if args.command == "guess" else result
+    if args.out is None or artifact is None:
+        _print_envelope(args, inputs, result, timing_ms, text)
+        return exit_code
+    try:
+        out = open(args.out, "w")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    with out:
+        shared = args.format == "machine" and artifact is result
+        _print_envelope(args, inputs, result, timing_ms, text, out if shared else None)
+        if not shared:
+            out.writelines(record_chunks(artifact))
+        out.write("\n")
     return exit_code
 
 

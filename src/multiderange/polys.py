@@ -245,8 +245,14 @@ def _parse_int(value, where: str) -> int:
     if type(value) is int:  # JSON true/false are bools, not ints
         return value
     if isinstance(value, str):
-        try:
-            return int(value, 10)
-        except ValueError:
-            raise SchemaError(f"{where}: not a decimal integer: {value!r}") from None
+        # int() also takes surrounding whitespace, a "+" sign, "_" between
+        # digits and non-ASCII digits; a record's plain decimal strings have
+        # none.  These character checks cost a fraction of the int() call.
+        if (value.isascii() and "_" not in value and value[:1] in "-0123456789"
+                and value[-1:].isdigit()):
+            try:
+                return int(value, 10)
+            except ValueError:
+                pass
+        raise SchemaError(f"{where}: not a decimal integer: {value!r}")
     raise SchemaError(f"{where}: expected a decimal string")

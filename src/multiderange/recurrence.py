@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import gcd
 from pathlib import Path
+from typing import Iterator
 
 from .enumerator import fk_sequence_direct
 from .polys import (
@@ -342,17 +343,52 @@ def _read_json(path: str | Path, what: str):
 
 
 def _write_json(path: str | Path, record) -> None:
-    """Write a record in the artifact layout: indent 2, trailing newline."""
-    Path(path).write_text(json.dumps(record, indent=2) + "\n")
+    """Write a record in the artifact layout, json.dumps(record, indent=2)
+    and a newline, chunk by chunk from record_chunks, so that a long
+    sequence is never held as one string."""
+    with open(path, "w") as f:
+        f.writelines(record_chunks(record))
+        f.write("\n")
+
+
+class _SequenceRecord(dict):
+    """What sequence_to_record returns: a sequence record whose coefficients
+    are str(int) digit strings, which JSON writes without escaping."""
+
+
+# a coefficient list's separator, three levels into a sequence record
+_COEFF_SEP = '",\n        "'
+
+
+def record_chunks(record) -> Iterator[str]:
+    """The artifact layout of a record, json.dumps(record, indent=2), in chunks.
+
+    A record built by sequence_to_record comes one chunk per value, its
+    digit strings joined directly: json's indenting encoder is pure Python,
+    and on a multi-megabyte sequence it costs about half as much again as
+    building the record.  Any other record is one json.dumps chunk.
+    """
+    if type(record) is not _SequenceRecord or not record["values"]:
+        yield json.dumps(record, indent=2)
+        return
+    head = {key: v for key, v in record.items() if key != "values"}
+    yield json.dumps(head, indent=2)[:-2] + ',\n  "values": ['
+    sep = "\n"
+    for v in record["values"]:
+        coeffs = v["coeffs"]
+        body = f'[\n        "{_COEFF_SEP.join(coeffs)}"\n      ]' if coeffs else "[]"
+        yield f'{sep}    {{\n      "variable": "a",\n      "coeffs": {body}\n    }}'
+        sep = ",\n"
+    yield "\n  ]\n}"
 
 
 def sequence_to_record(seq: PolySequence) -> dict:
-    return {
-        "schema": SEQUENCE_SCHEMA,
-        "start": seq.start,
-        "k": seq.k,
-        "values": [poly_to_record(v) for v in seq.values],
-    }
+    return _SequenceRecord(
+        schema=SEQUENCE_SCHEMA,
+        start=seq.start,
+        k=seq.k,
+        values=[poly_to_record(v) for v in seq.values],
+    )
 
 
 def sequence_from_record(obj) -> PolySequence:

@@ -534,6 +534,98 @@ def test_out_artifact_round_trips(capsys, tmp_path):
     assert json.loads(out_path.read_text()) == env["result"]
 
 
+def _stdlib_layout(text):
+    return json.dumps(json.loads(text), indent=2) + "\n"
+
+
+_K1 = str(recurrence._OPERATORS / "k1.json")
+_K2 = str(recurrence._OPERATORS / "k2.json")
+
+
+@pytest.mark.parametrize("fmt", ["machine", "text"])
+@pytest.mark.parametrize("argv, code", [
+    (("wder", "2,2,3"), 0),
+    (("count", "3,3,2", "--identified"), 0),
+    (("seq", "2", "12"), 0),
+    (("seq", "1", "10", "--alpha", "2"), 0),
+    (("guess", "-k", "2", "--terms", "25"), 0),
+    (("guess", "-k", "1", "--terms", "8", "--max-order", "1", "--max-deg-n", "0",
+      "--max-deg-a", "0"), 1),
+    (("verify", "--operator", _K1, "-k", "1", "--terms", "11"), 0),
+    (("verify", "--operator", _K2, "-k", "1", "--terms", "11"), 1),
+    (("selftest", "--cap", "4"), 0),
+], ids=["wder", "count", "seq", "seq-alpha", "guess", "guess-not-found", "verify",
+        "verify-fails", "selftest"])
+def test_output_is_the_stdlib_layout(capsys, tmp_path, argv, code, fmt):
+    """The envelope and the --out file are written a chunk at a time; both
+    must still be exactly what json.dumps(..., indent=2) writes."""
+    out_path = tmp_path / "out.json"
+    rc, out, err = run_cli(capsys, *argv, "--format", fmt, "--out", str(out_path))
+    assert (rc, err) == (code, "")
+    if fmt == "machine":
+        assert out == _stdlib_layout(out)
+        result = json.loads(out)["result"]
+    else:
+        result = run_machine(capsys, *argv)[1]["result"]
+    if argv[0] == "guess":
+        if not result["found"]:
+            assert not out_path.exists()
+            return
+        result = result["operator"]
+    text = out_path.read_text()
+    assert text == _stdlib_layout(text)
+    written = json.loads(text)
+    if argv[0] == "selftest":  # the suites' timings differ from run to run
+        for row in written + result:
+            row["ms"] = 0
+    assert written == result
+
+
+@pytest.mark.parametrize("fmt", ["machine", "text"])
+@pytest.mark.parametrize("argv", [
+    ("wder", "2,2"),
+    ("count", "2,2"),
+    ("seq", "1", "3"),
+    ("guess", "-k", "2", "--terms", "25"),
+    ("verify", "--operator", _K1, "-k", "1", "--terms", "11"),
+], ids=["wder", "count", "seq", "guess", "verify"])
+def test_unopenable_out_file_is_a_usage_error(capsys, tmp_path, argv, fmt):
+    for path in (tmp_path / "missing" / "x.json", tmp_path):
+        rc, out, err = run_cli(capsys, *argv, "--format", fmt, "--out", str(path))
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+
+
+def test_failed_command_leaves_the_out_file_alone(capsys, tmp_path):
+    out = tmp_path / "keep.json"
+    out.write_text("keep\n")
+    for argv, code in (
+        (("wder", "2,x"), 2),
+        (("seq", "3", "5", "--engine", "recurrence"), 2),
+        (("verify", "--operator", str(tmp_path / "none.json"), "-k", "1", "--terms", "5"), 2),
+        (("seq", "1", "10", "--operator", _K2), 1),  # inexact extension step
+    ):
+        rc, stdout, _ = run_cli(capsys, *argv, "--out", str(out))
+        assert (rc, stdout) == (code, "")
+    assert out.read_text() == "keep\n"
+
+
+def test_text_seq_builds_a_record_only_for_out(capsys, monkeypatch, tmp_path):
+    built = []
+
+    def counted(seq):
+        built.append(seq.last)
+        return recurrence.sequence_to_record(seq)
+
+    monkeypatch.setattr(cli, "sequence_to_record", counted)
+    assert run_cli(capsys, "seq", "2", "6")[0] == 0
+    assert built == []
+    assert run_cli(capsys, "seq", "2", "6", "--out", str(tmp_path / "s.json"))[0] == 0
+    assert run_machine(capsys, "seq", "2", "6")[0] == 0
+    assert built == [6, 6]
+
+
 def test_machine_output_renders_no_text(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("render_terms called for machine output")

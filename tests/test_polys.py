@@ -252,8 +252,9 @@ def test_record_round_trip():
     assert poly_from_record({"variable": "a", "coeffs": []}) == AlphaPoly()
 
 
-def test_record_accepts_signed_strings():
-    assert poly_from_record({"variable": "a", "coeffs": ["+1", "-2"]}) == AlphaPoly((1, -2))
+def test_record_accepts_minus_signed_strings():
+    assert poly_from_record({"variable": "a", "coeffs": ["1", "-2"]}) == AlphaPoly((1, -2))
+    assert poly_from_record("-7") == AlphaPoly((-7,))
 
 
 @pytest.mark.parametrize(
@@ -264,6 +265,16 @@ def test_record_accepts_signed_strings():
         {"variable": "a", "coeffs": ["1.5"]},
         {"variable": "a", "coeffs": "1"},
         [],
+        # int() takes each of these; a record's decimal strings are plain
+        {"variable": "a", "coeffs": [" 7"]},
+        {"variable": "a", "coeffs": ["1_0"]},
+        {"variable": "a", "coeffs": ["+3"]},
+        {"variable": "a", "coeffs": ["\u0663"]},  # ARABIC-INDIC DIGIT THREE
+        {"variable": "a", "coeffs": ["7\n"]},
+        {"variable": "a", "coeffs": ["-"]},
+        {"variable": "a", "coeffs": [""]},
+        " 7",
+        "+3",
     ],
 )
 def test_record_rejects_malformed(bad):

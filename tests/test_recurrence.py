@@ -28,6 +28,7 @@ from multiderange.recurrence import (
     operator_from_record,
     operator_seed,
     operator_to_record,
+    record_chunks,
     save_operator,
     save_sequence,
     sequence_from_record,
@@ -434,8 +435,36 @@ def test_sequence_file_round_trip(tmp_path):
     save_sequence(seq, path)
     assert load_sequence(path) == seq
     rec = sequence_to_record(seq)
+    assert path.read_text() == json.dumps(rec, indent=2) + "\n"
     assert rec["schema"] == "poly-sequence/v1"
     assert sequence_from_record(rec) == seq
+
+
+_ALPHA_POLYS = st.lists(st.integers(-(10**40), 10**40), max_size=5).map(AlphaPoly)
+
+
+@given(
+    start=st.sampled_from([0, 1]),
+    k=st.none() | st.integers(1, 6),
+    values=st.lists(_ALPHA_POLYS, max_size=6),
+)
+def test_record_chunks_match_the_stdlib_encoder(start, k, values):
+    """The hand-joined sequence layout against json's own, with empty
+    polynomials (F_k(1) = 0), negative coefficients and k = None."""
+    rec = sequence_to_record(PolySequence(start, tuple(values), k=k))
+    chunks = list(record_chunks(rec))
+    assert "".join(chunks) == json.dumps(rec, indent=2)
+    assert len(chunks) == (len(values) + 2 if values else 1)
+
+
+def test_other_records_are_one_stdlib_chunk():
+    op = operator_to_record(builtin_operator(2))
+    assert list(record_chunks(op)) == [json.dumps(op, indent=2)]
+    # a sequence record that sequence_to_record did not build may hold
+    # strings JSON must escape
+    rec = {"schema": "poly-sequence/v1", "start": 0, "k": None,
+           "values": [{"variable": "a", "coeffs": ['"\\\n\u0663']}]}
+    assert list(record_chunks(rec)) == [json.dumps(rec, indent=2)]
 
 
 def test_sequence_record_accepts_scalar_values():
