@@ -13,13 +13,16 @@ The envelope and the artifact are written in one pass, from the same
 chunks of the record.
 
 Exit codes: 0 success, 1 verification or guess failure, 2 usage, parse or
-schema error, or an --out file that cannot be opened.
+schema error, or an --out file that cannot be opened.  A write to stdout or
+to the --out file that fails (a full disk, say) also exits 2, with the
+error on stderr; stdout and the file may then already be partly written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -353,21 +356,37 @@ def _main(argv) -> int:
     timing_ms = round((time.perf_counter() - t0) * 1000.0, 3)
     # a failed guess has no operator to write
     artifact = result.get("operator") if args.command == "guess" else result
-    if args.out is None or artifact is None:
-        _print_envelope(args, inputs, result, timing_ms, text)
-        return exit_code
     try:
-        out = open(args.out, "w")
+        if args.out is None or artifact is None:
+            _print_envelope(args, inputs, result, timing_ms, text)
+        else:
+            # opened before anything is printed
+            with open(args.out, "w") as out:
+                shared = args.format == "machine" and artifact is result
+                _print_envelope(args, inputs, result, timing_ms, text,
+                                out if shared else None)
+                if not shared:
+                    out.writelines(record_chunks(artifact))
+                out.write("\n")
+        sys.stdout.flush()
     except OSError as exc:
+        # an --out file that cannot be opened, or a failed write to it or to
+        # stdout; after a failed write, stdout may be partly written
         print(f"error: {exc}", file=sys.stderr)
+        _drop_unwritable_stdout()
         return 2
-    with out:
-        shared = args.format == "machine" and artifact is result
-        _print_envelope(args, inputs, result, timing_ms, text, out if shared else None)
-        if not shared:
-            out.writelines(record_chunks(artifact))
-        out.write("\n")
     return exit_code
+
+
+def _drop_unwritable_stdout() -> None:
+    """Point stdout at os.devnull if it still cannot be flushed, so that the
+    interpreter's own flush at exit does not fail a second time."""
+    try:
+        sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def entry() -> None:

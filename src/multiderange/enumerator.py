@@ -1,20 +1,35 @@
 """Exact weight enumerators of multiset derangements by cycle count.
 
-A shape (k_1, ..., k_n) splits a ground set of sum(k_i) labeled elements
+A shape (k_1, ..., k_n) splits a ground set of K = sum(k_i) labeled elements
 into blocks; a derangement of the shape is a permutation sending no element
 into its own block.  The weight enumerator marks each surviving permutation
 with a^(number of cycles).
 
-No permutation is ever enumerated here: the product of block-wise scaled
-Laguerre polynomials is pushed through the moment functional
-x^m -> a(a+1)...(a+m-1), which realizes the underlying Gamma-weight
-integral exactly, in pure integer-polynomial arithmetic.  The result for
-shape (k_1,...,k_n) counts labeled elements; divide the a=1 value by
-prod(k_i!) to identify the elements within each block.
+No permutation is ever enumerated here.  The enumerator is (-1)^K times the
+product of block-wise scaled Laguerre polynomials pushed through the moment
+functional x^m -> a(a+1)...(a+m-1), which realizes the underlying
+Gamma-weight integral exactly.  The result for shape (k_1,...,k_n) counts
+labeled elements; divide the a=1 value by prod(k_i!) to identify the
+elements within each block.
+
+weighted_derangement_poly never forms that product over Z[a].  Every cycle
+of a derangement has length at least 2, so the enumerator has degree at
+most K//2 and is fixed by its values at K//2 + 1 points.  The points are
+a = 0, -1, ..., -K//2, because at a = -j the moment functional sends x^m to
+(-j)(-j+1)...(-j+m-1), which is 0 for m > j: each value needs the integer
+product of the factors at a = -j only up to x^j.  A block of size k > j
+makes its factor vanish up to x^j, so the value there is 0 without any
+work.  A block size repeated m times is raised to its m-th power by
+J.C.P. Miller's recurrence, in O(j*k) steps, each an exact division.  The
+values are recombined without fractions: Newton's forward differences in
+t = -a, each divided exactly by j!, are the coefficients of the enumerator
+in the basis rising_factorial(j), summed in Horner form.  Any remainder in
+these divisions raises ArithmeticError.  laguerre_product and
+moment_functional remain as the reference this path is tested against.
 
 The equal-blocks values F_k(n), n blocks of size k, have one generator,
 fk_sequence_direct, which carries the product of n Laguerre factors from
-one n to the next; fk_value builds each product from scratch and is the
+one n to the next; fk_value computes each value from scratch and is the
 reference the generator is tested against.  They, and normalize_shape
 for every other shape, refuse a ground set above MAX_GROUND_SET before
 allocating anything.
@@ -22,10 +37,13 @@ allocating anything.
 
 from __future__ import annotations
 
-from math import factorial, prod
+from collections import Counter
+from math import comb, factorial, prod
 from typing import Sequence
 
-from .laguerre import XAPoly, _mul, laguerre_product, scaled_laguerre
+# laguerre_product, the reference for weighted_derangement_poly, stays
+# importable here: the benchmark's tracer wraps enumerator.laguerre_product
+from .laguerre import XAPoly, _mul, laguerre_product, scaled_laguerre  # noqa: F401
 from .polys import AlphaPoly, add_product, rising_factorial
 
 # Largest ground set (sum of block sizes) and number of blocks a shape may
@@ -69,11 +87,111 @@ def weighted_derangement_poly(shape: Sequence[int]) -> AlphaPoly:
 
     Nonnegative integer coefficients; zero constant term and degree at most
     sum(shape)//2 whenever the shape is nonempty (every cycle of a
-    derangement has length at least 2).
+    derangement has length at least 2).  Equal to (-1)^sum(shape) *
+    moment_functional(laguerre_product(shape)), computed from its values at
+    a = 0, -1, ..., -(sum(shape)//2).
     """
     blocks = normalize_shape(shape)
-    poly = moment_functional(laguerre_product(blocks))
-    return -poly if sum(blocks) % 2 else poly
+    total = sum(blocks)
+    # sizes with their multiplicities, smallest product degree first
+    powers = sorted(Counter(blocks).items(), key=lambda km: km[0] * km[1])
+    # for j below the largest block, that block's factor vanishes up to x^j
+    first = max(blocks, default=0)
+    values = [_moment_at(powers, j) if j >= first else 0 for j in range(total // 2 + 1)]
+    poly = _from_values(values)
+    return -poly if total % 2 else poly
+
+
+def _moment_at(powers: list[tuple[int, int]], j: int) -> int:
+    """moment_functional(laguerre_product(shape)) at a = -j.
+
+    The shape is given as (block size, multiplicity) pairs, every size at
+    most j.  Only x^0..x^j of the product count, since (-j)_m = 0 for m > j,
+    so every product here is cut at x^j.
+    """
+    p = [1]
+    for k, m in powers:
+        f = _laguerre_at(k, -j)
+        p = _mul_cut(p, f if m == 1 else _power(f, m, min(j, k * m)), j)
+    # sum_i p[i] (-j)(-j+1)...(-j+i-1), in Horner form
+    acc = 0
+    for i in range(len(p) - 1, -1, -1):
+        acc = acc * (i - j) + p[i]
+    return acc
+
+
+def _laguerre_at(k: int, a: int) -> list[int]:
+    """The x-coefficients of scaled_laguerre(k) at the integer a."""
+    f = [0] * (k + 1)
+    tail = 1  # (a+i)(a+i+1)...(a+k-1), built down from the empty product
+    for i in range(k, -1, -1):
+        if i < k:
+            tail *= a + i
+        c = comb(k, i) * tail
+        f[i] = -c if i % 2 else c
+    return f
+
+
+def _power(f: list[int], m: int, top: int) -> list[int]:
+    """f^m cut at x^top, by J.C.P. Miller's recurrence; f[0] must be nonzero.
+
+    From f * (f^m)' = m * f' * f^m: t f_0 q_t = sum_{i=1..k} ((m+1)i - t)
+    f_i q_{t-i}, where k = deg f.  q has integer coefficients, so every
+    division is exact.
+    """
+    f0 = f[0]
+    k = len(f) - 1
+    q = [f0**m]
+    for t in range(1, top + 1):
+        s = 0
+        for i in range(1, min(k, t) + 1):
+            s += ((m + 1) * i - t) * f[i] * q[t - i]
+        qt, r = divmod(s, t * f0)
+        if r:
+            raise ArithmeticError("inexact step in the power recurrence")
+        q.append(qt)
+    return q
+
+
+def _mul_cut(p: list[int], q: list[int], top: int) -> list[int]:
+    """p * q cut at x^top (add_product would form all of it, about twice
+    the work)."""
+    out = [0] * min(len(p) + len(q) - 1, top + 1)
+    for i, pi in enumerate(p[: top + 1]):
+        if pi:
+            for t, qt in enumerate(q[: top + 1 - i], i):
+                out[t] += pi * qt
+    return out
+
+
+def _from_values(values: list[int]) -> AlphaPoly:
+    """The polynomial of degree below len(values) that is values[j] at a = -j.
+
+    In t = -a, Newton's forward differences D_j give sum_j D_j C(t, j), and
+    C(-a, j) = (-1)^j a(a+1)...(a+j-1) / j!.  The polynomial has integer
+    coefficients, so each D_j / j! is an integer: its coefficients in the
+    basis rising_factorial(j) are those quotients.  The sum is taken in
+    Horner form, (...(e_J (a+J-1) + e_{J-1}) (a+J-2) + ...) a + e_0, whose
+    steps multiply by small integers only.
+    """
+    d = list(values)
+    n = len(d)
+    for i in range(1, n):
+        for t in range(n - 1, i - 1, -1):
+            d[t] -= d[t - 1]
+    fact = 1
+    for j in range(2, n):
+        fact *= j
+        q, r = divmod(d[j], fact)
+        if r:
+            raise ArithmeticError("forward difference not divisible by j!")
+        d[j] = q
+    acc: list[int] = []
+    for j in range(n - 1, -1, -1):
+        # acc * (a + j), then add e_j = (-1)^j d_j
+        acc = [j * x + y for x, y in zip(acc + [0], [0] + acc)]
+        acc[0] += -d[j] if j % 2 else d[j]
+    return AlphaPoly._trusted(acc)
 
 
 def count_derangements(shape: Sequence[int]) -> int:

@@ -10,8 +10,8 @@ Recurrence-operator coefficients, polynomials in (n, a), are plain
 prints both forms.
 
 Coefficients are Python ints throughout, so there is no overflow and no
-rounding anywhere.  add_product is the one dense product kernel: the
-Laguerre product, the moment functional and the recurrence steps all
+rounding anywhere.  add_product is the one dense product kernel over Z[a]:
+the Laguerre product, the moment functional and the recurrence steps all
 accumulate into an int list through it.  divide_exact
 is integer long division that only accepts remainder-free, integral
 quotients.  The public constructors check that every coefficient is an
@@ -73,12 +73,6 @@ class AlphaPoly:
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
         return len(self.coeffs) - 1
-
-    def coeff(self, m: int) -> int:
-        """Coefficient of a^m (0 beyond the stored range)."""
-        if 0 <= m < len(self.coeffs):
-            return self.coeffs[m]
-        return 0
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)

@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -609,6 +611,29 @@ def test_failed_command_leaves_the_out_file_alone(capsys, tmp_path):
         rc, stdout, _ = run_cli(capsys, *argv, "--out", str(out))
         assert (rc, stdout) == (code, "")
     assert out.read_text() == "keep\n"
+
+
+_SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize("argv, full_stdout", [
+    (("wder", "2,2", "--out", "/dev/full"), False),
+    (("wder", "2,2"), True),
+    (("seq", "1", "300"), True),
+    (("wder", "2,2", "--out", "/dev/full"), True),
+], ids=["out", "stdout", "long-stdout", "both"])
+def test_failed_write_is_an_error_without_traceback(tmp_path, argv, full_stdout, fmt):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)}
+    with open("/dev/full" if full_stdout else tmp_path / "stdout", "w") as stdout:
+        proc = subprocess.run(
+            [sys.executable, "-c", "from multiderange.cli import entry; entry()",
+             *argv, "--format", fmt],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: [Errno 28] No space left on device\n"
 
 
 def test_text_seq_builds_a_record_only_for_out(capsys, monkeypatch, tmp_path):

@@ -2,8 +2,9 @@ import random
 from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from multiderange import enumerator
+from multiderange import enumerator, oracle
 from multiderange.enumerator import (
     MAX_GROUND_SET,
     SHAPE_TOO_LARGE,
@@ -15,6 +16,7 @@ from multiderange.enumerator import (
     normalize_shape,
     weighted_derangement_poly,
 )
+from multiderange.laguerre import laguerre_product
 from multiderange.polys import ALPHA_ONE, AlphaPoly
 
 A = AlphaPoly((0, 1))
@@ -115,6 +117,64 @@ def test_structural_invariants(shape):
     p = weighted_derangement_poly(shape)
     total = sum(shape)
     assert all(c >= 0 for c in p.coeffs)
-    assert p.coeff(0) == 0
+    assert p.coeffs[0] == 0
     assert p.degree <= total // 2
     assert count_derangements(shape) % prod(factorial(k) for k in shape) == 0
+
+
+def reference_poly(shape):
+    """(-1)^K * moment_functional(laguerre_product(shape)), over Z[a]."""
+    p = moment_functional(laguerre_product(shape))
+    return -p if sum(shape) % 2 else p
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=12), max_size=14))
+def test_interpolation_matches_the_laguerre_product(shape):
+    assert weighted_derangement_poly(shape) == reference_poly(shape)
+
+
+# blocks drawn from at most three sizes, so sizes repeat and go through the
+# power recurrence
+repeated_sizes = st.lists(
+    st.integers(min_value=0, max_value=12), min_size=1, max_size=3
+).flatmap(lambda sizes: st.lists(st.sampled_from(sizes), max_size=14))
+
+
+@settings(max_examples=60, deadline=None)
+@given(repeated_sizes)
+def test_interpolation_matches_the_laguerre_product_on_repeated_sizes(shape):
+    assert weighted_derangement_poly(shape) == reference_poly(shape)
+
+
+@given(st.lists(st.just(0), max_size=14))
+def test_empty_and_all_zero_shapes_are_one(shape):
+    assert weighted_derangement_poly(shape) == ALPHA_ONE
+
+
+def _partitions(total, largest):
+    if total == 0:
+        yield ()
+        return
+    for k in range(min(total, largest), 0, -1):
+        for rest in _partitions(total - k, k):
+            yield (k, *rest)
+
+
+@pytest.mark.parametrize("total", range(9))
+def test_interpolation_matches_the_oracle(total):
+    for shape in _partitions(total, total):
+        assert weighted_derangement_poly(shape) == oracle.enumerate_derangements(shape)
+
+
+# shapes on which the bivariate product took up to about 1 s
+@pytest.mark.parametrize("k, m", [(4, 13), (10, 10), (5, 30), (1, 200), (2, 100)])
+def test_interpolation_matches_the_laguerre_product_on_large_shapes(k, m):
+    assert weighted_derangement_poly([k] * m) == reference_poly([k] * m)
+
+
+def test_interpolation_needs_integer_coefficients():
+    # a(a+1) is 0, 0, 2 at a = 0, -1, -2; a(a+1)/2 is not an integer polynomial
+    assert enumerator._from_values([0, 0, 2]) == AlphaPoly((0, 1, 1))
+    with pytest.raises(ArithmeticError):
+        enumerator._from_values([0, 0, 1])

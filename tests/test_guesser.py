@@ -470,9 +470,10 @@ def plain_fit_rows(seq, r, dn, da, holdout):
             row = [0] * unknowns
             u = 0
             for j in range(r + 1):
+                c = window[j].coeffs
                 for p in range(dn + 1):
                     for q in range(da + 1):
-                        row[u] = n**p * window[j].coeff(s - q) if s >= q else 0
+                        row[u] = n**p * c[s - q] if 0 <= s - q < len(c) else 0
                         u += 1
             if any(row):
                 rows.append(row)
