@@ -349,6 +349,10 @@ def _main(argv) -> int:
     except (UnsupportedK, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # input too large for this machine; the handler's data is freed by now
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
     except ArithmeticError as exc:
         # an operator file that is wrong for the requested sequence
         print(f"error: {exc}", file=sys.stderr)

@@ -12,20 +12,27 @@ holdout is the defense against fitting coincidences.
 The rows of every candidate of one order are cut from a single set built at
 the largest degrees: a candidate's row is the larger row at the columns
 whose powers of n and a fit, and the rows it would not have are exactly
-those that become zero.
+those that become zero.  Since n^p only scales an entry, a row is nonzero
+at a candidate's columns exactly when one of its n^0 a^q columns with
+q <= deg_a is nonzero, so the equation counts need no cut.
 
-Most candidates have no kernel, so each one is first screened modulo a
-fixed word-size prime p: its rows are taken in order, and the screen stops
-as soon as the rank over F_p reaches the number of unknowns, which usually
-takes little more than that many rows.  The basis is kept in reduced
-echelon form and stored by non-pivot column, so a row's residual is one
-dot product per non-pivot column; a candidate that has a kernel reduces
-its many dependent rows at that cost.  The filter is sound: any nonzero
-minor mod p is a nonzero integer minor, so the rank over Q is at least the
-rank over F_p, and a matrix of full column rank mod p has no rational
-kernel.  It can only let a kernel-free candidate through (when p divides
-the relevant minors), never drop one that has a kernel, so the operator
-found is the same as without it.
+Most candidates have no kernel, and one screen per order, modulo a fixed
+word-size prime p, shows it.  The order's rows are reduced at every column
+of its largest shape, window by window, until the rank over F_p is full or
+a window raises no pivot.  The basis is kept in reduced echelon form and
+stored by non-pivot column, so a row's residual is one dot product per
+non-pivot column.  A candidate's system is the largest one at some of the
+columns, so its kernel mod p on that prefix of rows is the part of the
+prefix's kernel that is zero at the columns it drops: with d kernel
+vectors, there is one exactly when their d x (dropped columns) slice has
+rank below d.  A candidate without one is rejected, and only those with
+one are cut and screened on their own rows; the largest shape resumes the
+order's screen instead.  The screen is sound: any nonzero minor mod p is a
+nonzero integer minor, so the rank over Q is at least the rank over F_p,
+and a matrix of full column rank mod p has no rational kernel.  It can only
+let a kernel-free candidate through (when p divides the relevant minors,
+or a window that raises no pivot comes early), never drop one that has a
+kernel, so the operator found is the same as without it.
 
 A candidate that passes has its kernel read off the screen's basis, one
 vector per non-pivot column, and lifted to the integers: the vectors of
@@ -49,10 +56,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import count, product
+from itertools import accumulate, count, product
 from math import gcd, isqrt
 from operator import itemgetter, mul
-from typing import Iterator, Sequence
+from typing import Container, Iterator, Sequence
 
 from .polys import AlphaPoly
 from .recurrence import PolySequence, RecurrenceOperator, verify_operator
@@ -66,6 +73,9 @@ _PRIME = (1 << 61) - 1
 # per entry.  F_3 at bounds (4, 7, 7) on 55 fitted terms needs 0.40 G, and
 # F_4 at (5, 10, 14) on 41 fitted terms 0.82 G (rows of 50 and 102 MB).
 MAX_SYSTEM_BITS = 2_000_000_000
+
+# A reduced echelon basis mod p, (pivots, cols), as _basis_mod_p returns it.
+_Basis = tuple[list[int], dict[int, list[int]]]
 
 
 class NotFound(Exception):
@@ -111,8 +121,8 @@ class GuessResult:
 
 
 def _basis_mod_p(
-    rows: Sequence[Sequence[int]], ncols: int, p: int
-) -> tuple[list[int], dict[int, list[int]]]:
+    rows: Sequence[Sequence[int]], ncols: int, p: int, basis: _Basis | None = None
+) -> _Basis:
     """Pivots and non-pivot columns of the rows' reduced echelon basis mod p.
 
     Rows are taken in order, stopping at rank ncols.  A row that raises the
@@ -120,11 +130,13 @@ def _basis_mod_p(
     pivots are the greedy column basis.  cols[f][b] is the entry of basis
     row b at the non-pivot column f; its pivot entry is 1 and its other
     pivot entries are 0, so a row's residual at f is row[f] minus one dot
-    product of the row's pivot entries with cols[f].
+    product of the row's pivot entries with cols[f].  A basis of earlier
+    rows, (pivots, cols) as returned, is extended in place.
     """
-    pivots: list[int] = []
-    cols: dict[int, list[int]] = {f: [] for f in range(ncols)}
+    pivots, cols = basis or ([], {f: [] for f in range(ncols)})
     for row in rows:
+        if len(pivots) == ncols:
+            break
         g = [row[q] for q in pivots]
         res = [(f, x) for f, col in cols.items()
                if (x := (row[f] - sum(map(mul, g, col))) % p)]
@@ -140,9 +152,42 @@ def _basis_mod_p(
                 col[:] = [(a - b * z) % p for a, b in zip(col, at_c)]
             col.append(z)
         pivots.append(c)
-        if len(pivots) == ncols:
-            break
     return pivots, cols
+
+
+def _order_screen(
+    rows: Sequence[Sequence[int]], ends: Sequence[int], ncols: int
+) -> tuple[int, _Basis]:
+    """The basis mod _PRIME of a prefix of the rows, and the prefix's length.
+
+    The rows are taken window by window (ends[i] is where window i's rows
+    end), up to the end of the first window that raises no pivot, or until
+    the rank is ncols.
+    """
+    basis: _Basis = ([], {f: [] for f in range(ncols)})
+    lo = rank = 0
+    for hi in ends:
+        _basis_mod_p(rows[lo:hi], ncols, _PRIME, basis)
+        if len(basis[0]) in (rank, ncols):
+            return hi, basis
+        lo, rank = hi, len(basis[0])
+    return lo, basis
+
+
+def _has_kernel_mod_p(basis: _Basis, kept: Container[int]) -> bool:
+    """Whether the basis's kernel mod _PRIME has a nonzero vector that is zero
+    outside the kept columns.
+
+    The kernel vector of the non-pivot column f is 1 at f, 0 at the other
+    non-pivot columns and -cols[f][b] at pivot b.  A combination of the kept
+    f is zero at every dropped column exactly when it is zero at the dropped
+    pivots, so there is one unless those rows of cols have full rank.
+    """
+    pivots, cols = basis
+    free = [f for f in cols if f in kept]
+    dropped = [[cols[f][b] for f in free]
+               for b, q in enumerate(pivots) if q not in kept]
+    return len(_basis_mod_p(dropped, len(free), _PRIME)[0]) < len(free)
 
 
 def _is_prime(n: int) -> bool:
@@ -186,20 +231,24 @@ def _rational_lift(v: list[int], m: int) -> list[int] | None:
 
 
 def _solve(
-    rows: Sequence[Sequence[int]], ncols: int
+    rows: Sequence[Sequence[int]], ncols: int,
+    screened: tuple[int, _Basis | None] = (0, None),
 ) -> tuple[int, list[int] | None] | None:
     """Rank over Q and canonical kernel vector of the rows (None when there
     is no kernel), or None when rejected mod _PRIME.
 
-    Mod p the kernel vector of the non-pivot column f is 1 at f, 0 at the
-    other non-pivot columns and -cols[f][b] at pivot b.  The primes with the
-    best pivots (highest rank, then smallest sorted pivots) are combined by
-    CRT; the others are unlucky.  A lifted vector must be positive at f, so
-    the certified vectors are independent.
+    screened = (done, basis) resumes the screen mod _PRIME from the basis of
+    rows[:done].  Mod p the kernel vector of the non-pivot column f is 1 at
+    f, 0 at the other non-pivot columns and -cols[f][b] at pivot b.  The
+    primes with the best pivots (highest rank, then smallest sorted pivots)
+    are combined by CRT; the others are unlucky.  A lifted vector must be
+    positive at f, so the certified vectors are independent.
     """
     best = None
+    done, basis = screened
     for p in _primes():
-        pivots, cols = _basis_mod_p(rows, ncols, p)
+        pivots, cols = _basis_mod_p(rows[done:], ncols, p, basis)
+        done, basis = 0, None
         if len(pivots) == ncols:
             return None if best is None else (ncols, None)
         key = (-len(pivots), sorted(pivots))
@@ -246,8 +295,10 @@ def _check_budget(fit: Sequence[AlphaPoly], start: int, r: int, dn: int, da: int
 
 def _fit_rows(
     fit: Sequence[AlphaPoly], start: int, r: int, dn: int, da: int
-) -> list[list[int]]:
-    """Equation rows of candidate (r, dn, da) over the fitting segment.
+) -> tuple[list[list[int]], list[int]]:
+    """Equation rows of candidate (r, dn, da) over the fitting segment, and
+    where each window's rows end in that list (windows without rows are
+    left out).
 
     Window t (n = start + t) and power a^s give the row whose entry for the
     monomial n^p a^q of c_j is n^p times the a^(s-q) coefficient of
@@ -257,27 +308,37 @@ def _fit_rows(
     _check_budget(fit, start, r, dn, da)
     degrees = [v.degree for v in fit]
     tops = [max(degrees[t : t + r + 1]) for t in range(len(fit) - r)]
-    # padded[t][s + da - q] is the a^(s-q) coefficient of fit[t], 0 outside
+    # rev[t][top + da - s + q] is the a^(s-q) coefficient of fit[t], 0 outside
     top = max(degrees, default=-1)
-    padded = [(0,) * da + v.coeffs + (0,) * (top + da - v.degree) for v in fit]
+    rev = [(0,) * (top + da - v.degree) + v.coeffs[::-1] + (0,) * da for v in fit]
     rows: list[list[int]] = []
+    ends: list[int] = []
     for t, max_deg in enumerate(tops):
         if max_deg < 0:
             continue  # all-zero window constrains nothing
         n = start + t
+        window = rev[t : t + r + 1]
         npows = [n**p for p in range(1, dn + 1)]
-        window = padded[t : t + r + 1]
-        for s in range(max_deg + da + 1):
-            segs = [v[s : s + da + 1][::-1] for v in window]
-            if not any(map(any, segs)):
+        # each fitted value of the window times n^p, in column order
+        blocks = [x for v in window
+                  for x in (v, *(tuple(npow * c for c in v) for npow in npows))]
+        for u in range(top + da, top - max_deg - 1, -1):  # u = top + da - s
+            w = u + da + 1
+            if not any(any(v[u:w]) for v in window):
                 continue
             row: list[int] = []
-            for seg in segs:
-                row += seg
-                for npow in npows:
-                    row += [npow * c for c in seg]
+            for blk in blocks:
+                row += blk[u:w]
             rows.append(row)
-    return rows
+        ends.append(len(rows))
+    return rows, ends
+
+
+def _columns(r: int, dn: int, da: int, max_dn: int, max_da: int) -> list[int]:
+    """The columns of (r, max_dn, max_da) that candidate (r, dn, da) keeps:
+    those of n-power <= dn and a-power <= da, in its own column order."""
+    return [(j * (max_dn + 1) + p) * (max_da + 1) + q
+            for j in range(r + 1) for p in range(dn + 1) for q in range(da + 1)]
 
 
 def _column_subset(
@@ -290,10 +351,22 @@ def _column_subset(
     columns with n-power <= dn and a-power <= da, and every larger row the
     smaller shape has no counterpart for is zero at those columns.
     """
-    cols = [(j * (max_dn + 1) + p) * (max_da + 1) + q
-            for j in range(r + 1) for p in range(dn + 1) for q in range(da + 1)]
-    pick = itemgetter(*cols)
+    pick = itemgetter(*_columns(r, dn, da, max_dn, max_da))
     return [sub for sub in map(pick, rows) if any(sub)]
+
+
+def _equation_counts(
+    rows: Sequence[Sequence[int]], r: int, max_dn: int, max_da: int
+) -> list[int]:
+    """counts[da] = len(_column_subset(rows, r, dn, da, max_dn, max_da)) for
+    every dn.  n^p only scales an entry, so a row is nonzero on a candidate's
+    columns exactly when it is nonzero at some column of a-power q <= da,
+    and then at one with n-power 0."""
+    step = max_da + 1
+    first = [0] * step
+    for row in rows:
+        first[next(q for q in range(step) if any(row[q::step]))] += 1
+    return list(accumulate(first))
 
 
 def _operator_from_vector(
@@ -315,9 +388,11 @@ def _operator_from_vector(
 def _try_candidate(
     seq: PolySequence, rows: Sequence[Sequence[int]], r: int, dn: int, da: int,
     unknowns: int,
+    screened: tuple[int, _Basis | None] = (0, None),
 ) -> tuple[str, GuessResult | None]:
-    """Outcome of one candidate shape, with the result when it verifies."""
-    solved = _solve(rows, unknowns)
+    """Outcome of one candidate shape, with the result when it verifies;
+    screened is passed on to _solve."""
+    solved = _solve(rows, unknowns, screened)
     if solved is None:
         return "rejected mod p", None
     rank, vec = solved
@@ -342,9 +417,12 @@ def guess_operator(seq: PolySequence, spec: GuessSpec) -> GuessResult:
 
     Candidates are tried by increasing order, then deg_n, then deg_a; the
     first operator that annihilates the whole sequence (holdout included)
-    wins.  Raises NotFound when every admissible candidate fails,
-    InsufficientTerms when no candidate even has enough equations, and
-    ValueError when an order reached by the search exceeds MAX_SYSTEM_BITS.
+    wins.  Each order's rows are built once and, if the order has an
+    admissible candidate, screened mod _PRIME once; a candidate is solved
+    only when it has a kernel mod _PRIME on the screen's prefix of rows.
+    Raises NotFound when every admissible candidate fails, InsufficientTerms
+    when no candidate even has enough equations, and ValueError when an
+    order reached by the search exceeds MAX_SYSTEM_BITS.
     """
     if len(seq.values) < 2 + spec.holdout:
         raise InsufficientTerms(
@@ -356,17 +434,29 @@ def guess_operator(seq: PolySequence, spec: GuessSpec) -> GuessResult:
     any_admissible = False
     # an order needs a window of r + 1 fitted terms; higher ones have none
     for r in range(1, min(spec.max_order, len(fit) - 1) + 1):
-        order_rows = _fit_rows(fit, seq.start, r, max_dn, max_da)
+        order_rows, ends = _fit_rows(fit, seq.start, r, max_dn, max_da)
+        ncols = (r + 1) * (max_dn + 1) * (max_da + 1)
+        counts = _equation_counts(order_rows, r, max_dn, max_da)
+        screened = None
         for dn in range(max_dn + 1):
             for da in range(max_da + 1):
                 unknowns = (r + 1) * (dn + 1) * (da + 1)
-                rows = _column_subset(order_rows, r, dn, da, max_dn, max_da)
-                if len(rows) < unknowns:
+                if counts[da] < unknowns:
                     continue
                 any_admissible = True
-                outcome, res = _try_candidate(seq, rows, r, dn, da, unknowns)
+                if screened is None:
+                    screened = _order_screen(order_rows, ends, ncols)
+                cols = _columns(r, dn, da, max_dn, max_da)
+                if not _has_kernel_mod_p(screened[1], set(cols)):
+                    outcome, res = "rejected mod p", None
+                elif (dn, da) == (max_dn, max_da):  # resume the order screen
+                    outcome, res = _try_candidate(
+                        seq, order_rows, r, dn, da, unknowns, screened)
+                else:
+                    rows = _column_subset(order_rows, r, dn, da, max_dn, max_da)
+                    outcome, res = _try_candidate(seq, rows, r, dn, da, unknowns)
                 _log.debug("candidate (%d, %d, %d): %d x %d, %s",
-                           r, dn, da, len(rows), unknowns, outcome)
+                           r, dn, da, counts[da], unknowns, outcome)
                 if res is not None:
                     return res
     if any_admissible:

@@ -613,6 +613,20 @@ def test_failed_command_leaves_the_out_file_alone(capsys, tmp_path):
     assert out.read_text() == "keep\n"
 
 
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_memory_error_is_a_usage_error(capsys, monkeypatch, tmp_path, fmt):
+    def exhausted(k, last):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "fk_sequence_direct", exhausted)
+    out = tmp_path / "keep.json"
+    out.write_text("keep\n")
+    rc, stdout, err = run_cli(capsys, "guess", "-k", "2", "--terms", "25",
+                              "--format", fmt, "--out", str(out))
+    assert (rc, stdout, err) == (2, "", "error: out of memory\n")
+    assert out.read_text() == "keep\n"
+
+
 _SRC = str(Path(cli.__file__).resolve().parents[1])
 
 

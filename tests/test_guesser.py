@@ -1,12 +1,15 @@
 import logging
 import random
+from copy import deepcopy
 from bisect import insort
 from fractions import Fraction
 from itertools import islice
 from math import factorial, gcd, lcm
-from operator import mul
+from operator import itemgetter, mul
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multiderange import guesser
 from multiderange.enumerator import fk_value
@@ -36,7 +39,7 @@ def f_seq(k, terms, start=0):
 
 def fit_rows(seq, r, dn, da, holdout):
     fit = seq.values[: len(seq.values) - holdout]
-    return guesser._fit_rows(fit, seq.start, r, dn, da)
+    return guesser._fit_rows(fit, seq.start, r, dn, da)[0]
 
 
 def reference_solve(rows, ncols):
@@ -199,8 +202,8 @@ def test_unlucky_prime_leaves_the_result_unchanged(
     spec = GuessSpec(3, 3, 3)
     want = guess_operator(seq, spec)
     monkeypatch.setattr(guesser, "_PRIME", prime)
-    with caplog.at_level(logging.DEBUG, logger="multiderange.guesser"):
-        got = guess_operator(seq, spec)
+    # with the same DEBUG lines as a screen per candidate
+    got = assert_guess_matches_the_per_candidate_search(caplog, seq, spec)
     assert got == want
     assert got.operator.coeffs == builtin_operator(k).coeffs
     # the small prime really sent candidates down the exact path
@@ -252,9 +255,9 @@ def screen_primes(monkeypatch):
     calls = []
     screen = guesser._basis_mod_p
 
-    def counted(rows, ncols, p):
+    def counted(rows, ncols, p, basis=None):
         calls.append(p)
-        return screen(rows, ncols, p)
+        return screen(rows, ncols, p, basis)
 
     monkeypatch.setattr(guesser, "_basis_mod_p", counted)
     return calls
@@ -455,8 +458,9 @@ def test_screen_matches_the_in_order_reducer(monkeypatch, prime):
             assert got == (len(want_pivots), want), rows
 
 
-def plain_fit_rows(seq, r, dn, da, holdout):
-    """Reference: every equation row built entry by entry."""
+def plain_fit_rows(seq, r, dn, da, holdout, ends=None):
+    """Reference: every equation row built entry by entry; the end of each
+    window's rows is appended to ends, for windows that have rows."""
     fit = seq.values[: len(seq.values) - holdout]
     unknowns = (r + 1) * (dn + 1) * (da + 1)
     rows = []
@@ -477,6 +481,8 @@ def plain_fit_rows(seq, r, dn, da, holdout):
                         u += 1
             if any(row):
                 rows.append(row)
+        if ends is not None and len(rows) > (ends[-1] if ends else 0):
+            ends.append(len(rows))
     return rows
 
 
@@ -490,8 +496,12 @@ def test_fit_rows_match_the_plain_builder(values, start, holdout):
     for r in range(1, 4):
         for dn in range(4):
             for da in range(4):
-                want = plain_fit_rows(seq, r, dn, da, holdout)
+                want_ends = []
+                want = plain_fit_rows(seq, r, dn, da, holdout, want_ends)
                 assert fit_rows(seq, r, dn, da, holdout) == want, (r, dn, da)
+                fit = seq.values[: len(seq.values) - holdout]
+                ends = guesser._fit_rows(fit, start, r, dn, da)[1]
+                assert ends == want_ends, (r, dn, da)
 
 
 def test_system_budget_admits_the_f3_search():
@@ -513,3 +523,156 @@ def test_system_budget_admits_the_f3_search():
     # zero entries still take a slot: a huge deg_a on small data
     with pytest.raises(ValueError, match="guess system too large"):
         guesser._check_budget(f1[:5], 0, 1, 0, 100_000)
+
+
+@st.composite
+def order_systems(draw):
+    """Rows at the columns of a largest shape (r, max_dn, max_da), combined
+    from a few random rows (some scaled by the prime), cut into windows;
+    with more rows than the planted rank, the order screen often stops at a
+    quiet window before the last."""
+    prime = draw(st.sampled_from([guesser._PRIME, 2, 3]))
+    r, max_dn, max_da = draw(st.tuples(st.integers(1, 2), st.integers(0, 2),
+                                       st.integers(0, 2)))
+    ncols = (r + 1) * (max_dn + 1) * (max_da + 1)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rank = draw(st.integers(0, ncols))
+    basis = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(rank)]
+    rows = []
+    for _ in range(draw(st.integers(1, 2 * ncols + 8))):
+        row = [sum(rng.randint(-2, 2) * b[c] for b in basis) for c in range(ncols)]
+        rows.append([x * prime for x in row] if rng.random() < 0.1 else row)
+    ends = sorted({*rng.sample(range(1, len(rows) + 1), rng.randint(1, len(rows))),
+                   len(rows)})
+    return prime, (r, max_dn, max_da), rows, ends
+
+
+@settings(max_examples=150, deadline=None)
+@given(order_systems())
+def test_order_screen_decides_like_a_screen_per_candidate(system):
+    prime, (r, max_dn, max_da), rows, ends = system
+    ncols = len(rows[0])
+    with patch.object(guesser, "_PRIME", prime):
+        done, basis = guesser._order_screen(rows, ends, ncols)
+        assert done in ends
+        # the prefix the order screen stopped at, and every row
+        full = guesser._basis_mod_p(rows, ncols, prime)
+        for prefix, screened in ((done, basis), (len(rows), full)):
+            for dn in range(max_dn + 1):
+                for da in range(max_da + 1):
+                    cols = guesser._columns(r, dn, da, max_dn, max_da)
+                    sub = [itemgetter(*cols)(row) for row in rows]
+                    pivots, _ = guesser._basis_mod_p(sub[:prefix], len(cols), prime)
+                    verdict = guesser._has_kernel_mod_p(screened, set(cols))
+                    assert verdict == (len(pivots) < len(cols)), (prefix, dn, da)
+                    if not verdict:  # sound: no rational kernel either
+                        assert reference_solve(sub, len(cols))[1] is None
+        # _solve resumed from the order screen screens as if from scratch
+        pivots_seen = []
+        screen = guesser._basis_mod_p
+
+        def recorded(*args):
+            out = screen(*args)
+            pivots_seen.append(out[0][:])
+            return out
+
+        with patch.object(guesser, "_basis_mod_p", recorded):
+            got = guesser._solve(rows, ncols, (done, deepcopy(basis)))
+        assert pivots_seen[0] == full[0]
+        assert got == guesser._solve(rows, ncols)
+
+
+def per_candidate_guess(seq, spec, transcript):
+    """Reference: the search that screens each candidate on its own, cutting
+    its rows from its order's rows and handing them to _solve; its DEBUG
+    lines are appended to transcript."""
+    if len(seq.values) < 2 + spec.holdout:
+        raise InsufficientTerms(
+            f"{len(seq.values)} terms cannot support any search with "
+            f"holdout {spec.holdout}"
+        )
+    max_dn, max_da = spec.max_deg_n, spec.max_deg_a
+    fit = seq.values[: len(seq.values) - spec.holdout]
+    any_admissible = False
+    for r in range(1, min(spec.max_order, len(fit) - 1) + 1):
+        order_rows = guesser._fit_rows(fit, seq.start, r, max_dn, max_da)[0]
+        for dn in range(max_dn + 1):
+            for da in range(max_da + 1):
+                unknowns = (r + 1) * (dn + 1) * (da + 1)
+                rows = guesser._column_subset(order_rows, r, dn, da, max_dn, max_da)
+                if len(rows) < unknowns:
+                    continue
+                any_admissible = True
+                outcome, res = guesser._try_candidate(seq, rows, r, dn, da, unknowns)
+                transcript.append(
+                    f"candidate ({r}, {dn}, {da}): {len(rows)} x {unknowns}, {outcome}")
+                if res is not None:
+                    return res
+    if any_admissible:
+        raise NotFound("no operator within the given bounds fits the data")
+    raise InsufficientTerms("not enough terms for any candidate within the bounds")
+
+
+def assert_guess_matches_the_per_candidate_search(caplog, seq, spec):
+    """guess_operator and the reference give the same result, or raise the
+    same exception, after the same DEBUG lines."""
+    want_lines = []
+    try:
+        want = per_candidate_guess(seq, spec, want_lines)
+    except (NotFound, InsufficientTerms) as exc:
+        want = (type(exc), str(exc))
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="multiderange.guesser"):
+        try:
+            got = guess_operator(seq, spec)
+        except (NotFound, InsufficientTerms) as exc:
+            got = (type(exc), str(exc))
+    assert got == want, (seq.start, spec)
+    assert caplog.messages == want_lines, (seq.start, spec)
+    return got
+
+
+@pytest.mark.parametrize("start", [0, 1, 3])
+@pytest.mark.parametrize("seq", [f_seq(1, 16), f_seq(2, 16), random_seq(6, 14),
+                                 const_seq([3] * 12)],
+                         ids=["F1", "F2", "random", "constant"])
+def test_guess_matches_the_per_candidate_search(caplog, seq, start):
+    seq = PolySequence(start, seq.values, k=seq.k)
+    found = 0
+    for holdout in range(1, 7):
+        got = assert_guess_matches_the_per_candidate_search(
+            caplog, seq, GuessSpec(3, 3, 3, holdout))
+        found += isinstance(got, guesser.GuessResult)
+    assert found
+
+
+@pytest.mark.parametrize("seq, spec, exc", [
+    (const_seq([2 ** (t * t) for t in range(12)]), GuessSpec(1, 1, 1), NotFound),
+    (const_seq([1, 1, 1]), GuessSpec(2, 1, 1), InsufficientTerms),
+    (const_seq([1, 1, 1, 1]), GuessSpec(3, 3, 3, holdout=2), InsufficientTerms),
+], ids=["not-found", "too-few-for-the-holdout", "no-admissible-candidate"])
+def test_failed_guess_matches_the_per_candidate_search(caplog, seq, spec, exc):
+    got = assert_guess_matches_the_per_candidate_search(caplog, seq, spec)
+    assert got[0] is exc
+
+
+@pytest.mark.parametrize("start", [0, 1])
+@pytest.mark.parametrize("values", [f_seq(1, 16).values, f_seq(2, 14).values,
+                                    random_seq(6, 14).values],
+                         ids=["F1", "F2", "random"])
+def test_equation_counts_match_the_cut_rows(values, start):
+    seq = PolySequence(start, values)
+    for r in range(1, 4):
+        rows = fit_rows(seq, r, 3, 3, 2)
+        counts = guesser._equation_counts(rows, r, 3, 3)
+        for dn in range(4):
+            for da in range(4):
+                assert counts[da] == len(guesser._column_subset(rows, r, dn, da, 3, 3))
+
+
+def test_guess_finds_the_f3_operator():
+    res = guess_operator(f_seq(3, 25), GuessSpec(4, 6, 8))
+    assert res.candidate == (4, 6, 8)
+    assert res.kernel_dim == 1
+    assert (res.equations, res.unknowns) == (401, 315)
+    assert sum(map(len, res.operator.coeffs)) == 179
