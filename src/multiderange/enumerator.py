@@ -25,14 +25,16 @@ values are recombined without fractions: Newton's forward differences in
 t = -a, each divided exactly by j!, are the coefficients of the enumerator
 in the basis rising_factorial(j), summed in Horner form.  Any remainder in
 these divisions raises ArithmeticError.  laguerre_product and
-moment_functional remain as the reference this path is tested against.
+moment_functional, which do form the product, stay as the reference this
+path is tested against; no command reaches them.
 
-The equal-blocks values F_k(n), n blocks of size k, have one generator,
-fk_sequence_direct, which carries the product of n Laguerre factors from
-one n to the next; fk_value computes each value from scratch and is the
-reference the generator is tested against.  They, and normalize_shape
-for every other shape, refuse a ground set above MAX_GROUND_SET before
-allocating anything.
+The equal-blocks values F_k(n), n blocks of size k, come from the same
+path: fk_value(k, n) is weighted_derangement_poly of the shape k^n, and
+fk_sequence_direct(k, last) is fk_value for n = 0..last, each value from
+scratch.  Carrying the product of n Laguerre factors from n to n + 1
+instead would grow it to degree k*n in x and in a, and is slower for
+every k.  Both refuse a ground set above MAX_GROUND_SET before allocating
+anything, as normalize_shape does for every other shape.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from typing import Sequence
 
 # laguerre_product, the reference for weighted_derangement_poly, stays
 # importable here: the benchmark's tracer wraps enumerator.laguerre_product
-from .laguerre import XAPoly, _mul, laguerre_product, scaled_laguerre  # noqa: F401
+from .laguerre import XAPoly, laguerre_product  # noqa: F401
 from .polys import AlphaPoly, add_product, rising_factorial
 
 # Largest ground set (sum of block sizes) and number of blocks a shape may
@@ -221,7 +223,7 @@ def _check_equal_blocks(k: int, last: int) -> None:
 
 
 def fk_value(k: int, n: int) -> AlphaPoly:
-    """Weight enumerator for n equal blocks of size k; 1 when n = 0."""
+    """F_k(n), the weight enumerator for n equal blocks of size k; 1 at n = 0."""
     _check_equal_blocks(k, n)
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -229,18 +231,6 @@ def fk_value(k: int, n: int) -> AlphaPoly:
 
 
 def fk_sequence_direct(k: int, last: int) -> list[AlphaPoly]:
-    """[F_k(0), ..., F_k(last)], equal to fk_value(k, n) for each n.
-
-    F_k(n) = (-1)^(kn) * moment_functional(P_n) with P_0 = 1 and
-    P_n = P_{n-1} * scaled_laguerre(k), so each value costs one product
-    with a single factor instead of a product of n factors.
-    """
+    """[F_k(0), ..., F_k(last)], each equal to fk_value(k, n); [] when last < 0."""
     _check_equal_blocks(k, last)
-    p: XAPoly = ((1,),)
-    values = []
-    for n in range(last + 1):
-        if n:
-            p = _mul(p, scaled_laguerre(k))
-        v = moment_functional(p)
-        values.append(-v if k * n % 2 else v)
-    return values
+    return [weighted_derangement_poly((k,) * n) for n in range(last + 1)]

@@ -16,10 +16,10 @@ operators/k2.json, exactly as the guesser writes them, and extend the
 equal-blocks sequences F_k far beyond what direct evaluation reaches
 comfortably.  operator_seed is the one rule for how many direct values an
 operator needs: F_k from index 0 through op.valid_from plus order - 1
-more, from the enumerator's generator.  Extension solves for F(n+r) by
-exact polynomial division; a nonzero remainder always means a wrong
-operator, wrong seeds, or a transcription bug, never legitimate
-fractional output, so it raises.
+more, from enumerator.fk_sequence_direct, one interpolated enumerator per
+index.  Extension solves for F(n+r) by exact polynomial division; a
+nonzero remainder always means a wrong operator, wrong seeds, or a
+transcription bug, never legitimate fractional output, so it raises.
 """
 
 from __future__ import annotations

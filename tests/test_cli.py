@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from multiderange import cli, enumerator, guesser, polys, recurrence
+from multiderange import cli, enumerator, guesser, laguerre, polys, recurrence
 from multiderange import selftest as selftest_mod
 from multiderange.cli import parse_shape, ShapeParseError
 from multiderange.polys import AlphaPoly
@@ -231,6 +231,26 @@ def test_seq_direct_engine_for_large_k(capsys):
     rc, env, _ = run_machine(capsys, "seq", "3", "3")
     assert rc == 0
     assert env["inputs"]["engine"] == "direct"
+
+
+def test_seq_one_huge_block(capsys):
+    rc, env, _ = run_machine(capsys, "seq", "5000", "1")
+    assert rc == 0
+    assert env["result"]["values"] == [{"variable": "a", "coeffs": []}]
+
+
+def test_commands_form_no_bivariate_product(capsys, monkeypatch):
+    # the Laguerre product over Z[a] and the moment functional are the tests'
+    # reference; every command takes its enumerators from the interpolation
+    def refuse(*args):
+        raise AssertionError("bivariate product formed")
+
+    monkeypatch.setattr(laguerre, "_mul", refuse)
+    monkeypatch.setattr(enumerator, "moment_functional", refuse)
+    for argv in (("wder", "4^13"), ("seq", "3", "8"), ("seq", "2", "10", "--engine", "direct"),
+                 ("seq", "1", "10"), ("guess", "-k", "1", "--terms", "12"),
+                 ("verify", "--operator", _K2, "-k", "2", "--terms", "12")):
+        assert run_cli(capsys, *argv)[0] == 0, argv
 
 
 def test_seq_with_operator_file(capsys, tmp_path):

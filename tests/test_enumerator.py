@@ -18,6 +18,7 @@ from multiderange.enumerator import (
 )
 from multiderange.laguerre import laguerre_product
 from multiderange.polys import ALPHA_ONE, AlphaPoly
+from multiderange.recurrence import fk_sequence_via_recurrence
 
 A = AlphaPoly((0, 1))
 
@@ -71,11 +72,25 @@ def test_fk_values():
         fk_value(1, -1)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_direct_generator_matches_fk_value(k):
-    assert fk_sequence_direct(k, 12) == [fk_value(k, n) for n in range(13)]
+    values = fk_sequence_direct(k, 12)
+    assert values == [fk_value(k, n) for n in range(13)]
+    assert values == [reference_poly((k,) * n) for n in range(13)]
     assert fk_sequence_direct(k, 0) == [ALPHA_ONE]
     assert fk_sequence_direct(k, -1) == []
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_direct_generator_matches_the_recurrence(k):
+    # the recurrence takes only its seeds from the generator
+    assert tuple(fk_sequence_direct(k, 60)) == fk_sequence_via_recurrence(k, 60).values
+
+
+def test_direct_generator_on_one_huge_block():
+    # one block of 5000 has no derangement; the bivariate product of that
+    # block alone is a polynomial of degree 5000 in x and in a
+    assert fk_sequence_direct(5000, 1) == [ALPHA_ONE, AlphaPoly()]
 
 
 def test_equal_blocks_budget():
