@@ -12,6 +12,7 @@ discovers such recurrences from data.
 from .polys import (
     AlphaPoly,
     InexactDivision,
+    PolySequence,
     SchemaError,
     divide_exact,
     poly_from_record,
@@ -36,7 +37,6 @@ from .oracle import (
 )
 from .recurrence import (
     LeadingCoefficientZero,
-    PolySequence,
     RecurrenceOperator,
     UnsupportedK,
     WindowTooShort,

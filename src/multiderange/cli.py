@@ -37,9 +37,8 @@ from .enumerator import (
     weighted_derangement_poly,
 )
 from .guesser import GuessSpec, InsufficientTerms, NotFound, guess_operator
-from .polys import poly_to_record
+from .polys import PolySequence, poly_to_record
 from .recurrence import (
-    PolySequence,
     RecurrenceOperator,
     UnsupportedK,
     builtin_operator,
@@ -51,6 +50,7 @@ from .recurrence import (
     operator_to_record,
     record_chunks,
     sequence_to_record,
+    windows,
 )
 
 
@@ -154,13 +154,10 @@ def _seq_engine(args) -> tuple[str, RecurrenceOperator | None]:
 
 
 def _seq_values(k: int, last: int, op: RecurrenceOperator | None) -> PolySequence:
-    if op is None:
-        values = tuple(fk_sequence_direct(k, last))
-        return PolySequence(start=1, values=values[1:], k=k)
-    seed = operator_seed(k, op, last)
-    if last > seed.last:
-        seed = extend_sequence(op, seed, last)
-    return PolySequence(start=1, values=seed.values[1 : last + 1], k=k)
+    """F_k(1..last), directly (op None) or extended from the operator's seed."""
+    seq = (fk_sequence_direct(k, last) if op is None
+           else extend_sequence(op, operator_seed(k, op, last), last))
+    return PolySequence(start=1, values=seq.values[1:], k=k)
 
 
 def _cmd_seq(args) -> _Reply:
@@ -182,24 +179,23 @@ def _cmd_seq(args) -> _Reply:
     ], 0
 
 
-def _sequence_input(args) -> PolySequence:
-    """The sequence that guess and verify read: --file, or -k with --terms."""
+def _sequence_input(args) -> tuple[PolySequence, object]:
+    """The sequence that guess and verify read, --file or -k with --terms,
+    and the source their inputs echo."""
     if args.file:
-        return load_sequence(args.file)
+        return load_sequence(args.file), args.file
     if args.k is None or args.terms is None:
         raise ShapeParseError(f"{args.command} needs --file or both -k and --terms")
     if args.terms < 1:
         raise ShapeParseError("--terms must be positive")
-    return PolySequence(
-        start=0, values=tuple(fk_sequence_direct(args.k, args.terms - 1)), k=args.k
-    )
+    return fk_sequence_direct(args.k, args.terms - 1), {"k": args.k, "terms": args.terms}
 
 
 def _cmd_guess(args) -> _Reply:
-    seq = _sequence_input(args)
+    seq, source = _sequence_input(args)
     spec = GuessSpec(args.max_order, args.max_deg_n, args.max_deg_a, args.holdout)
     inputs = {
-        "source": args.file or {"k": args.k, "terms": args.terms},
+        "source": source,
         "max_order": spec.max_order,
         "max_deg_n": spec.max_deg_n,
         "max_deg_a": spec.max_deg_a,
@@ -211,10 +207,9 @@ def _cmd_guess(args) -> _Reply:
         reason = str(exc)
         result = {"found": False, "reason": reason}
         return inputs, result, lambda: [f"no operator found: {reason}"], 1
-    record = operator_to_record(res.operator)
     result = {
         "found": True,
-        "operator": record,
+        "operator": operator_to_record(res.operator),
         "candidate": list(res.candidate),
         "kernel_dim": res.kernel_dim,
         "equations": res.equations,
@@ -232,17 +227,13 @@ def _cmd_guess(args) -> _Reply:
 
 def _cmd_verify(args) -> _Reply:
     op = load_operator(args.operator)
-    seq = _sequence_input(args)
-    inputs = {
-        "operator": args.operator,
-        "source": args.file or {"k": args.k, "terms": args.terms},
-    }
-    windows = seq.last - op.order - max(seq.start, op.valid_from) + 1
+    seq, source = _sequence_input(args)
+    inputs = {"operator": args.operator, "source": source}
+    count = len(windows(op, seq))
     fail = first_failure(op, seq)
+    result = {"verified": fail is None, "first_failure": fail, "windows": count}
     if fail is None:
-        result = {"verified": True, "first_failure": None, "windows": windows}
-        return inputs, result, lambda: [f"verified on {windows} windows"], 0
-    result = {"verified": False, "first_failure": fail, "windows": windows}
+        return inputs, result, lambda: [f"verified on {count} windows"], 0
     return inputs, result, lambda: [f"FAILED at n={fail}"], 1
 
 

@@ -19,8 +19,9 @@ a = 0, -1, ..., -K//2, because at a = -j the moment functional sends x^m to
 (-j)(-j+1)...(-j+m-1), which is 0 for m > j: each value needs the integer
 product of the factors at a = -j only up to x^j.  A block of size k > j
 makes its factor vanish up to x^j, so the value there is 0 without any
-work.  A block size repeated m times is raised to its m-th power by
-J.C.P. Miller's recurrence, in O(j*k) steps, each an exact division.  The
+work; a block above K//2 makes every value 0, and no table is built.  A
+block size repeated m times is raised to its m-th power by J.C.P.
+Miller's recurrence, in O(j*k) steps, each an exact division.  The
 values are recombined without fractions: Newton's forward differences in
 t = -a, each divided exactly by j!, are the coefficients of the enumerator
 in the basis rising_factorial(j), summed in Horner form.  Any remainder in
@@ -31,7 +32,8 @@ path is tested against; no command reaches them.
 The equal-blocks values F_k(n), n blocks of size k, come from the same
 path: fk_value(k, n) is weighted_derangement_poly of the shape k^n, and
 fk_sequence_direct(k, last) is fk_value for n = 0..last, each value from
-scratch.  Carrying the product of n Laguerre factors from n to n + 1
+scratch, as the PolySequence F_k(0..last) that the recurrence engine
+also returns.  Carrying the product of n Laguerre factors from n to n + 1
 instead would grow it to degree k*n in x and in a, and is slower for
 every k.  Both refuse a ground set above MAX_GROUND_SET before allocating
 anything, as normalize_shape does for every other shape.
@@ -46,7 +48,7 @@ from typing import Sequence
 # laguerre_product, the reference for weighted_derangement_poly, stays
 # importable here: the benchmark's tracer wraps enumerator.laguerre_product
 from .laguerre import XAPoly, laguerre_product  # noqa: F401
-from .polys import AlphaPoly, add_product, rising_factorial
+from .polys import AlphaPoly, PolySequence, add_product, times_a_plus
 
 # Largest ground set (sum of block sizes) and number of blocks a shape may
 # have.  Checked before anything is expanded or allocated, so "4^1000000000"
@@ -73,14 +75,16 @@ def normalize_shape(shape: Sequence[int]) -> tuple[int, ...]:
 
 
 def moment_functional(p: XAPoly) -> AlphaPoly:
-    """Linear map x^m -> rising_factorial(m), applied coefficient-wise.
+    """Linear map x^m -> a(a+1)...(a+m-1), applied coefficient-wise.
 
-    p is a polynomial in x over Z[a] in the tuple form of ``laguerre``.
+    p is a polynomial in x over Z[a] in the tuple form of ``laguerre``.  The
+    moments are one running product, f_m = (a + m - 1) f_{m-1}.
     """
     acc: list[int] = []
+    moment = [1]
     for m, c in enumerate(p):
-        if c:
-            add_product(acc, c, rising_factorial(m).coeffs)
+        add_product(acc, c, moment)
+        moment = times_a_plus(moment, m)
     return AlphaPoly._trusted(acc)
 
 
@@ -95,10 +99,12 @@ def weighted_derangement_poly(shape: Sequence[int]) -> AlphaPoly:
     """
     blocks = normalize_shape(shape)
     total = sum(blocks)
-    # sizes with their multiplicities, smallest product degree first
-    powers = sorted(Counter(blocks).items(), key=lambda km: km[0] * km[1])
     # for j below the largest block, that block's factor vanishes up to x^j
     first = max(blocks, default=0)
+    if first > total // 2:  # every value is 0: no derangement
+        return AlphaPoly()
+    # sizes with their multiplicities, smallest product degree first
+    powers = sorted(Counter(blocks).items(), key=lambda km: km[0] * km[1])
     values = [_moment_at(powers, j) if j >= first else 0 for j in range(total // 2 + 1)]
     poly = _from_values(values)
     return -poly if total % 2 else poly
@@ -191,7 +197,7 @@ def _from_values(values: list[int]) -> AlphaPoly:
     acc: list[int] = []
     for j in range(n - 1, -1, -1):
         # acc * (a + j), then add e_j = (-1)^j d_j
-        acc = [j * x + y for x, y in zip(acc + [0], [0] + acc)]
+        acc = times_a_plus(acc, j)
         acc[0] += -d[j] if j % 2 else d[j]
     return AlphaPoly._trusted(acc)
 
@@ -230,7 +236,7 @@ def fk_value(k: int, n: int) -> AlphaPoly:
     return weighted_derangement_poly((k,) * n)
 
 
-def fk_sequence_direct(k: int, last: int) -> list[AlphaPoly]:
-    """[F_k(0), ..., F_k(last)], each equal to fk_value(k, n); [] when last < 0."""
+def fk_sequence_direct(k: int, last: int) -> PolySequence:
+    """F_k(0..last), each value equal to fk_value(k, n); empty when last < 0."""
     _check_equal_blocks(k, last)
-    return [weighted_derangement_poly((k,) * n) for n in range(last + 1)]
+    return PolySequence(0, [weighted_derangement_poly((k,) * n) for n in range(last + 1)], k)

@@ -21,7 +21,7 @@ from functools import cache
 from math import comb
 from typing import Sequence
 
-from .polys import add_product
+from .polys import add_product, times_a_plus
 
 XAPoly = tuple[tuple[int, ...], ...]
 
@@ -40,7 +40,7 @@ def scaled_laguerre(k: int) -> XAPoly:
     coeffs: list[tuple[int, ...]] = [()] * (k + 1)
     for i in range(k, -1, -1):
         if i < k:
-            tail = [i * x + y for x, y in zip(tail + [0], [0] + tail)]
+            tail = times_a_plus(tail, i)
         c = -comb(k, i) if i % 2 else comb(k, i)
         coeffs[i] = tuple(c * t for t in tail)
     return tuple(coeffs)

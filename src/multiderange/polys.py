@@ -5,6 +5,8 @@ cycle-marking variable ``a``, kept as an immutable tuple of int
 coefficients, ascending powers, no trailing zeros.  The zero polynomial is
 the empty tuple.  Values are built by the kernels below, so AlphaPoly has
 no ring arithmetic: it negates, evaluates, compares and prints.
+PolySequence is the one table of AlphaPoly values at consecutive indices,
+such as F_k(0..N), whichever engine computed it.
 Recurrence-operator coefficients, polynomials in (n, a), are plain
 (deg_n, deg_a, coefficient) triples owned by ``recurrence``; render_terms
 prints both forms.
@@ -21,6 +23,7 @@ construction, skip that check.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Sequence
 
@@ -108,6 +111,30 @@ _ZERO = AlphaPoly()
 ALPHA_ONE = AlphaPoly((1,))
 
 
+@dataclass(frozen=True)
+class PolySequence:
+    """Contiguous table n -> AlphaPoly from ``start``; k is F_k's k, if any."""
+
+    start: int
+    values: tuple[AlphaPoly, ...]
+    k: int | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", tuple(self.values))
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    @property
+    def last(self) -> int:
+        return self.start + len(self.values) - 1
+
+    def value_at(self, n: int) -> AlphaPoly:
+        if not self.start <= n <= self.last:
+            raise IndexError(f"index {n} outside [{self.start}, {self.last}]")
+        return self.values[n - self.start]
+
+
 def add_product(acc: list[int], p: Sequence[int], q: Sequence[int]) -> None:
     """acc += p * q, for ascending coefficient sequences; acc grows as needed.
 
@@ -149,33 +176,25 @@ def render_terms(terms, names: tuple[str, ...]) -> str:
     return " ".join(parts)
 
 
-# The last value rising_factorial built.  A miss steps up from it: callers
-# ask for increasing m (the moment functional does), so that is usually one
-# step, and one call for a large m keeps no intermediates (for m = 3000
-# those would take gigabytes, and recursing through them the stack).
-_last_rising: tuple[int, AlphaPoly] = (0, ALPHA_ONE)
-
-
 @cache
 def rising_factorial(m: int) -> AlphaPoly:
     """The product a(a+1)...(a+m-1); 1 when m = 0.
 
     This is both the all-permutations cycle enumerator of m elements and the
     normalized weight moment of x^m, which is why it shows up everywhere.
+    A miss keeps no intermediates: for m = 3000 they would take gigabytes.
     """
-    global _last_rising
     if m < 0:
         raise ValueError("m must be nonnegative")
-    j, poly = _last_rising
-    if j > m:
-        j, poly = 0, ALPHA_ONE
-    coeffs = list(poly.coeffs)
-    for i in range(j, m):
-        # multiply by (a + i)
-        coeffs = [i * x + y for x, y in zip(coeffs + [0], [0] + coeffs)]
-    out = AlphaPoly._trusted(coeffs)
-    _last_rising = (m, out)
-    return out
+    coeffs = [1]
+    for i in range(m):
+        coeffs = times_a_plus(coeffs, i)
+    return AlphaPoly._trusted(coeffs)
+
+
+def times_a_plus(coeffs: list[int], i: int) -> list[int]:
+    """The coefficients of p * (a + i), for p's ascending coefficients."""
+    return [i * x + y for x, y in zip(coeffs + [0], [0] + coeffs)]
 
 
 def divide_exact(num: AlphaPoly, den: AlphaPoly) -> AlphaPoly:

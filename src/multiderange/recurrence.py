@@ -4,8 +4,8 @@ An operator of order r is c_0(n,a) F(n) + ... + c_r(n,a) F(n+r), asserted to
 vanish for every n >= valid_from.  Each c_j is stored as the operator
 file stores it: a tuple of int triples (deg_n, deg_a, coefficient), sorted
 by (deg_n, deg_a), with no zero coefficient.  The form is sparse on
-purpose: a record may name one monomial of a huge degree, and a dense form
-would turn that small file into an unbounded allocation.  Operators are
+purpose: a record may name one monomial of degree MAX_OPERATOR_DEGREE in
+n, and a dense form would allocate every lower degree too.  Operators are
 kept normalized: integer content 1 and a positive coefficient in the last
 triple of c_r, the largest monomial in lexicographic order (n before a),
 so equal operators compare structurally equal.
@@ -15,11 +15,11 @@ block sizes 1 and 2, ship next to this module as operators/k1.json and
 operators/k2.json, exactly as the guesser writes them, and extend the
 equal-blocks sequences F_k far beyond what direct evaluation reaches
 comfortably.  operator_seed is the one rule for how many direct values an
-operator needs: F_k from index 0 through op.valid_from plus order - 1
-more, from enumerator.fk_sequence_direct, one interpolated enumerator per
-index.  Extension solves for F(n+r) by exact polynomial division; a
-nonzero remainder always means a wrong operator, wrong seeds, or a
-transcription bug, never legitimate fractional output, so it raises.
+operator needs: F_k(0..max(0, valid_from) + order - 1), never past the
+last index asked for.  extend_sequence checks a seed only when it has a step to take,
+so fk_sequence_via_recurrence is that seed extended, for every last >= 0.
+A step divides exactly; a remainder means a wrong operator or wrong seeds,
+never legitimate fractional output, so it raises.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .enumerator import fk_sequence_direct
 from .polys import (
     AlphaPoly,
     InexactDivision,
+    PolySequence,
     SchemaError,
     _parse_int,
     add_product,
@@ -50,6 +51,12 @@ Coeff = tuple[tuple[int, int, int], ...]
 
 OPERATOR_SCHEMA = "recurrence-operator/v1"
 SEQUENCE_SCHEMA = "poly-sequence/v1"
+
+# Largest deg_n or deg_a in an operator record: a step evaluates n^deg_n and
+# allocates deg_a + 1 coefficients.  guess keeps u = (r+1)(dn+1)(da+1)
+# unknowns only with at least u equations, 64 bits a slot within
+# MAX_SYSTEM_BITS = 2*10^9: 64*u^2 <= 2*10^9, u <= 5590, dn, da <= 2794.
+MAX_OPERATOR_DEGREE = 10_000
 
 
 class UnsupportedK(Exception):
@@ -116,30 +123,6 @@ def coeff_at(c: Coeff, n: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class PolySequence:
-    """Contiguous table n -> AlphaPoly starting at ``start``."""
-
-    start: int
-    values: tuple[AlphaPoly, ...]
-    k: int | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def last(self) -> int:
-        return self.start + len(self.values) - 1
-
-    def value_at(self, n: int) -> AlphaPoly:
-        if not self.start <= n <= self.last:
-            raise IndexError(f"index {n} outside [{self.start}, {self.last}]")
-        return self.values[n - self.start]
-
-
 _OPERATORS = Path(__file__).with_name("operators")
 
 
@@ -170,16 +153,17 @@ def extend_sequence(
 ) -> PolySequence:
     """Extend a seed through index ``target`` by solving for F(n+r).
 
-    Each step divides by c_r(n, a) with a mandatory zero remainder.  The
-    first step's window, n = seed.last + 1 - order, must be at least
-    op.valid_from.
+    Each step divides by c_r(n, a) with a mandatory zero remainder.  A
+    target equal to seed.last takes no step and asks nothing of the seed.
+    Past it, the seed must supply at least order values, and the first
+    step's window, n = seed.last + 1 - order, must be at least op.valid_from.
     """
-    if len(seed) < op.order:
+    if target < seed.last:
+        raise ValueError("target precedes the last seed index")
+    if target > seed.last and len(seed) < op.order:
         raise ValueError(f"seed must supply at least {op.order} values")
     if target > seed.last and seed.last + 1 - op.order < op.valid_from:
         raise ValueError("seed ends before the operator is valid")
-    if target < seed.last:
-        raise ValueError("target precedes the last seed index")
     values = list(seed.values)
     r = op.order
     # F(n+r) = -(sum_{j<r} c_j F(n+j)) / c_r = (sum_{j<r} c_j F(n+j)) / -c_r
@@ -211,17 +195,20 @@ def _apply(op: RecurrenceOperator, n: int, values, base: int, terms: int) -> lis
     return acc
 
 
+def windows(op: RecurrenceOperator, seq: PolySequence) -> range:
+    """The n whose window F(n..n+order) lies in seq, from op.valid_from on;
+    WindowTooShort when there is none."""
+    found = range(max(seq.start, op.valid_from), seq.last - op.order + 1)
+    if not found:
+        raise WindowTooShort(f"need at least {op.order + 1} values at or after "
+                             f"n={op.valid_from}")
+    return found
+
+
 def first_failure(op: RecurrenceOperator, seq: PolySequence) -> int | None:
     """Smallest applicable n where the operator fails to annihilate, if any."""
-    r = op.order
-    first = max(seq.start, op.valid_from)
-    last_window = seq.last - r
-    if last_window < first:
-        raise WindowTooShort(
-            f"need at least {r + 1} values at or after n={op.valid_from}"
-        )
-    for n in range(first, last_window + 1):
-        if any(_apply(op, n, seq.values, n - seq.start, r + 1)):
+    for n in windows(op, seq):
+        if any(_apply(op, n, seq.values, n - seq.start, op.order + 1)):
             return n
     return None
 
@@ -234,23 +221,19 @@ def verify_operator(op: RecurrenceOperator, seq: PolySequence) -> bool:
 def operator_seed(k: int, op: RecurrenceOperator, last: int) -> PolySequence:
     """Directly computed F_k(0..m) from which op extends F_k through ``last``.
 
-    m = min(max(0, op.valid_from), last) + op.order - 1: the terms before
+    m = min(max(0, op.valid_from) + op.order - 1, last): the terms before
     op.valid_from are direct values too, so the first step uses a window
-    the operator is valid on.
+    the operator is valid on, and a seed never runs past ``last``.
     """
-    m = min(max(0, op.valid_from), last) + op.order - 1
-    return PolySequence(start=0, values=tuple(fk_sequence_direct(k, m)), k=k)
+    return fk_sequence_direct(k, min(max(0, op.valid_from) + op.order - 1, last))
 
 
 def fk_sequence_via_recurrence(k: int, last: int,
                                op: RecurrenceOperator | None = None) -> PolySequence:
-    """[F_k(0), ..., F_k(last)]: operator_seed, then extension."""
+    """F_k(0..last): operator_seed, then extension."""
     if op is None:
         op = builtin_operator(k)
-    seed = operator_seed(k, op, last)
-    if last < seed.last:
-        return PolySequence(start=0, values=seed.values[: last + 1], k=k)
-    return extend_sequence(op, seed, last)
+    return extend_sequence(op, operator_seed(k, op, last), last)
 
 
 def specialize_alpha(op: RecurrenceOperator, a: int) -> RecurrenceOperator:
@@ -313,6 +296,8 @@ def operator_from_record(obj) -> RecurrenceOperator:
             p, q, c = mono
             if not (type(p) is int and type(q) is int and p >= 0 and q >= 0):
                 raise SchemaError(f"{where}[{i}]: bad exponents {p!r}, {q!r}")
+            if max(p, q) > MAX_OPERATOR_DEGREE:
+                raise SchemaError(f"{where}[{i}]: degree above {MAX_OPERATOR_DEGREE}")
             c = _parse_int(c, f"{where}[{i}]")
             if c == 0:
                 raise SchemaError(f"{where}[{i}]: zero coefficient stored")

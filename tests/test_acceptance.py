@@ -19,11 +19,7 @@ from multiderange.enumerator import (
 from multiderange.guesser import GuessSpec, guess_operator
 from multiderange.oracle import cycle_enumerator_all, enumerate_derangements
 from multiderange.polys import AlphaPoly, rising_factorial
-from multiderange.recurrence import (
-    PolySequence,
-    builtin_operator,
-    fk_sequence_via_recurrence,
-)
+from multiderange.recurrence import builtin_operator, fk_sequence_via_recurrence
 from multiderange.selftest import (
     DECK_COEFFS,
     DECK_IDENTIFIED_COUNT,
@@ -108,10 +104,8 @@ def test_criterion_5_recurrence_cross_validation():
 
 def test_criterion_6_rediscovery_of_the_operators():
     t0 = time.perf_counter()
-    f1 = PolySequence(0, tuple(fk_sequence_direct(1, 14)), k=1)
-    got1 = guess_operator(f1, GuessSpec(2, 1, 1))
-    f2 = PolySequence(0, tuple(fk_sequence_direct(2, 24)), k=2)
-    got2 = guess_operator(f2, GuessSpec(3, 3, 3))
+    got1 = guess_operator(fk_sequence_direct(1, 14), GuessSpec(2, 1, 1))
+    got2 = guess_operator(fk_sequence_direct(2, 24), GuessSpec(3, 3, 3))
     elapsed = time.perf_counter() - t0
     ok = got1.operator == builtin_operator(1)
     ok = ok and got2.operator == builtin_operator(2)
@@ -149,16 +143,20 @@ def test_criterion_7_randomized_property_suite():
             failures == 0, f"{failures} failures")
 
 
+def _best_of_3(fn):
+    """fn() and the least of three timings of it, in seconds."""
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        out = fn()
+        best = min(best, time.perf_counter() - t0)
+    return out, best
+
+
 def test_criterion_8_recurrence_speedup():
-    t0 = time.perf_counter()
-    rec = fk_sequence_via_recurrence(2, 40)
-    t_rec = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    direct = fk_sequence_direct(2, 40)
-    t_direct = time.perf_counter() - t0
-
-    agree = all(rec.value_at(n) == direct[n] for n in range(16))
+    rec, t_rec = _best_of_3(lambda: fk_sequence_via_recurrence(2, 40))
+    direct, t_direct = _best_of_3(lambda: fk_sequence_direct(2, 40))
+    agree = rec == direct
     speedup = t_direct / t_rec if t_rec > 0 else float("inf")
     ok = agree and t_direct >= 5.0 * t_rec
     _report(8, "recurrence engine >= 5x faster for F_2(1..40)", ok,

@@ -462,6 +462,25 @@ def test_verify_schema_error(capsys, tmp_path):
     assert "operator.coeffs" in err
 
 
+@pytest.mark.parametrize("argv, monomial", [
+    (("verify", "-k", "2", "--terms", "8"), [10**7, 0, "1"]),
+    (("seq", "2", "5"), [0, 10**9, "1"]),
+], ids=["deg_n", "deg_a"])
+def test_huge_operator_degree_fails_before_allocating(capsys, tmp_path, argv, monomial):
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps({"schema": "recurrence-operator/v1", "order": 1,
+                               "coeffs": [[[0, 0, "-1"]], [[0, 0, "1"], monomial]]}))
+    tracemalloc.start()
+    try:
+        rc, out, err = run_cli(capsys, *argv, "--operator", str(bad))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (rc, out) == (2, "")
+    assert err == f"error: operator.coeffs[1][1]: degree above {recurrence.MAX_OPERATOR_DEGREE}\n"
+    assert peak < 1_000_000
+
+
 def test_booleans_in_an_operator_file_are_a_schema_error(capsys, tmp_path):
     bad = tmp_path / "bools.json"
     bad.write_text(json.dumps({

@@ -17,7 +17,7 @@ from multiderange.enumerator import (
     weighted_derangement_poly,
 )
 from multiderange.laguerre import laguerre_product
-from multiderange.polys import ALPHA_ONE, AlphaPoly
+from multiderange.polys import ALPHA_ONE, AlphaPoly, PolySequence
 from multiderange.recurrence import fk_sequence_via_recurrence
 
 A = AlphaPoly((0, 1))
@@ -74,23 +74,36 @@ def test_fk_values():
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_direct_generator_matches_fk_value(k):
-    values = fk_sequence_direct(k, 12)
-    assert values == [fk_value(k, n) for n in range(13)]
-    assert values == [reference_poly((k,) * n) for n in range(13)]
-    assert fk_sequence_direct(k, 0) == [ALPHA_ONE]
-    assert fk_sequence_direct(k, -1) == []
+    seq = fk_sequence_direct(k, 12)
+    assert (seq.start, seq.k) == (0, k)
+    assert seq.values == tuple(fk_value(k, n) for n in range(13))
+    assert seq.values == tuple(reference_poly((k,) * n) for n in range(13))
+    assert fk_sequence_direct(k, 0) == PolySequence(0, (ALPHA_ONE,), k)
+    assert fk_sequence_direct(k, -1) == PolySequence(0, (), k)
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_direct_generator_matches_the_recurrence(k):
     # the recurrence takes only its seeds from the generator
-    assert tuple(fk_sequence_direct(k, 60)) == fk_sequence_via_recurrence(k, 60).values
+    assert fk_sequence_direct(k, 60) == fk_sequence_via_recurrence(k, 60)
 
 
 def test_direct_generator_on_one_huge_block():
     # one block of 5000 has no derangement; the bivariate product of that
     # block alone is a polynomial of degree 5000 in x and in a
-    assert fk_sequence_direct(5000, 1) == [ALPHA_ONE, AlphaPoly()]
+    assert fk_sequence_direct(5000, 1).values == (ALPHA_ONE, AlphaPoly())
+
+
+def test_no_difference_table_without_a_derangement(monkeypatch):
+    # a largest block of 0 is not above K//2 = 0: the empty shape is interpolated
+    assert weighted_derangement_poly(()) == ALPHA_ONE
+
+    def refuse(values):
+        raise AssertionError("difference table built")
+
+    monkeypatch.setattr(enumerator, "_from_values", refuse)
+    for shape in ((5000,), (9000, 5, 5), (2,), (3, 1), (1,)):
+        assert weighted_derangement_poly(shape) == AlphaPoly()
 
 
 def test_equal_blocks_budget():

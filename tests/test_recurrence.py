@@ -1,10 +1,11 @@
 import json
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
-from multiderange.enumerator import fk_value
+from multiderange.enumerator import fk_sequence_direct, fk_value
+from multiderange.guesser import MAX_SYSTEM_BITS
 from multiderange.polys import (
     ALPHA_ONE,
     AlphaPoly,
@@ -13,6 +14,7 @@ from multiderange.polys import (
     poly_from_record,
 )
 from multiderange.recurrence import (
+    MAX_OPERATOR_DEGREE,
     LeadingCoefficientZero,
     PolySequence,
     RecurrenceOperator,
@@ -35,6 +37,7 @@ from multiderange.recurrence import (
     sequence_to_record,
     specialize_alpha,
     verify_operator,
+    windows,
 )
 
 ONE = ((0, 0, 1),)
@@ -177,6 +180,26 @@ def test_extend_preconditions():
     assert extend_sequence(late, seed3, 5).values == tuple(fk_value(1, n) for n in range(6))
 
 
+def test_extend_to_the_seeds_end_checks_nothing():
+    # no step to take: a seed shorter than the order, or ending before
+    # valid_from, is returned as it is
+    for op in (builtin_operator(2), RecurrenceOperator(builtin_operator(2).coeffs, 9)):
+        for seed in (PolySequence(0, (), k=2), PolySequence(0, (ALPHA_ONE,), k=2)):
+            assert extend_sequence(op, seed, seed.last) == seed
+    with pytest.raises(ValueError, match="at least 3 values"):
+        extend_sequence(builtin_operator(2), PolySequence(0, (ALPHA_ONE,), k=2), 1)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_seed_composes_with_extension_for_every_last(k):
+    op = builtin_operator(k)
+    for last in range(7):
+        seed = operator_seed(k, op, last)
+        assert seed == fk_sequence_direct(k, min(op.order - 1, last))
+        assert extend_sequence(op, seed, last) == fk_sequence_direct(k, last)
+        assert fk_sequence_via_recurrence(k, last) == fk_sequence_direct(k, last)
+
+
 def test_extend_inexact_division():
     halver = RecurrenceOperator((((0, 0, -1),), ((0, 0, 2),)))
     with pytest.raises(InexactDivision):
@@ -205,6 +228,19 @@ def test_verify_window_too_short():
         verify_operator(builtin_operator(1), const_seq([1, 0]))
 
 
+def test_windows():
+    op = builtin_operator(1)  # order 2
+    assert windows(op, const_seq([1] * 5)) == range(0, 3)
+    late = RecurrenceOperator(op.coeffs, valid_from=2)
+    assert windows(late, const_seq([1] * 5, start=1)) == range(2, 4)
+    assert windows(late, const_seq([1] * 3, start=2)) == range(2, 3)
+    for seq in (const_seq([1] * 3, start=1), const_seq([1, 1])):
+        with pytest.raises(WindowTooShort, match="need at least 3 values at or after n=2"):
+            windows(late, seq)
+        with pytest.raises(WindowTooShort):
+            first_failure(late, seq)
+
+
 def test_operator_seed():
     seed = operator_seed(1, builtin_operator(1), 10)
     assert (seed.start, seed.k) == (0, 1)
@@ -226,7 +262,7 @@ def test_operator_seed_matches_fk_value(k, valid_from):
         op = RecurrenceOperator((ONE,) * (order + 1), valid_from=valid_from)
         for last in (0, 1, 2, 5, 9):
             seed = operator_seed(k, op, last)
-            m = min(max(0, valid_from), last) + order - 1
+            m = min(max(0, valid_from) + order - 1, last)
             assert (seed.start, seed.k) == (0, k)
             assert seed.values == tuple(fk_value(k, n) for n in range(m + 1))
 
@@ -378,6 +414,26 @@ def test_operator_record_rejects_a_bad_coefficient(coeff, message):
     with pytest.raises(SchemaError) as info:
         operator_from_record(rec)
     assert str(info.value) == f"operator.coeffs[1][2]: {message}"
+
+
+def test_operator_degree_limit():
+    rec = operator_to_record(builtin_operator(1))
+    rec["coeffs"][2] = [[MAX_OPERATOR_DEGREE, MAX_OPERATOR_DEGREE, "1"]]
+    assert operator_from_record(rec).coeffs[2] == ((MAX_OPERATOR_DEGREE,) * 2 + (1,),)
+    for mono in ([MAX_OPERATOR_DEGREE + 1, 0, "1"], [0, 10**9, "1"]):
+        rec["coeffs"][2] = [mono]
+        with pytest.raises(SchemaError) as info:
+            operator_from_record(rec)
+        assert str(info.value) == f"operator.coeffs[2][0]: degree above {MAX_OPERATOR_DEGREE}"
+
+
+def test_operator_degree_limit_is_above_what_guess_writes():
+    # a guessed candidate has u <= equations unknowns, and its order's rows,
+    # 64 bits a slot, fit in MAX_SYSTEM_BITS: 64 * u^2 <= MAX_SYSTEM_BITS;
+    # with order r >= 1, (dn + 1)(da + 1) <= u // 2
+    u = isqrt(MAX_SYSTEM_BITS // 64)
+    assert 64 * (u + 1) ** 2 > MAX_SYSTEM_BITS
+    assert u // 2 - 1 < MAX_OPERATOR_DEGREE
 
 
 @pytest.mark.parametrize(
