@@ -14,25 +14,21 @@ the largest degrees: a candidate's row is the larger row at the columns
 whose powers of n and a fit, and the rows it would not have are exactly
 those that become zero.  Since n^p only scales an entry, a row is nonzero
 at a candidate's columns exactly when one of its n^0 a^q columns with
-q <= deg_a is nonzero, so the equation counts need no cut.
+q <= deg_a is nonzero, so the rows are counted per deg_a as they are built.
 
 Most candidates have no kernel, and one screen per order, modulo a fixed
 word-size prime p, shows it.  The order's rows are reduced at every column
 of its largest shape, window by window, until the rank over F_p is full or
 a window raises no pivot.  The basis is kept in reduced echelon form and
 stored by non-pivot column, so a row's residual is one dot product per
-non-pivot column.  A candidate's system is the largest one at some of the
-columns, so its kernel mod p on that prefix of rows is the part of the
-prefix's kernel that is zero at the columns it drops: with d kernel
-vectors, there is one exactly when their d x (dropped columns) slice has
-rank below d.  A candidate without one is rejected, and only those with
-one are cut and screened on their own rows; the largest shape resumes the
-order's screen instead.  The screen is sound: any nonzero minor mod p is a
-nonzero integer minor, so the rank over Q is at least the rank over F_p,
-and a matrix of full column rank mod p has no rational kernel.  It can only
-let a kernel-free candidate through (when p divides the relevant minors,
-or a window that raises no pivot comes early), never drop one that has a
-kernel, so the operator found is the same as without it.
+non-pivot column.  Each candidate cuts that basis to its columns: basis
+rows whose pivots it keeps stay, and the others, zero at every kept pivot,
+are their own residuals and extend it, which gives the basis of its rows
+on the screen's prefix.  At full rank it is rejected, else its screen
+resumes from there on its other rows.  The screen is sound: any nonzero
+minor mod p is a nonzero integer minor, so the rank over Q is at least the
+rank over F_p, and full column rank mod p leaves no rational kernel.  No
+candidate with a kernel is dropped, so the operator found is the same.
 
 A candidate that passes has its kernel read off the screen's basis, one
 vector per non-pivot column, and lifted to the integers: the vectors of
@@ -59,7 +55,7 @@ from dataclasses import dataclass
 from itertools import accumulate, count, product
 from math import gcd, isqrt
 from operator import itemgetter, mul
-from typing import Container, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .polys import AlphaPoly
 from .recurrence import PolySequence, RecurrenceOperator, verify_operator
@@ -174,20 +170,23 @@ def _order_screen(
     return lo, basis
 
 
-def _has_kernel_mod_p(basis: _Basis, kept: Container[int]) -> bool:
-    """Whether the basis's kernel mod _PRIME has a nonzero vector that is zero
-    outside the kept columns.
+def _restrict(basis: _Basis, kept: Sequence[int]) -> _Basis:
+    """The basis mod _PRIME of the same rows cut to the kept columns, which
+    are increasing and numbered 0..len(kept)-1 in the result.
 
-    The kernel vector of the non-pivot column f is 1 at f, 0 at the other
-    non-pivot columns and -cols[f][b] at pivot b.  A combination of the kept
-    f is zero at every dropped column exactly when it is zero at the dropped
-    pivots, so there is one unless those rows of cols have full rank.
+    A basis row whose pivot is kept stays as it is.  One whose pivot is
+    dropped is 0 at every kept pivot, so its kept entries are already its
+    residual, and it extends the basis.  Reduced echelon form is unique.
     """
     pivots, cols = basis
-    free = [f for f in cols if f in kept]
-    dropped = [[cols[f][b] for f in free]
-               for b, q in enumerate(pivots) if q not in kept]
-    return len(_basis_mod_p(dropped, len(free), _PRIME)[0]) < len(free)
+    index = {c: i for i, c in enumerate(kept)}
+    free = {index[f]: col for f, col in cols.items() if f in index}
+    stay = [b for b, q in enumerate(pivots) if q in index]
+    residuals = [[free[i][b] if i in free else 0 for i in range(len(kept))]
+                 for b, q in enumerate(pivots) if q not in index]
+    out = ([index[pivots[b]] for b in stay],
+           {i: [col[b] for b in stay] for i, col in free.items()})
+    return _basis_mod_p(residuals, len(kept), _PRIME, out)
 
 
 def _is_prime(n: int) -> bool:
@@ -271,9 +270,11 @@ def _solve(
             return ncols - len(lifted), [y // g for y in lifted[0]]
 
 
-def _check_budget(fit: Sequence[AlphaPoly], start: int, r: int, dn: int, da: int) -> None:
-    """Raise ValueError when _fit_rows(fit, start, r, dn, da) would exceed
-    MAX_SYSTEM_BITS, from the degrees and bit lengths alone."""
+def _check_budget(
+    fit: Sequence[AlphaPoly], start: int, r: int, dn: int, da: int
+) -> tuple[list[int], list[int]]:
+    """Degrees of the fitted values and top degree of each window; ValueError
+    when _fit_rows(fit, start, r, dn, da) would exceed MAX_SYSTEM_BITS."""
     degrees = [v.degree for v in fit]
     tops = [max(degrees[t : t + r + 1]) for t in range(len(fit) - r)]
     unknowns = (r + 1) * (dn + 1) * (da + 1)
@@ -291,28 +292,28 @@ def _check_budget(fit: Sequence[AlphaPoly], start: int, r: int, dn: int, da: int
             f"unknowns at order {r} need about {bits} bits, over the budget "
             f"of {MAX_SYSTEM_BITS}"
         )
+    return degrees, tops
 
 
 def _fit_rows(
     fit: Sequence[AlphaPoly], start: int, r: int, dn: int, da: int
-) -> tuple[list[list[int]], list[int]]:
-    """Equation rows of candidate (r, dn, da) over the fitting segment, and
-    where each window's rows end in that list (windows without rows are
-    left out).
+) -> tuple[list[list[int]], list[int], list[int]]:
+    """Equation rows of candidate (r, dn, da) over the fitting segment, where
+    each window's rows end in that list (windows without rows are left out),
+    and counts[q], the number of rows of (r, e, q) for every e <= dn.
 
     Window t (n = start + t) and power a^s give the row whose entry for the
     monomial n^p a^q of c_j is n^p times the a^(s-q) coefficient of
     fit[t + j].  Raises ValueError, before building anything, when the
     rows would exceed MAX_SYSTEM_BITS.
     """
-    _check_budget(fit, start, r, dn, da)
-    degrees = [v.degree for v in fit]
-    tops = [max(degrees[t : t + r + 1]) for t in range(len(fit) - r)]
+    degrees, tops = _check_budget(fit, start, r, dn, da)
     # rev[t][top + da - s + q] is the a^(s-q) coefficient of fit[t], 0 outside
     top = max(degrees, default=-1)
     rev = [(0,) * (top + da - v.degree) + v.coeffs[::-1] + (0,) * da for v in fit]
     rows: list[list[int]] = []
     ends: list[int] = []
+    first = [0] * (da + 1)  # first[q]: rows whose lowest nonzero a-power is q
     for t, max_deg in enumerate(tops):
         if max_deg < 0:
             continue  # all-zero window constrains nothing
@@ -323,15 +324,17 @@ def _fit_rows(
         blocks = [x for v in window
                   for x in (v, *(tuple(npow * c for c in v) for npow in npows))]
         for u in range(top + da, top - max_deg - 1, -1):  # u = top + da - s
-            w = u + da + 1
-            if not any(any(v[u:w]) for v in window):
+            q = next((q for q in range(da + 1) if any(v[u + q] for v in window)), None)
+            if q is None:
                 continue
+            first[q] += 1
+            w = u + da + 1
             row: list[int] = []
             for blk in blocks:
                 row += blk[u:w]
             rows.append(row)
         ends.append(len(rows))
-    return rows, ends
+    return rows, ends, list(accumulate(first))
 
 
 def _columns(r: int, dn: int, da: int, max_dn: int, max_da: int) -> list[int]:
@@ -344,29 +347,11 @@ def _columns(r: int, dn: int, da: int, max_dn: int, max_da: int) -> list[int]:
 def _column_subset(
     rows: list[list[int]], r: int, dn: int, da: int, max_dn: int, max_da: int
 ) -> list[tuple[int, ...]]:
-    """The rows of candidate (r, dn, da), cut from those of (r, max_dn, max_da).
-
-    They are the rows of _fit_rows(seq, r, dn, da), in the same order: the
-    smaller shape's row at (window, power of a) is the larger one at the
-    columns with n-power <= dn and a-power <= da, and every larger row the
-    smaller shape has no counterpart for is zero at those columns.
-    """
+    """The rows of candidate (r, dn, da), cut from those of (r, max_dn, max_da):
+    the nonzero ones at its columns, which are _fit_rows(fit, start, r, dn, da)
+    in the same order."""
     pick = itemgetter(*_columns(r, dn, da, max_dn, max_da))
     return [sub for sub in map(pick, rows) if any(sub)]
-
-
-def _equation_counts(
-    rows: Sequence[Sequence[int]], r: int, max_dn: int, max_da: int
-) -> list[int]:
-    """counts[da] = len(_column_subset(rows, r, dn, da, max_dn, max_da)) for
-    every dn.  n^p only scales an entry, so a row is nonzero on a candidate's
-    columns exactly when it is nonzero at some column of a-power q <= da,
-    and then at one with n-power 0."""
-    step = max_da + 1
-    first = [0] * step
-    for row in rows:
-        first[next(q for q in range(step) if any(row[q::step]))] += 1
-    return list(accumulate(first))
 
 
 def _operator_from_vector(
@@ -418,8 +403,8 @@ def guess_operator(seq: PolySequence, spec: GuessSpec) -> GuessResult:
     Candidates are tried by increasing order, then deg_n, then deg_a; the
     first operator that annihilates the whole sequence (holdout included)
     wins.  Each order's rows are built once and, if the order has an
-    admissible candidate, screened mod _PRIME once; a candidate is solved
-    only when it has a kernel mod _PRIME on the screen's prefix of rows.
+    admissible candidate, screened mod _PRIME once; each candidate is
+    decided and solved from that basis, cut to its columns.
     Raises NotFound when every admissible candidate fails, InsufficientTerms
     when no candidate even has enough equations, and ValueError when an
     order reached by the search exceeds MAX_SYSTEM_BITS.
@@ -434,27 +419,26 @@ def guess_operator(seq: PolySequence, spec: GuessSpec) -> GuessResult:
     any_admissible = False
     # an order needs a window of r + 1 fitted terms; higher ones have none
     for r in range(1, min(spec.max_order, len(fit) - 1) + 1):
-        order_rows, ends = _fit_rows(fit, seq.start, r, max_dn, max_da)
+        order_rows, ends, counts = _fit_rows(fit, seq.start, r, max_dn, max_da)
         ncols = (r + 1) * (max_dn + 1) * (max_da + 1)
-        counts = _equation_counts(order_rows, r, max_dn, max_da)
-        screened = None
+        screen = None
         for dn in range(max_dn + 1):
             for da in range(max_da + 1):
                 unknowns = (r + 1) * (dn + 1) * (da + 1)
                 if counts[da] < unknowns:
                     continue
                 any_admissible = True
-                if screened is None:
-                    screened = _order_screen(order_rows, ends, ncols)
-                cols = _columns(r, dn, da, max_dn, max_da)
-                if not _has_kernel_mod_p(screened[1], set(cols)):
+                if screen is None:
+                    done, order_basis = screen = _order_screen(order_rows, ends, ncols)
+                cut = (r, dn, da, max_dn, max_da)
+                basis = _restrict(order_basis, _columns(*cut))
+                if len(basis[0]) == unknowns:
                     outcome, res = "rejected mod p", None
-                elif (dn, da) == (max_dn, max_da):  # resume the order screen
-                    outcome, res = _try_candidate(
-                        seq, order_rows, r, dn, da, unknowns, screened)
                 else:
-                    rows = _column_subset(order_rows, r, dn, da, max_dn, max_da)
-                    outcome, res = _try_candidate(seq, rows, r, dn, da, unknowns)
+                    head = _column_subset(order_rows[:done], *cut)
+                    rows = head + _column_subset(order_rows[done:], *cut)
+                    outcome, res = _try_candidate(
+                        seq, rows, r, dn, da, unknowns, (len(head), basis))
                 _log.debug("candidate (%d, %d, %d): %d x %d, %s",
                            r, dn, da, counts[da], unknowns, outcome)
                 if res is not None:

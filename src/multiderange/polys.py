@@ -24,6 +24,7 @@ construction, skip that check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import cache
 from typing import Iterable, Sequence
 
@@ -167,7 +168,7 @@ def render_terms(terms, names: tuple[str, ...]) -> str:
             elif e > 1:
                 factors.append(f"{name}^{e}")
         if not factors or mag != 1:
-            factors.insert(0, str(mag))
+            factors.insert(0, _decimal_str(mag))
         body = "*".join(factors)
         if not parts:
             parts.append(("-" if c < 0 else "") + body)
@@ -230,9 +231,20 @@ def divide_exact(num: AlphaPoly, den: AlphaPoly) -> AlphaPoly:
     return AlphaPoly._trusted(quot)
 
 
+def _decimal_str(c: int) -> str:
+    """str(c), also past Python's int/str digit limit, which Decimal has not."""
+    try:
+        return str(c)
+    except ValueError:
+        return str(Decimal(c))
+
+
 def poly_to_record(p: AlphaPoly) -> dict:
     """Machine form: {"variable": "a", "coeffs": [decimal strings, ascending]}."""
-    return {"variable": "a", "coeffs": [str(c) for c in p.coeffs]}
+    try:
+        return {"variable": "a", "coeffs": [str(c) for c in p.coeffs]}
+    except ValueError:  # past the digit limit
+        return {"variable": "a", "coeffs": [_decimal_str(c) for c in p.coeffs]}
 
 
 def poly_from_record(obj, where: str = "polynomial") -> AlphaPoly:
@@ -266,6 +278,8 @@ def _parse_int(value, where: str) -> int:
             try:
                 return int(value, 10)
             except ValueError:
-                pass
+                # past the digit limit; Decimal would also take "1e5", "NaN"
+                if value[value[0] == "-":].isdigit():
+                    return int(Decimal(value))
         raise SchemaError(f"{where}: not a decimal integer: {value!r}")
     raise SchemaError(f"{where}: expected a decimal string")

@@ -38,6 +38,7 @@ from .polys import (
     InexactDivision,
     PolySequence,
     SchemaError,
+    _decimal_str,
     _parse_int,
     add_product,
     divide_exact,
@@ -264,7 +265,7 @@ def operator_to_record(op: RecurrenceOperator) -> dict:
         "order": op.order,
         "valid_from": op.valid_from,
         "coeffs": [
-            [[p, q, str(x)] for p, q, x in c] for c in op.coeffs
+            [[p, q, _decimal_str(x)] for p, q, x in c] for c in op.coeffs
         ],
     }
 

@@ -547,6 +547,14 @@ def order_systems(draw):
     return prime, (r, max_dn, max_da), rows, ends
 
 
+def sorted_basis(basis):
+    """A basis (pivots, cols) with its rows in pivot order and its non-pivot
+    columns in their stored order; equal for equal reduced echelon bases."""
+    pivots, cols = basis
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    return sorted(pivots), [(f, [col[b] for b in order]) for f, col in cols.items()]
+
+
 @settings(max_examples=150, deadline=None)
 @given(order_systems())
 def test_order_screen_decides_like_a_screen_per_candidate(system):
@@ -558,28 +566,25 @@ def test_order_screen_decides_like_a_screen_per_candidate(system):
         # the prefix the order screen stopped at, and every row
         full = guesser._basis_mod_p(rows, ncols, prime)
         for prefix, screened in ((done, basis), (len(rows), full)):
+            before = deepcopy(screened)
             for dn in range(max_dn + 1):
                 for da in range(max_da + 1):
                     cols = guesser._columns(r, dn, da, max_dn, max_da)
                     sub = [itemgetter(*cols)(row) for row in rows]
-                    pivots, _ = guesser._basis_mod_p(sub[:prefix], len(cols), prime)
-                    verdict = guesser._has_kernel_mod_p(screened, set(cols))
-                    assert verdict == (len(pivots) < len(cols)), (prefix, dn, da)
-                    if not verdict:  # sound: no rational kernel either
+                    # the cut basis is the candidate's own basis of the prefix
+                    got = guesser._restrict(screened, cols)
+                    want = guesser._basis_mod_p(sub[:prefix], len(cols), prime)
+                    assert sorted_basis(got) == sorted_basis(want), (prefix, dn, da)
+                    if len(got[0]) == len(cols):  # sound: no rational kernel either
                         assert reference_solve(sub, len(cols))[1] is None
-        # _solve resumed from the order screen screens as if from scratch
-        pivots_seen = []
-        screen = guesser._basis_mod_p
-
-        def recorded(*args):
-            out = screen(*args)
-            pivots_seen.append(out[0][:])
-            return out
-
-        with patch.object(guesser, "_basis_mod_p", recorded):
-            got = guesser._solve(rows, ncols, (done, deepcopy(basis)))
-        assert pivots_seen[0] == full[0]
-        assert got == guesser._solve(rows, ncols)
+                    # resumed from it, the screen and _solve are as from scratch
+                    resumed = guesser._basis_mod_p(sub[prefix:], len(cols), prime,
+                                                   deepcopy(got))
+                    fresh = guesser._basis_mod_p(sub, len(cols), prime)
+                    assert sorted_basis(resumed) == sorted_basis(fresh)
+                    assert (guesser._solve(sub, len(cols), (prefix, got))
+                            == guesser._solve(sub, len(cols))), (prefix, dn, da)
+            assert screened == before  # the order's basis serves every candidate
 
 
 def per_candidate_guess(seq, spec, transcript):
@@ -662,9 +667,9 @@ def test_failed_guess_matches_the_per_candidate_search(caplog, seq, spec, exc):
                          ids=["F1", "F2", "random"])
 def test_equation_counts_match_the_cut_rows(values, start):
     seq = PolySequence(start, values)
+    fit = seq.values[:-2]
     for r in range(1, 4):
-        rows = fit_rows(seq, r, 3, 3, 2)
-        counts = guesser._equation_counts(rows, r, 3, 3)
+        rows, _, counts = guesser._fit_rows(fit, start, r, 3, 3)
         for dn in range(4):
             for da in range(4):
                 assert counts[da] == len(guesser._column_subset(rows, r, dn, da, 3, 3))

@@ -1,4 +1,5 @@
 import json
+import sys
 from math import gcd, isqrt
 
 import pytest
@@ -12,6 +13,7 @@ from multiderange.polys import (
     InexactDivision,
     SchemaError,
     poly_from_record,
+    poly_to_record,
 )
 from multiderange.recurrence import (
     MAX_OPERATOR_DEGREE,
@@ -483,6 +485,33 @@ def test_poly_record_rejects_a_bare_boolean():
     assert poly_from_record(1) == AlphaPoly((1,))
     with pytest.raises(SchemaError):
         poly_from_record(True)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int/str digit limit")
+def test_records_round_trip_past_the_default_digit_limit(tmp_path):
+    # the library, unlike the CLI, runs at the interpreter's limit
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        big = AlphaPoly((10**4300, -(7**9000), 3))  # 4301 and 7607 digits
+        rec = poly_to_record(big)
+        assert rec["coeffs"][0] == "1" + "0" * 4300
+        assert poly_from_record(rec) == big
+        ones = {"variable": "a", "coeffs": ["1" * 4301]}
+        assert poly_from_record(ones) == AlphaPoly(((10**4301 - 1) // 9,))
+        assert str(big).startswith("3*a^2 - 7627")
+        seq = PolySequence(0, (AlphaPoly((1,)), big, -big), k=None)
+        assert sequence_from_record(sequence_to_record(seq)) == seq
+        path = tmp_path / "big.json"
+        save_sequence(seq, path)
+        assert load_sequence(path) == seq
+        # only an optional "-" and digits; not Decimal's other spellings
+        for bad in ("1e" + "1" * 4301, "1" * 4301 + ".0", "1" * 4301 + "e1"):
+            with pytest.raises(SchemaError, match="not a decimal integer"):
+                poly_from_record(bad)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_sequence_file_round_trip(tmp_path):
