@@ -6,16 +6,16 @@ it as JSON (big integers as decimal strings throughout), --format text
 prints a human-readable rendering.  --out additionally writes the primary
 result artifact (polynomial / sequence / operator record) as JSON to a
 file, which is what the guess -> verify pipeline consumes.  The file is
-opened once the command has succeeded and before anything is printed: a
-command that fails, or a guess that finds nothing, leaves an existing file
-as it was, and a file that cannot be opened exits 2 with nothing printed.
-The envelope and the artifact are written in one pass, from the same
-chunks of the record.
+written once the command has succeeded, in full, and only then is the
+envelope printed; both are laid out by recurrence.record_chunks.  A command
+that fails, or a guess that finds nothing, leaves an existing file as it
+was, and a file that cannot be opened exits 2 with nothing printed.
 
 Exit codes: 0 success, 1 verification or guess failure, 2 usage, parse or
-schema error, or an --out file that cannot be opened.  A write to stdout or
-to the --out file that fails (a full disk, say) also exits 2, with the
-error on stderr; stdout and the file may then already be partly written.
+schema error, or an --out file that cannot be opened.  A write to the --out
+file that fails (a full disk, say) also exits 2, with the error on stderr,
+nothing printed and the file partly written; so does a failed write to
+stdout, which may then be partly written after a complete --out file.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .recurrence import (
     record_chunks,
     sequence_to_record,
     windows,
+    write_record,
 )
 
 
@@ -88,21 +89,17 @@ _Reply = tuple[dict, object, Callable[[], list[str]], int]
 
 
 def _print_envelope(args, inputs: dict, result, timing_ms: float,
-                    text: Callable[[], list[str]], tee=None) -> None:
-    """Print the envelope; in machine format also write the result's chunks to tee.
+                    text: Callable[[], list[str]]) -> None:
+    """Print the envelope in the chosen format.
 
     Machine output is json.dumps(envelope, indent=2), written piece by
-    piece: each chunk of the result record goes to tee as it is and to
-    stdout indented two more spaces, so that the record is encoded once and
-    the whole text is never held in memory.
+    piece: the result comes from record_chunks(result, "  "), so that a long
+    sequence is never held in memory as one string.
     """
     if args.format == "machine":
         head = json.dumps({"command": args.command, "inputs": inputs}, indent=2)
         sys.stdout.write(head[:-2] + ',\n  "result": ')
-        for chunk in record_chunks(result):
-            sys.stdout.write(chunk.replace("\n", "\n  "))
-            if tee is not None:
-                tee.write(chunk)
+        sys.stdout.writelines(record_chunks(result, "  "))
         sys.stdout.write(f',\n  "timing_ms": {json.dumps(timing_ms)}\n}}\n')
     else:
         for line in text():
@@ -352,21 +349,13 @@ def _main(argv) -> int:
     # a failed guess has no operator to write
     artifact = result.get("operator") if args.command == "guess" else result
     try:
-        if args.out is None or artifact is None:
-            _print_envelope(args, inputs, result, timing_ms, text)
-        else:
-            # opened before anything is printed
-            with open(args.out, "w") as out:
-                shared = args.format == "machine" and artifact is result
-                _print_envelope(args, inputs, result, timing_ms, text,
-                                out if shared else None)
-                if not shared:
-                    out.writelines(record_chunks(artifact))
-                out.write("\n")
+        if args.out is not None and artifact is not None:
+            # written in full before anything is printed
+            write_record(args.out, artifact)
+        _print_envelope(args, inputs, result, timing_ms, text)
         sys.stdout.flush()
     except OSError as exc:
-        # an --out file that cannot be opened, or a failed write to it or to
-        # stdout; after a failed write, stdout may be partly written
+        # --out cannot be opened or written (nothing printed), or stdout failed
         print(f"error: {exc}", file=sys.stderr)
         _drop_unwritable_stdout()
         return 2

@@ -102,7 +102,7 @@ class AlphaPoly:
         return acc
 
     def __repr__(self) -> str:
-        return f"AlphaPoly({list(self.coeffs)!r})"
+        return f"AlphaPoly([{', '.join(map(_decimal_str, self.coeffs))}])"
 
     def __str__(self) -> str:
         return render_terms(enumerate(self.coeffs), ("a",))

@@ -72,7 +72,7 @@ class WindowTooShort(ValueError):
     """Verification needs at least order+1 consecutive values."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class RecurrenceOperator:
     """Normalized shift operator; coeffs[j] multiplies F(n+j)."""
 
@@ -109,6 +109,15 @@ class RecurrenceOperator:
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
+
+    def __repr__(self) -> str:
+        # the dataclass repr, also past Python's int/str digit limit
+        def tup(parts: list[str]) -> str:
+            return f"({', '.join(parts)}{',' * (len(parts) == 1)})"
+
+        coeffs = tup([tup([f"({p}, {q}, {_decimal_str(x)})" for p, q, x in c])
+                      for c in self.coeffs])
+        return f"RecurrenceOperator(coeffs={coeffs}, valid_from={self.valid_from})"
 
     def __str__(self) -> str:
         parts = [f"({render_terms(c, ('n', 'a'))}) * F({f'n+{j}' if j else 'n'})"
@@ -312,7 +321,7 @@ def operator_from_record(obj) -> RecurrenceOperator:
 
 
 def save_operator(op: RecurrenceOperator, path: str | Path) -> None:
-    _write_json(path, operator_to_record(op))
+    write_record(path, operator_to_record(op))
 
 
 def load_operator(path: str | Path) -> RecurrenceOperator:
@@ -321,17 +330,17 @@ def load_operator(path: str | Path) -> RecurrenceOperator:
 
 def _read_json(path: str | Path, what: str):
     try:
-        return json.loads(Path(path).read_text())
+        # integer literals by the records' one str -> int rule, past the digit limit too
+        return json.loads(Path(path).read_text(), parse_int=lambda s: _parse_int(s, what))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{what}: invalid JSON at line {exc.lineno}") from None
     except RecursionError:
         raise SchemaError(f"{what}: JSON nested too deeply") from None
 
 
-def _write_json(path: str | Path, record) -> None:
-    """Write a record in the artifact layout, json.dumps(record, indent=2)
-    and a newline, chunk by chunk from record_chunks, so that a long
-    sequence is never held as one string."""
+def write_record(path: str | Path, record) -> None:
+    """The one artifact writer, for save_sequence, save_operator and the CLI's
+    --out: record_chunks(record) and a newline, never one long string."""
     with open(path, "w") as f:
         f.writelines(record_chunks(record))
         f.write("\n")
@@ -342,30 +351,29 @@ class _SequenceRecord(dict):
     are str(int) digit strings, which JSON writes without escaping."""
 
 
-# a coefficient list's separator, three levels into a sequence record
-_COEFF_SEP = '",\n        "'
-
-
-def record_chunks(record) -> Iterator[str]:
-    """The artifact layout of a record, json.dumps(record, indent=2), in chunks.
+def record_chunks(record, indent: str = "") -> Iterator[str]:
+    """json.dumps(record, indent=2) in chunks, with indent after every newline:
+    "" is the artifact layout, "  " the result in the CLI's envelope.
 
     A record built by sequence_to_record comes one chunk per value, its
     digit strings joined directly: json's indenting encoder is pure Python,
     and on a multi-megabyte sequence it costs about half as much again as
     building the record.  Any other record is one json.dumps chunk.
     """
+    nl = "\n" + indent
     if type(record) is not _SequenceRecord or not record["values"]:
-        yield json.dumps(record, indent=2)
+        yield json.dumps(record, indent=2).replace("\n", nl)
         return
     head = {key: v for key, v in record.items() if key != "values"}
-    yield json.dumps(head, indent=2)[:-2] + ',\n  "values": ['
-    sep = "\n"
+    yield json.dumps(head, indent=2)[:-2].replace("\n", nl) + f',{nl}  "values": ['
+    coeff_sep = f'",{nl}        "'
+    sep = nl
     for v in record["values"]:
         coeffs = v["coeffs"]
-        body = f'[\n        "{_COEFF_SEP.join(coeffs)}"\n      ]' if coeffs else "[]"
-        yield f'{sep}    {{\n      "variable": "a",\n      "coeffs": {body}\n    }}'
-        sep = ",\n"
-    yield "\n  ]\n}"
+        body = f'[{nl}        "{coeff_sep.join(coeffs)}"{nl}      ]' if coeffs else "[]"
+        yield f'{sep}    {{{nl}      "variable": "a",{nl}      "coeffs": {body}{nl}    }}'
+        sep = "," + nl
+    yield f"{nl}  ]{nl}}}"
 
 
 def sequence_to_record(seq: PolySequence) -> dict:
@@ -399,7 +407,7 @@ def sequence_from_record(obj) -> PolySequence:
 
 
 def save_sequence(seq: PolySequence, path: str | Path) -> None:
-    _write_json(path, sequence_to_record(seq))
+    write_record(path, sequence_to_record(seq))
 
 
 def load_sequence(path: str | Path) -> PolySequence:

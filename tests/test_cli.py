@@ -667,9 +667,20 @@ def test_memory_error_is_a_usage_error(capsys, monkeypatch, tmp_path, fmt):
 
 
 _SRC = str(Path(cli.__file__).resolve().parents[1])
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def run_entry(argv, stdout_path):
+    """The CLI in a process of its own, stdout to a file such as /dev/full."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)}
+    with open(stdout_path, "w") as stdout:
+        return subprocess.run(
+            [sys.executable, "-c", "from multiderange.cli import entry; entry()", *argv],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+
+
+@needs_dev_full
 @pytest.mark.parametrize("fmt", ["text", "machine"])
 @pytest.mark.parametrize("argv, full_stdout", [
     (("wder", "2,2", "--out", "/dev/full"), False),
@@ -678,15 +689,23 @@ _SRC = str(Path(cli.__file__).resolve().parents[1])
     (("wder", "2,2", "--out", "/dev/full"), True),
 ], ids=["out", "stdout", "long-stdout", "both"])
 def test_failed_write_is_an_error_without_traceback(tmp_path, argv, full_stdout, fmt):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)}
-    with open("/dev/full" if full_stdout else tmp_path / "stdout", "w") as stdout:
-        proc = subprocess.run(
-            [sys.executable, "-c", "from multiderange.cli import entry; entry()",
-             *argv, "--format", fmt],
-            stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    proc = run_entry((*argv, "--format", fmt),
+                     "/dev/full" if full_stdout else tmp_path / "stdout")
     assert proc.returncode == 2
     assert proc.stderr == "error: [Errno 28] No space left on device\n"
+
+
+@needs_dev_full
+def test_out_file_is_complete_before_the_envelope(capsys, tmp_path):
+    """The --out file is written in full before anything is printed, so a
+    stdout that cannot be written leaves a complete artifact."""
+    argv = ("seq", "1", "300", "--format", "machine", "--out")
+    full, normal = tmp_path / "full.json", tmp_path / "normal.json"
+    proc = run_entry((*argv, str(full)), "/dev/full")
+    assert proc.returncode == 2
+    assert run_cli(capsys, *argv, str(normal))[0] == 0
+    assert json.loads(full.read_text())["values"]
+    assert full.read_bytes() == normal.read_bytes()
 
 
 def test_text_seq_builds_a_record_only_for_out(capsys, monkeypatch, tmp_path):

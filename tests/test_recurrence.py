@@ -3,7 +3,7 @@ import sys
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from multiderange.enumerator import fk_sequence_direct, fk_value
 from multiderange.guesser import MAX_SYSTEM_BITS
@@ -514,6 +514,50 @@ def test_records_round_trip_past_the_default_digit_limit(tmp_path):
         sys.set_int_max_str_digits(old)
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int/str digit limit")
+def test_reprs_past_the_default_digit_limit():
+    big = 10**4300  # 4301 digits
+    poly = AlphaPoly((3, -big))
+    seq = PolySequence(0, (ALPHA_ONE, AlphaPoly(), poly), k=2)
+    ops = [RecurrenceOperator((((0, 0, -big),), ((1, 2, big), (3, 0, 1))), valid_from=2),
+           RecurrenceOperator((ONE, (), ONE)), SHIFT_MINUS_ONE, builtin_operator(2)]
+    old = sys.get_int_max_str_digits()
+    try:
+        # what the list, tuple and dataclass reprs give without a limit
+        sys.set_int_max_str_digits(0)
+        expected = [
+            f"AlphaPoly({list(poly.coeffs)!r})",
+            f"PolySequence(start=0, values=(AlphaPoly([1]), AlphaPoly([]), {poly!r}), k=2)",
+            *(f"RecurrenceOperator(coeffs={op.coeffs!r}, valid_from={op.valid_from})"
+              for op in ops),
+        ]
+        sys.set_int_max_str_digits(4300)
+        assert [repr(x) for x in (poly, seq, *ops)] == expected
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int/str digit limit")
+def test_json_integer_literals_past_the_default_digit_limit(tmp_path):
+    """A record's bare JSON integers are read by the same rule as its
+    decimal strings, in library use too."""
+    seq_path, op_path = tmp_path / "s.json", tmp_path / "op.json"
+    seq_path.write_text('{"schema": "poly-sequence/v1", "start": 0, "values": [1, -1'
+                        + "0" * 4300 + "]}")
+    op_path.write_text('{"order": 1, "coeffs": [[[0, 0, "1"]], [[1' + "0" * 4300
+                       + ', 0, "1"]]]}')
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert load_sequence(seq_path) == PolySequence(0, (ALPHA_ONE, AlphaPoly((-10**4300,))))
+        with pytest.raises(SchemaError, match=r"coeffs\[1\]\[0\]: degree above"):
+            load_operator(op_path)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def test_sequence_file_round_trip(tmp_path):
     seq = PolySequence(0, tuple(fk_value(1, n) for n in range(5)), k=1)
     path = tmp_path / "f1.json"
@@ -529,27 +573,80 @@ _ALPHA_POLYS = st.lists(st.integers(-(10**40), 10**40), max_size=5).map(AlphaPol
 
 
 @given(
+    indent=st.sampled_from(["", "  "]),
     start=st.sampled_from([0, 1]),
     k=st.none() | st.integers(1, 6),
     values=st.lists(_ALPHA_POLYS, max_size=6),
 )
-def test_record_chunks_match_the_stdlib_encoder(start, k, values):
+def test_record_chunks_match_the_stdlib_encoder(indent, start, k, values):
     """The hand-joined sequence layout against json's own, with empty
-    polynomials (F_k(1) = 0), negative coefficients and k = None."""
+    polynomials (F_k(1) = 0), negative coefficients and k = None, at the
+    artifact's indent and at the envelope's."""
     rec = sequence_to_record(PolySequence(start, tuple(values), k=k))
-    chunks = list(record_chunks(rec))
-    assert "".join(chunks) == json.dumps(rec, indent=2)
+    chunks = list(record_chunks(rec, indent))
+    assert "".join(chunks) == json.dumps(rec, indent=2).replace("\n", "\n" + indent)
     assert len(chunks) == (len(values) + 2 if values else 1)
 
 
 def test_other_records_are_one_stdlib_chunk():
     op = operator_to_record(builtin_operator(2))
-    assert list(record_chunks(op)) == [json.dumps(op, indent=2)]
     # a sequence record that sequence_to_record did not build may hold
     # strings JSON must escape
     rec = {"schema": "poly-sequence/v1", "start": 0, "k": None,
            "values": [{"variable": "a", "coeffs": ['"\\\n\u0663']}]}
-    assert list(record_chunks(rec)) == [json.dumps(rec, indent=2)]
+    for r in (op, rec):
+        for indent in ("", "  "):
+            assert list(record_chunks(r, indent)) == [
+                json.dumps(r, indent=2).replace("\n", "\n" + indent)]
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(["recurrence-operator/v1", "poly-sequence/v1", "a", "-0", "1e5"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["schema", "order", "valid_from", "coeffs", "start", "k",
+                         "values", "variable"]) | st.text(max_size=3),
+        inner, max_size=5),
+    max_leaves=12,
+)
+
+
+def _paths(node, path=()):
+    """The key path of every value inside a JSON value, its own included."""
+    yield path
+    if isinstance(node, (list, dict)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _paths(child, path + (key,))
+
+
+def _replaced(node, path, value):
+    """node with the value at path replaced."""
+    if not path:
+        return value
+    out = list(node) if isinstance(node, list) else dict(node)
+    out[path[0]] = _replaced(node[path[0]], path[1:], value)
+    return out
+
+
+_VALID_RECORDS = [
+    operator_to_record(builtin_operator(1)),
+    sequence_to_record(fk_sequence_direct(2, 3)),
+]
+_MUTATED = st.sampled_from(
+    [(rec, path) for rec in _VALID_RECORDS for path in _paths(rec)]
+).flatmap(lambda where: _JSON.map(lambda value: _replaced(*where, value)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(obj=_JSON | _MUTATED)
+def test_records_refuse_any_json_with_a_schema_error(obj):
+    """Arbitrary JSON, and valid records with one value replaced, either
+    parse or raise SchemaError, never another exception."""
+    for parse in (operator_from_record, sequence_from_record):
+        try:
+            parse(obj)
+        except SchemaError:
+            pass
 
 
 def test_sequence_record_accepts_scalar_values():
