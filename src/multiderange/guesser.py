@@ -24,13 +24,15 @@ stored by non-pivot column, so a row's residual is one dot product per
 non-pivot column.  Each candidate cuts that basis to its columns: basis
 rows whose pivots it keeps stay, and the others, zero at every kept pivot,
 are their own residuals and extend it, which gives the basis of its rows
-on the screen's prefix.  At full rank it is rejected, else its screen
-resumes from there on its other rows.  The screen is sound: any nonzero
-minor mod p is a nonzero integer minor, so the rank over Q is at least the
-rank over F_p, and full column rank mod p leaves no rational kernel.  No
-candidate with a kernel is dropped, so the operator found is the same.
+on the screen's prefix.  Its screen then continues over its own rows past
+the prefix, cut one at a time, and it is rejected as soon as the rank is
+full; only a candidate that is not has its rows cut whole.  The screen is
+sound: any nonzero minor mod p is a nonzero integer minor, so the rank
+over Q is at least the rank over F_p, and full column rank mod p leaves
+no rational kernel.  No candidate with a kernel is dropped, so the
+operator found is the same.
 
-A candidate that passes has its kernel read off the screen's basis, one
+A candidate that passes has its kernel read off its screen's basis, one
 vector per non-pivot column, and lifted to the integers: the vectors of
 further primes are combined by CRT, rebuilt by rational reconstruction and
 certified by an exact dot product with every row.  Since the rank over Q
@@ -52,10 +54,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import accumulate, count, product
+from itertools import accumulate, chain, count, product
 from math import gcd, isqrt
 from operator import itemgetter, mul
-from typing import Iterator, Sequence
+from sys import getsizeof
+from typing import Iterable, Iterator, Sequence
 
 from .polys import AlphaPoly
 from .recurrence import PolySequence, RecurrenceOperator, verify_operator
@@ -170,9 +173,12 @@ def _order_screen(
     return lo, basis
 
 
-def _restrict(basis: _Basis, kept: Sequence[int]) -> _Basis:
+def _restrict(
+    basis: _Basis, kept: Sequence[int], rest: Iterable[Sequence[int]]
+) -> _Basis:
     """The basis mod _PRIME of the same rows cut to the kept columns, which
-    are increasing and numbered 0..len(kept)-1 in the result.
+    are increasing and numbered 0..len(kept)-1 in the result, continued
+    over the rows rest (already cut) until the rank is len(kept).
 
     A basis row whose pivot is kept stays as it is.  One whose pivot is
     dropped is 0 at every kept pivot, so its kept entries are already its
@@ -186,7 +192,7 @@ def _restrict(basis: _Basis, kept: Sequence[int]) -> _Basis:
                  for b, q in enumerate(pivots) if q not in index]
     out = ([index[pivots[b]] for b in stay],
            {i: [col[b] for b in stay] for i, col in free.items()})
-    return _basis_mod_p(residuals, len(kept), _PRIME, out)
+    return _basis_mod_p(chain(residuals, rest), len(kept), _PRIME, out)
 
 
 def _is_prime(n: int) -> bool:
@@ -230,26 +236,24 @@ def _rational_lift(v: list[int], m: int) -> list[int] | None:
 
 
 def _solve(
-    rows: Sequence[Sequence[int]], ncols: int,
-    screened: tuple[int, _Basis | None] = (0, None),
-) -> tuple[int, list[int] | None] | None:
-    """Rank over Q and canonical kernel vector of the rows (None when there
-    is no kernel), or None when rejected mod _PRIME.
+    rows: Sequence[Sequence[int]], ncols: int, basis: _Basis
+) -> tuple[int, list[int] | None]:
+    """Rank over Q and canonical kernel vector of the rows, or None when
+    there is no kernel; basis is the rows' reduced basis mod _PRIME, which
+    has a kernel.
 
-    screened = (done, basis) resumes the screen mod _PRIME from the basis of
-    rows[:done].  Mod p the kernel vector of the non-pivot column f is 1 at
-    f, 0 at the other non-pivot columns and -cols[f][b] at pivot b.  The
-    primes with the best pivots (highest rank, then smallest sorted pivots)
-    are combined by CRT; the others are unlucky.  A lifted vector must be
+    Mod p the kernel vector of the non-pivot column f is 1 at f, 0 at the
+    other non-pivot columns and -cols[f][b] at pivot b.  The primes with
+    the best pivots (highest rank, then smallest sorted pivots) are
+    combined by CRT; the others are unlucky.  A lifted vector must be
     positive at f, so the certified vectors are independent.
     """
     best = None
-    done, basis = screened
     for p in _primes():
-        pivots, cols = _basis_mod_p(rows[done:], ncols, p, basis)
-        done, basis = 0, None
+        pivots, cols = basis or _basis_mod_p(rows, ncols, p)
+        basis = None
         if len(pivots) == ncols:
-            return None if best is None else (ncols, None)
+            return ncols, None
         key = (-len(pivots), sorted(pivots))
         at = {q: b for b, q in enumerate(pivots)}  # pivot column -> basis row
         vecs = [[-col[at[c]] % p if c in at else int(c == f) for c in range(ncols)]
@@ -274,7 +278,8 @@ def _check_budget(
     fit: Sequence[AlphaPoly], start: int, r: int, dn: int, da: int
 ) -> tuple[list[int], list[int]]:
     """Degrees of the fitted values and top degree of each window; ValueError
-    when _fit_rows(fit, start, r, dn, da) would exceed MAX_SYSTEM_BITS."""
+    when _fit_rows(fit, start, r, dn, da) would exceed MAX_SYSTEM_BITS with
+    its rows and the tuples it builds them from."""
     degrees = [v.degree for v in fit]
     tops = [max(degrees[t : t + r + 1]) for t in range(len(fit) - r)]
     unknowns = (r + 1) * (dn + 1) * (da + 1)
@@ -286,6 +291,11 @@ def _check_budget(
     bits = 64 * equations * unknowns + (da + 1) * sum(
         (degrees[u] + 1) * tri * (start + t).bit_length() + (dn + 1) * cbits[u]
         for t, d in enumerate(tops) if d >= 0 for u in range(t, t + r + 1))
+    # the values padded to one width, and the largest window's npows and
+    # blocks: a slot per entry and a header per tuple
+    width = max(degrees, default=-1) + 2 * da + 1
+    tuples = len(fit) + (r + 1) * (dn + 1)
+    bits += 64 * (dn + tuples * width) + 8 * getsizeof(()) * tuples
     if bits > MAX_SYSTEM_BITS:
         raise ValueError(
             f"guess system too large: {equations} equations x {unknowns} "
@@ -345,13 +355,12 @@ def _columns(r: int, dn: int, da: int, max_dn: int, max_da: int) -> list[int]:
 
 
 def _column_subset(
-    rows: list[list[int]], r: int, dn: int, da: int, max_dn: int, max_da: int
-) -> list[tuple[int, ...]]:
-    """The rows of candidate (r, dn, da), cut from those of (r, max_dn, max_da):
-    the nonzero ones at its columns, which are _fit_rows(fit, start, r, dn, da)
-    in the same order."""
-    pick = itemgetter(*_columns(r, dn, da, max_dn, max_da))
-    return [sub for sub in map(pick, rows) if any(sub)]
+    rows: Iterable[Sequence[int]], cols: Sequence[int]
+) -> Iterator[tuple[int, ...]]:
+    """The rows of candidate (r, dn, da), cut one at a time from those of
+    (r, max_dn, max_da) at its columns _columns(r, dn, da, max_dn, max_da):
+    the nonzero ones, which are _fit_rows(fit, start, r, dn, da) in order."""
+    return filter(any, map(itemgetter(*cols), rows))
 
 
 def _operator_from_vector(
@@ -370,41 +379,14 @@ def _operator_from_vector(
     return RecurrenceOperator(tuple(coeffs), valid_from=start)
 
 
-def _try_candidate(
-    seq: PolySequence, rows: Sequence[Sequence[int]], r: int, dn: int, da: int,
-    unknowns: int,
-    screened: tuple[int, _Basis | None] = (0, None),
-) -> tuple[str, GuessResult | None]:
-    """Outcome of one candidate shape, with the result when it verifies;
-    screened is passed on to _solve."""
-    solved = _solve(rows, unknowns, screened)
-    if solved is None:
-        return "rejected mod p", None
-    rank, vec = solved
-    if vec is None:
-        return "no exact kernel", None
-    op = _operator_from_vector(vec, dn, da, seq.start)
-    if op is None:
-        return "kernel gives no recurrence", None
-    if not verify_operator(op, seq):
-        return "verify failed", None
-    return "accepted", GuessResult(
-        operator=op,
-        candidate=(r, dn, da),
-        kernel_dim=unknowns - rank,
-        equations=len(rows),
-        unknowns=unknowns,
-    )
-
-
 def guess_operator(seq: PolySequence, spec: GuessSpec) -> GuessResult:
     """Smallest verified operator within the spec bounds.
 
     Candidates are tried by increasing order, then deg_n, then deg_a; the
     first operator that annihilates the whole sequence (holdout included)
     wins.  Each order's rows are built once and, if the order has an
-    admissible candidate, screened mod _PRIME once; each candidate is
-    decided and solved from that basis, cut to its columns.
+    admissible candidate, screened mod _PRIME once; each candidate's screen
+    starts from that basis, cut to its columns, and runs to its verdict.
     Raises NotFound when every admissible candidate fails, InsufficientTerms
     when no candidate even has enough equations, and ValueError when an
     order reached by the search exceeds MAX_SYSTEM_BITS.
@@ -417,28 +399,42 @@ def guess_operator(seq: PolySequence, spec: GuessSpec) -> GuessResult:
     max_dn, max_da = spec.max_deg_n, spec.max_deg_a
     fit = seq.values[: len(seq.values) - spec.holdout]
     any_admissible = False
-    # an order needs a window of r + 1 fitted terms; higher ones have none
-    for r in range(1, min(spec.max_order, len(fit) - 1) + 1):
+    # an order needs a window of r + 1 fitted terms, and zero values give no rows
+    last = min(spec.max_order, len(fit) - 1) if any(v.coeffs for v in fit) else 0
+    for r in range(1, last + 1):
         order_rows, ends, counts = _fit_rows(fit, seq.start, r, max_dn, max_da)
         ncols = (r + 1) * (max_dn + 1) * (max_da + 1)
         screen = None
-        for dn in range(max_dn + 1):
-            for da in range(max_da + 1):
+        # no candidate has more rows than counts[-1], nor fewer unknowns than
+        # a smaller shape, so the shapes past that are never admissible
+        for dn in range(min(max_dn + 1, counts[-1] // (r + 1))):
+            for da in range(min(max_da + 1, counts[-1] // ((r + 1) * (dn + 1)))):
                 unknowns = (r + 1) * (dn + 1) * (da + 1)
                 if counts[da] < unknowns:
                     continue
                 any_admissible = True
                 if screen is None:
                     done, order_basis = screen = _order_screen(order_rows, ends, ncols)
-                cut = (r, dn, da, max_dn, max_da)
-                basis = _restrict(order_basis, _columns(*cut))
+                cols = _columns(r, dn, da, max_dn, max_da)
+                basis = _restrict(order_basis, cols,
+                                  _column_subset(order_rows[done:], cols))
+                res = None
                 if len(basis[0]) == unknowns:
-                    outcome, res = "rejected mod p", None
+                    outcome = "rejected mod p"
                 else:
-                    head = _column_subset(order_rows[:done], *cut)
-                    rows = head + _column_subset(order_rows[done:], *cut)
-                    outcome, res = _try_candidate(
-                        seq, rows, r, dn, da, unknowns, (len(head), basis))
+                    rows = list(_column_subset(order_rows, cols))
+                    rank, vec = _solve(rows, unknowns, basis)
+                    op = vec and _operator_from_vector(vec, dn, da, seq.start)
+                    if vec is None:
+                        outcome = "no exact kernel"
+                    elif op is None:
+                        outcome = "kernel gives no recurrence"
+                    elif not verify_operator(op, seq):
+                        outcome = "verify failed"
+                    else:
+                        outcome = "accepted"
+                        res = GuessResult(op, (r, dn, da), unknowns - rank,
+                                          len(rows), unknowns)
                 _log.debug("candidate (%d, %d, %d): %d x %d, %s",
                            r, dn, da, counts[da], unknowns, outcome)
                 if res is not None:

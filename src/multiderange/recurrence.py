@@ -53,10 +53,11 @@ Coeff = tuple[tuple[int, int, int], ...]
 OPERATOR_SCHEMA = "recurrence-operator/v1"
 SEQUENCE_SCHEMA = "poly-sequence/v1"
 
-# Largest deg_n or deg_a in an operator record: a step evaluates n^deg_n and
-# allocates deg_a + 1 coefficients.  guess keeps u = (r+1)(dn+1)(da+1)
-# unknowns only with at least u equations, 64 bits a slot within
-# MAX_SYSTEM_BITS = 2*10^9: 64*u^2 <= 2*10^9, u <= 5590, dn, da <= 2794.
+# Largest deg_n or deg_a in an operator, checked by RecurrenceOperator: a
+# step evaluates n^deg_n and allocates deg_a + 1 coefficients.  guess keeps
+# u = (r+1)(dn+1)(da+1) unknowns only with at least u equations, 64 bits a
+# slot within MAX_SYSTEM_BITS = 2*10^9: 64*u^2 <= 2*10^9, u <= 5590, dn, da
+# <= 2794.
 MAX_OPERATOR_DEGREE = 10_000
 
 
@@ -81,24 +82,32 @@ class RecurrenceOperator:
 
     def __post_init__(self):
         """Check the triples and normalize them: zero terms dropped, content
-        divided out, last triple of the top coefficient positive."""
+        divided out, last triple of the top coefficient positive.  Each
+        message names its place, as in coeffs[j][i]."""
         if type(self.valid_from) is not int:
             raise TypeError("valid_from must be an int")
         coeffs = [tuple(c) for c in self.coeffs]
-        for c in coeffs:
-            for p, q, x in c:
-                if any(type(v) is not int for v in (p, q, x)):  # bools are refused too
-                    raise TypeError("operator coefficients must be int triples")
+        for j, c in enumerate(coeffs):
+            for i, t in enumerate(c):
+                where = f"coeffs[{j}][{i}]"
+                if len(t) != 3:
+                    raise ValueError(f"{where}: expected (deg_n, deg_a, coefficient)")
+                p, q, x = t
+                if type(p) is not int or type(q) is not int:  # bools are refused too
+                    raise TypeError(f"{where}: bad exponents {p!r}, {q!r}")
                 if p < 0 or q < 0:
-                    raise ValueError("negative exponent")
-            keys = [(p, q) for p, q, _ in c]
-            if any(u >= v for u, v in zip(keys, keys[1:])):
-                raise ValueError("monomials must be sorted by (deg_n, deg_a), without repeats")
+                    raise ValueError(f"{where}: bad exponents {p!r}, {q!r}")
+                if max(p, q) > MAX_OPERATOR_DEGREE:
+                    raise ValueError(f"{where}: degree above {MAX_OPERATOR_DEGREE}")
+                if type(x) is not int:
+                    raise TypeError(f"{where}: coefficient must be an int")
+                if i and (p, q) <= tuple(c[i - 1][:2]):
+                    raise ValueError(f"{where}: monomials must be sorted by (deg_n, deg_a)")
         coeffs = [[t for t in c if t[2]] for c in coeffs]
         if len(coeffs) < 2:
-            raise ValueError("operator needs order at least 1")
+            raise ValueError("coeffs: operator needs order at least 1")
         if not coeffs[-1]:
-            raise ValueError("leading coefficient must be nonzero")
+            raise ValueError("coeffs: leading coefficient is zero")
         g = gcd(*(x for c in coeffs for _, _, x in c))
         if coeffs[-1][-1][2] < 0:
             g = -g
@@ -304,20 +313,15 @@ def operator_from_record(obj) -> RecurrenceOperator:
             if not (isinstance(mono, list) and len(mono) == 3):
                 raise SchemaError(f"{where}[{i}]: expected [deg_n, deg_a, coeff]")
             p, q, c = mono
-            if not (type(p) is int and type(q) is int and p >= 0 and q >= 0):
-                raise SchemaError(f"{where}[{i}]: bad exponents {p!r}, {q!r}")
-            if max(p, q) > MAX_OPERATOR_DEGREE:
-                raise SchemaError(f"{where}[{i}]: degree above {MAX_OPERATOR_DEGREE}")
             c = _parse_int(c, f"{where}[{i}]")
             if c == 0:
                 raise SchemaError(f"{where}[{i}]: zero coefficient stored")
-            if terms and (p, q) <= terms[-1][:2]:
-                raise SchemaError(f"{where}[{i}]: monomials must be sorted by (deg_n, deg_a)")
             terms.append((p, q, c))
         coeffs.append(tuple(terms))
-    if not coeffs[-1]:
-        raise SchemaError("operator.coeffs: leading coefficient is zero")
-    return RecurrenceOperator(tuple(coeffs), valid_from=valid_from)
+    try:  # the exponents, their order and the leading coefficient
+        return RecurrenceOperator(tuple(coeffs), valid_from=valid_from)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"operator.{exc}") from None
 
 
 def save_operator(op: RecurrenceOperator, path: str | Path) -> None:

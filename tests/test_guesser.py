@@ -70,12 +70,19 @@ def reference_solve(rows, ncols):
     return pivots, [x // g for x in w]
 
 
+def solve(rows, ncols):
+    """guesser._solve from a fresh screen of the rows mod _PRIME, or None
+    when that screen has full rank (rejected mod p)."""
+    basis = guesser._basis_mod_p(rows, ncols, guesser._PRIME)
+    return None if len(basis[0]) == ncols else guesser._solve(rows, ncols, basis)
+
+
 def nullspace_vector(rows):
     """The canonical kernel vector of guesser._solve, checked against the
     reference."""
     ncols = len(rows[0])
     pivots, want = reference_solve(rows, ncols)
-    got = guesser._solve(rows, ncols)
+    got = solve(rows, ncols)
     if got is None:  # rejected mod p
         assert want is None
     else:
@@ -181,7 +188,7 @@ def test_rank_filter_keeps_a_matrix_with_a_kernel():
 def test_rank_filter_drops_a_full_rank_matrix():
     rows = [[0, 0, 0], [1, 5, 0], [2, 0, 1], [0, 3, 4]]
     assert guesser._basis_mod_p(rows, 3, guesser._PRIME) == ([0, 1, 2], {})
-    assert guesser._solve(rows, 3) is None
+    assert solve(rows, 3) is None
 
 
 def test_rank_filter_passes_multiples_of_p_to_the_exact_path():
@@ -189,7 +196,7 @@ def test_rank_filter_passes_multiples_of_p_to_the_exact_path():
     rows = [[p, 0, 2 * p], [0, 3 * p, p], [p, p, 0]]  # det = -7 * p^3 != 0
     assert guesser._basis_mod_p(rows, 3, p)[0] == []
     assert nullspace_vector(rows) is None
-    assert guesser._solve(rows, 3) == (3, None)
+    assert solve(rows, 3) == (3, None)
 
 
 @pytest.mark.parametrize("prime", [2, 3])
@@ -233,7 +240,8 @@ def test_rows_cut_from_the_largest_shape_equal_rows_built_directly(k, terms, sta
         for dn in range(4):
             for da in range(4):
                 direct = fit_rows(seq, r, dn, da, 2)
-                got = guesser._column_subset(largest, r, dn, da, 3, 3)
+                cols = guesser._columns(r, dn, da, 3, 3)
+                got = list(guesser._column_subset(largest, cols))
                 assert got == [tuple(row) for row in direct], (r, dn, da)
 
 
@@ -275,7 +283,7 @@ def test_solve_matches_the_reference_on_every_admissible_candidate(screen_primes
                 if len(rows) < unknowns:
                     continue
                 screen_primes.clear()
-                got = guesser._solve(rows, unknowns)
+                got = solve(rows, unknowns)
                 pivots, want = reference_solve(rows, unknowns)
                 if got is None:  # rejected mod p
                     assert want is None
@@ -297,10 +305,10 @@ def test_unlucky_prime_minor_takes_the_next_prime(screen_primes):
     assert guesser._basis_mod_p(rows, 2, p)[0] == [0]
     screen_primes.clear()
     # (-1, 1) fails the second row, and the next prime has full rank
-    assert guesser._solve(rows, 2) == (2, None)
+    assert solve(rows, 2) == (2, None)
     assert screen_primes == [p, next_primes(1)[0]]
     screen_primes.clear()
-    assert guesser._solve([[1, 1], [2, 2], [3, 3]], 2) == (1, [-1, 1])
+    assert solve([[1, 1], [2, 2], [3, 3]], 2) == (1, [-1, 1])
     assert screen_primes == [p]
 
 
@@ -314,7 +322,7 @@ def test_unlucky_prime_with_the_same_rank_is_replaced(screen_primes):
     # pivot is column 0, and (-1, p) needs two further primes to lift
     p = guesser._PRIME
     assert reference_solve([[p, 1]], 2) == ([0], [-1, p])
-    assert guesser._solve([[p, 1]], 2) == (1, [-1, p])
+    assert solve([[p, 1]], 2) == (1, [-1, p])
     assert screen_primes == [p, *next_primes(2)]
 
 
@@ -326,7 +334,7 @@ def test_prime_of_lower_rank_is_dropped(screen_primes):
     rows = [[1, 1, x], [q, 2 * q, 3 * q]]
     assert guesser._basis_mod_p(rows, 3, q)[0] == [0]
     screen_primes.clear()
-    assert guesser._solve(rows, 3) == (2, [3 - 2 * x, x - 3, 1])
+    assert solve(rows, 3) == (2, [3 - 2 * x, x - 3, 1])
     assert screen_primes == [guesser._PRIME, *next_primes(4)]
 
 
@@ -343,7 +351,7 @@ def test_lifted_vector_must_be_positive_at_its_column(monkeypatch, screen_primes
         return fake(lift(v, m)) if len(calls) == 1 else lift(v, m)
 
     monkeypatch.setattr(guesser, "_rational_lift", fake_first)
-    assert guesser._solve([[1, 1], [2, 2]], 2) == (1, [-1, 1])
+    assert solve([[1, 1], [2, 2]], 2) == (1, [-1, 1])
     assert screen_primes == [guesser._PRIME, *next_primes(1)]
 
 
@@ -371,7 +379,7 @@ def test_solve_lifts_planted_kernels_of_over_100_digits(screen_primes, ncols, ra
     assert pivots == list(range(rank))
     assert min(map(abs, want[: rank + 1])) > 10**100
     assert not any(want[rank + 1 :])  # zero at the other free columns
-    assert guesser._solve(rows, ncols) == (rank, want)
+    assert solve(rows, ncols) == (rank, want)
     assert len(screen_primes) > 2
 
 
@@ -451,7 +459,7 @@ def test_screen_matches_the_in_order_reducer(monkeypatch, prime):
             assert all(sum(map(mul, row, v)) % prime == 0 for row in rows)
         # the lift agrees with the exact reference, the small prime first
         want_pivots, want = reference_solve(rows, ncols)
-        got = guesser._solve(rows, ncols)
+        got = solve(rows, ncols)
         if got is None:
             assert want is None and len(pivots) == ncols
         else:
@@ -525,6 +533,54 @@ def test_system_budget_admits_the_f3_search():
         guesser._check_budget(f1[:5], 0, 1, 0, 100_000)
 
 
+def test_system_budget_counts_the_tuples_the_rows_are_cut_from():
+    # one equation, but the window's (r+1)(dn+1) blocks are one-entry
+    # tuples: 6 million of them at deg_n 3 million, over 400 MB
+    lone = [AlphaPoly((1,))] + [AlphaPoly()] * 4
+    guesser._check_budget(lone, 0, 1, 300_000, 0)
+    with pytest.raises(ValueError, match="guess system too large"):
+        guesser._check_budget(lone, 0, 1, 3_000_000, 0)
+    # few equations, but every fitted value is padded to 2 deg_a + 1
+    # entries: 200 001 tuples of 4001 slots, 6.4 GB
+    with pytest.raises(ValueError, match="guess system too large"):
+        guesser._check_budget(lone[:1] + [AlphaPoly()] * 200_000, 0, 1, 0, 2000)
+
+
+def test_all_zero_values_build_no_rows(monkeypatch):
+    # no window has a row, so no shape is admissible at any bound, and the
+    # search says so before it builds rows or visits a shape
+    def no_rows(*args):
+        raise AssertionError("rows built")
+
+    monkeypatch.setattr(guesser, "_fit_rows", no_rows)
+    with pytest.raises(InsufficientTerms) as info:
+        guess_operator(const_seq([0] * 10), GuessSpec(3, 10**9, 10**9))
+    assert str(info.value) == "not enough terms for any candidate within the bounds"
+
+
+def test_search_visits_no_shape_past_its_order_rows(monkeypatch):
+    # unknowns grow with deg_n and deg_a and no shape has more than
+    # counts[-1] rows, so a shape past that is never admissible; each
+    # visited shape reads counts[da], and here even (r, 0, 0) has too many
+    reads = []
+
+    class Counts(list):
+        def __getitem__(self, i):
+            reads.append(i)
+            return list.__getitem__(self, i)
+
+    fit_rows = guesser._fit_rows
+
+    def counted(*args):
+        rows, ends, counts = fit_rows(*args)
+        return rows, ends, Counts(counts)
+
+    monkeypatch.setattr(guesser, "_fit_rows", counted)
+    with pytest.raises(InsufficientTerms):
+        guess_operator(const_seq([1] + [0] * 9), GuessSpec(2, 10_000, 0))
+    assert reads and all(i == -1 for i in reads)
+
+
 @st.composite
 def order_systems(draw):
     """Rows at the columns of a largest shape (r, max_dn, max_da), combined
@@ -572,24 +628,44 @@ def test_order_screen_decides_like_a_screen_per_candidate(system):
                     cols = guesser._columns(r, dn, da, max_dn, max_da)
                     sub = [itemgetter(*cols)(row) for row in rows]
                     # the cut basis is the candidate's own basis of the prefix
-                    got = guesser._restrict(screened, cols)
+                    cut = guesser._restrict(screened, cols, ())
                     want = guesser._basis_mod_p(sub[:prefix], len(cols), prime)
-                    assert sorted_basis(got) == sorted_basis(want), (prefix, dn, da)
-                    if len(got[0]) == len(cols):  # sound: no rational kernel either
+                    assert sorted_basis(cut) == sorted_basis(want), (prefix, dn, da)
+                    if len(cut[0]) == len(cols):  # sound: no rational kernel either
                         assert reference_solve(sub, len(cols))[1] is None
-                    # resumed from it, the screen and _solve are as from scratch
-                    resumed = guesser._basis_mod_p(sub[prefix:], len(cols), prime,
-                                                   deepcopy(got))
+                    # continued over its rows past the prefix, as the search
+                    # cuts them, it is the basis of all its rows
+                    rest = guesser._column_subset(rows[prefix:], cols)
+                    got = guesser._restrict(screened, cols, rest)
                     fresh = guesser._basis_mod_p(sub, len(cols), prime)
-                    assert sorted_basis(resumed) == sorted_basis(fresh)
-                    assert (guesser._solve(sub, len(cols), (prefix, got))
-                            == guesser._solve(sub, len(cols))), (prefix, dn, da)
+                    assert sorted_basis(got) == sorted_basis(fresh), (prefix, dn, da)
+                    if len(got[0]) < len(cols):  # and _solve lifts the same from it
+                        assert (guesser._solve(sub, len(cols), got)
+                                == guesser._solve(sub, len(cols), fresh)), (prefix, dn, da)
             assert screened == before  # the order's basis serves every candidate
 
 
+def candidate_outcome(seq, rows, r, dn, da, unknowns):
+    """Reference: the outcome of one candidate from a fresh screen of its
+    rows mod _PRIME, with the result when it verifies."""
+    basis = guesser._basis_mod_p(rows, unknowns, guesser._PRIME)
+    if len(basis[0]) == unknowns:
+        return "rejected mod p", None
+    rank, vec = guesser._solve(rows, unknowns, basis)
+    if vec is None:
+        return "no exact kernel", None
+    op = guesser._operator_from_vector(vec, dn, da, seq.start)
+    if op is None:
+        return "kernel gives no recurrence", None
+    if not verify_operator(op, seq):
+        return "verify failed", None
+    return "accepted", guesser.GuessResult(op, (r, dn, da), unknowns - rank,
+                                           len(rows), unknowns)
+
+
 def per_candidate_guess(seq, spec, transcript):
-    """Reference: the search that screens each candidate on its own, cutting
-    its rows from its order's rows and handing them to _solve; its DEBUG
+    """Reference: the search that visits every shape and screens each
+    candidate on its own, cutting its rows from its order's rows; its DEBUG
     lines are appended to transcript."""
     if len(seq.values) < 2 + spec.holdout:
         raise InsufficientTerms(
@@ -604,11 +680,12 @@ def per_candidate_guess(seq, spec, transcript):
         for dn in range(max_dn + 1):
             for da in range(max_da + 1):
                 unknowns = (r + 1) * (dn + 1) * (da + 1)
-                rows = guesser._column_subset(order_rows, r, dn, da, max_dn, max_da)
+                cols = guesser._columns(r, dn, da, max_dn, max_da)
+                rows = list(guesser._column_subset(order_rows, cols))
                 if len(rows) < unknowns:
                     continue
                 any_admissible = True
-                outcome, res = guesser._try_candidate(seq, rows, r, dn, da, unknowns)
+                outcome, res = candidate_outcome(seq, rows, r, dn, da, unknowns)
                 transcript.append(
                     f"candidate ({r}, {dn}, {da}): {len(rows)} x {unknowns}, {outcome}")
                 if res is not None:
@@ -655,7 +732,10 @@ def test_guess_matches_the_per_candidate_search(caplog, seq, start):
     (const_seq([2 ** (t * t) for t in range(12)]), GuessSpec(1, 1, 1), NotFound),
     (const_seq([1, 1, 1]), GuessSpec(2, 1, 1), InsufficientTerms),
     (const_seq([1, 1, 1, 1]), GuessSpec(3, 3, 3, holdout=2), InsufficientTerms),
-], ids=["not-found", "too-few-for-the-holdout", "no-admissible-candidate"])
+    (const_seq([0] * 10), GuessSpec(2, 2, 2), InsufficientTerms),
+    (const_seq([1] + [0] * 9), GuessSpec(2, 2, 2), InsufficientTerms),
+], ids=["not-found", "too-few-for-the-holdout", "no-admissible-candidate",
+        "all-zero", "one-nonzero-value"])
 def test_failed_guess_matches_the_per_candidate_search(caplog, seq, spec, exc):
     got = assert_guess_matches_the_per_candidate_search(caplog, seq, spec)
     assert got[0] is exc
@@ -672,7 +752,8 @@ def test_equation_counts_match_the_cut_rows(values, start):
         rows, _, counts = guesser._fit_rows(fit, start, r, 3, 3)
         for dn in range(4):
             for da in range(4):
-                assert counts[da] == len(guesser._column_subset(rows, r, dn, da, 3, 3))
+                cols = guesser._columns(r, dn, da, 3, 3)
+                assert counts[da] == len(list(guesser._column_subset(rows, cols)))
 
 
 def test_guess_finds_the_f3_operator():

@@ -429,6 +429,36 @@ def test_operator_degree_limit():
         assert str(info.value) == f"operator.coeffs[2][0]: degree above {MAX_OPERATOR_DEGREE}"
 
 
+def test_operator_degree_limit_is_the_constructors():
+    # save_operator would write it, load_operator refuse it, and a step
+    # evaluate n**(10**9)
+    with pytest.raises(ValueError) as info:
+        RecurrenceOperator((((10**9, 0, 1),), ((0, 0, 1),)))
+    assert str(info.value) == f"coeffs[0][0]: degree above {MAX_OPERATOR_DEGREE}"
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    ([[[0, 0, "1"]], [[1, 0, "1"], [0, 0, "1"]]],
+     "coeffs[1][1]: monomials must be sorted by (deg_n, deg_a)"),
+    ([[[0, 0, "1"]], [[0, 1, "1"], [0, 1, "2"]]],
+     "coeffs[1][1]: monomials must be sorted by (deg_n, deg_a)"),
+    ([[[0, -1, "1"]], [[0, 0, "1"]]], "coeffs[0][0]: bad exponents 0, -1"),
+    ([[[0, 0, "1"]], [[0, 0, "1"], [10**4 + 1, 0, "1"]]],
+     f"coeffs[1][1]: degree above {MAX_OPERATOR_DEGREE}"),
+    ([[[0, 0, "1"]], []], "coeffs: leading coefficient is zero"),
+], ids=["unsorted", "repeated", "negative", "degree", "leading-zero"])
+def test_operator_record_reports_the_constructors_rule(coeffs, message):
+    """The record and the constructor refuse the same operators, with the
+    same message."""
+    with pytest.raises(SchemaError) as info:
+        operator_from_record({"order": 1, "coeffs": coeffs})
+    assert str(info.value) == "operator." + message
+    triples = tuple(tuple((p, q, int(c)) for p, q, c in c_j) for c_j in coeffs)
+    with pytest.raises(ValueError) as info:
+        RecurrenceOperator(triples)
+    assert str(info.value) == message
+
+
 def test_operator_degree_limit_is_above_what_guess_writes():
     # a guessed candidate has u <= equations unknowns, and its order's rows,
     # 64 bits a slot, fit in MAX_SYSTEM_BITS: 64 * u^2 <= MAX_SYSTEM_BITS;
