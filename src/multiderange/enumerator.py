@@ -63,7 +63,7 @@ def normalize_shape(shape: Sequence[int]) -> tuple[int, ...]:
     MAX_GROUND_SET, and drop zero blocks (they contribute factor 1)."""
     out = []
     for k in shape:
-        if not isinstance(k, int):
+        if type(k) is not int:  # bools are refused too
             raise TypeError("shape entries must be int")
         if k < 0:
             raise ValueError(f"shape entries must be nonnegative, got {k}")
@@ -222,6 +222,8 @@ def identified_count(shape: Sequence[int]) -> int:
 
 
 def _check_equal_blocks(k: int, last: int) -> None:
+    if type(k) is not int or type(last) is not int:  # bools are refused too
+        raise TypeError("k and n must be int")
     if k < 1:
         raise ValueError("k must be positive")
     if k * last > MAX_GROUND_SET:

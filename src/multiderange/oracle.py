@@ -34,7 +34,7 @@ def cycle_count(perm: Sequence[int]) -> int:
     m = len(perm)
     seen = [False] * (m + 1)
     for v in perm:
-        if not isinstance(v, int) or not 1 <= v <= m or seen[v]:
+        if type(v) is not int or not 1 <= v <= m or seen[v]:
             raise NotABijection(f"not a bijection on 1..{m}: {list(perm)!r}")
         seen[v] = True
     return _cycles([v - 1 for v in perm])
@@ -55,6 +55,8 @@ def _cycles(image: Sequence[int]) -> int:
 
 
 def _validated_blocks(shape: Sequence[int], cap: int) -> tuple[int, ...]:
+    if any(type(k) is not int for k in shape):  # bools are refused too
+        raise TypeError("shape entries must be int")
     blocks = tuple(k for k in shape if k)
     if any(k < 0 for k in shape):
         raise ValueError("shape entries must be nonnegative")

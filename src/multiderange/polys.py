@@ -18,7 +18,9 @@ accumulate into an int list through it.  divide_exact
 is integer long division that only accepts remainder-free, integral
 quotients.  The public constructors check that every coefficient is an
 int; results built inside this package, from coefficients that are ints by
-construction, skip that check.
+construction, skip that check.  PolySequence and RecurrenceOperator check
+every index (start, k, valid_from) by _check_index: an int, not a bool, of
+at most 640 digits, which prints under any int/str digit limit Python takes.
 """
 
 from __future__ import annotations
@@ -43,6 +45,13 @@ def _as_int(c) -> int:
     if type(c) is int:
         return c
     raise TypeError(f"coefficients must be int, got {type(c).__name__}")
+
+
+def _check_index(value, where: str, expected: str = "an integer") -> None:
+    if type(value) is not int:  # bools are refused too
+        raise TypeError(f"{where}: expected {expected}")
+    if abs(value) >= 10**640:
+        raise ValueError(f"{where}: more than 640 digits")
 
 
 class AlphaPoly:
@@ -121,6 +130,9 @@ class PolySequence:
     k: int | None = None
 
     def __post_init__(self):
+        _check_index(self.start, "start")
+        if self.k is not None:
+            _check_index(self.k, "k", "an integer or null")
         object.__setattr__(self, "values", tuple(self.values))
 
     def __len__(self) -> int:

@@ -8,7 +8,9 @@ purpose: a record may name one monomial of degree MAX_OPERATOR_DEGREE in
 n, and a dense form would allocate every lower degree too.  Operators are
 kept normalized: integer content 1 and a positive coefficient in the last
 triple of c_r, the largest monomial in lexicographic order (n before a),
-so equal operators compare structurally equal.
+so equal operators compare structurally equal.  RecurrenceOperator owns
+every rule on an operator, polys' index rule on valid_from included; the
+record readers check only JSON shape and prefix the constructors' messages.
 
 Every operator is a recurrence-operator/v1 record.  The built-in ones, for
 block sizes 1 and 2, ship next to this module as operators/k1.json and
@@ -38,6 +40,7 @@ from .polys import (
     InexactDivision,
     PolySequence,
     SchemaError,
+    _check_index,
     _decimal_str,
     _parse_int,
     add_product,
@@ -84,8 +87,7 @@ class RecurrenceOperator:
         """Check the triples and normalize them: zero terms dropped, content
         divided out, last triple of the top coefficient positive.  Each
         message names its place, as in coeffs[j][i]."""
-        if type(self.valid_from) is not int:
-            raise TypeError("valid_from must be an int")
+        _check_index(self.valid_from, "valid_from")
         coeffs = [tuple(c) for c in self.coeffs]
         for j, c in enumerate(coeffs):
             for i, t in enumerate(c):
@@ -93,10 +95,11 @@ class RecurrenceOperator:
                 if len(t) != 3:
                     raise ValueError(f"{where}: expected (deg_n, deg_a, coefficient)")
                 p, q, x = t
-                if type(p) is not int or type(q) is not int:  # bools are refused too
-                    raise TypeError(f"{where}: bad exponents {p!r}, {q!r}")
-                if p < 0 or q < 0:
-                    raise ValueError(f"{where}: bad exponents {p!r}, {q!r}")
+                if type(p) is not int or type(q) is not int or p < 0 or q < 0:
+                    # bools are refused too; ints print past the digit limit
+                    bad = [_decimal_str(e) if type(e) is int else repr(e) for e in (p, q)]
+                    error = ValueError if type(p) is type(q) is int else TypeError
+                    raise error(f"{where}: bad exponents {', '.join(bad)}")
                 if max(p, q) > MAX_OPERATOR_DEGREE:
                     raise ValueError(f"{where}: degree above {MAX_OPERATOR_DEGREE}")
                 if type(x) is not int:
@@ -297,12 +300,10 @@ def operator_from_record(obj) -> RecurrenceOperator:
     order = obj.get("order")
     if type(order) is not int or order < 1:  # JSON true/false are bools, not ints
         raise SchemaError("operator.order: expected a positive integer")
-    valid_from = obj.get("valid_from", 0)
-    if type(valid_from) is not int:
-        raise SchemaError("operator.valid_from: expected an integer")
     raw = obj.get("coeffs")
     if not isinstance(raw, list) or len(raw) != order + 1:
-        raise SchemaError(f"operator.coeffs: expected a list of {order + 1} entries")
+        raise SchemaError(
+            f"operator.coeffs: expected a list of {_decimal_str(order + 1)} entries")
     coeffs = []
     for j, mono_list in enumerate(raw):
         where = f"operator.coeffs[{j}]"
@@ -318,8 +319,8 @@ def operator_from_record(obj) -> RecurrenceOperator:
                 raise SchemaError(f"{where}[{i}]: zero coefficient stored")
             terms.append((p, q, c))
         coeffs.append(tuple(terms))
-    try:  # the exponents, their order and the leading coefficient
-        return RecurrenceOperator(tuple(coeffs), valid_from=valid_from)
+    try:  # valid_from, the exponents, their order and the leading coefficient
+        return RecurrenceOperator(tuple(coeffs), valid_from=obj.get("valid_from", 0))
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"operator.{exc}") from None
 
@@ -395,19 +396,16 @@ def sequence_from_record(obj) -> PolySequence:
     schema = obj.get("schema", SEQUENCE_SCHEMA)
     if schema != SEQUENCE_SCHEMA:
         raise SchemaError(f"sequence.schema: expected {SEQUENCE_SCHEMA!r}")
-    start = obj.get("start", 0)
-    if type(start) is not int:  # JSON true/false are bools, not ints
-        raise SchemaError("sequence.start: expected an integer")
-    k = obj.get("k")
-    if k is not None and type(k) is not int:
-        raise SchemaError("sequence.k: expected an integer or null")
     raw = obj.get("values")
     if not isinstance(raw, list) or not raw:
         raise SchemaError("sequence.values: expected a nonempty list")
     values = tuple(
         poly_from_record(v, where=f"sequence.values[{i}]") for i, v in enumerate(raw)
     )
-    return PolySequence(start=start, values=values, k=k)
+    try:  # start and k
+        return PolySequence(start=obj.get("start", 0), values=values, k=obj.get("k"))
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"sequence.{exc}") from None
 
 
 def save_sequence(seq: PolySequence, path: str | Path) -> None:

@@ -118,6 +118,22 @@ def test_equal_blocks_budget():
         fk_sequence_direct(0, 3)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: normalize_shape([True, 2]), "shape entries must be int"),
+    (lambda: weighted_derangement_poly([True, True]), "shape entries must be int"),
+    (lambda: fk_value(True, 2), "k and n must be int"),
+    (lambda: fk_value(1, True), "k and n must be int"),
+    (lambda: fk_sequence_direct(True, 3), "k and n must be int"),
+    (lambda: fk_sequence_direct(2, False), "k and n must be int"),
+], ids=["shape", "wder", "fk-k", "fk-n", "direct-k", "direct-last"])
+def test_booleans_are_not_block_sizes_or_counts(call, message):
+    # bool is an int subclass; the records and AlphaPoly refuse it too, and
+    # the equal-blocks functions refuse it before computing any value
+    with pytest.raises(TypeError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_shape_budget(monkeypatch):
     # the library refuses what parse_shape refuses, before any product
     monkeypatch.setattr(enumerator, "MAX_GROUND_SET", 10)

@@ -24,10 +24,16 @@ def test_cycle_count_examples():
     assert cycle_count([]) == 0
 
 
-@pytest.mark.parametrize("bad", [[1, 1], [2], [0, 1], [1, 3], [1, "2"]])
+@pytest.mark.parametrize("bad", [[1, 1], [2], [0, 1], [1, 3], [1, "2"], [True]])
 def test_cycle_count_rejects_non_bijections(bad):
     with pytest.raises(NotABijection):
         cycle_count(bad)
+
+
+def test_shape_entries_must_be_ints():
+    # bool is an int subclass, and no block size
+    with pytest.raises(TypeError, match="shape entries must be int"):
+        enumerate_derangements([True, True])
 
 
 def test_small_shapes():

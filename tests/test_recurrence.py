@@ -1,5 +1,6 @@
 import json
 import sys
+from contextlib import contextmanager
 from math import gcd, isqrt
 
 import pytest
@@ -358,6 +359,97 @@ def test_operator_valid_from_must_be_an_int(valid_from):
         RecurrenceOperator(builtin_operator(1).coeffs, valid_from=valid_from)
 
 
+@pytest.mark.parametrize("field", ["start", "k"])
+@pytest.mark.parametrize("value", [True, 1.5, "1"])
+def test_sequence_indices_must_be_ints(field, value):
+    # save_sequence would write it, and sequence_from_record refuse it
+    with pytest.raises(TypeError):
+        PolySequence(**{"start": 0, "values": (ALPHA_ONE,), field: value})
+
+
+# What the constructors accept as an index (start, k, valid_from), and what
+# they refuse: an int, not a bool, of at most 640 digits.
+_INDICES = [0, 1, -1, 10**640 - 1, -(10**640 - 1)]
+_NOT_INDICES = [True, False, 1.5, "1", 10**640, -(10**640)]
+_INDEX_DRAWS = st.sampled_from([(v, True) for v in _INDICES]
+                               + [(v, False) for v in _NOT_INDICES])
+
+
+@contextmanager
+def _digit_limit(digits):
+    """Python's int/str digit limit set to digits, where the interpreter has one."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@settings(deadline=None)
+@given(start=_INDEX_DRAWS, k=st.just((None, True)) | _INDEX_DRAWS)
+def test_every_sequence_that_is_built_round_trips(tmp_path_factory, start, k):
+    """A sequence the constructor accepts is written, read back and printed
+    at Python's lowest digit limit; one it refuses is never written."""
+    (start, start_ok), (k, k_ok) = start, k
+    path = tmp_path_factory.mktemp("seq") / "s.json"
+    with _digit_limit(640):
+        try:
+            seq = PolySequence(start, (ALPHA_ONE, AlphaPoly((0, 1))), k=k)
+        except (TypeError, ValueError):
+            assert not (start_ok and k_ok)
+            return
+        assert start_ok and k_ok
+        save_sequence(seq, path)
+        assert load_sequence(path) == seq
+        assert repr(seq) == (f"PolySequence(start={start}, values=(AlphaPoly([1]), "
+                             f"AlphaPoly([0, 1])), k={k})")
+
+
+@settings(deadline=None)
+@given(dicts=st.lists(triple_dicts, min_size=2, max_size=4), valid_from=_INDEX_DRAWS)
+def test_every_operator_that_is_built_round_trips(tmp_path_factory, dicts, valid_from):
+    valid_from, ok = valid_from
+    raw = [tuple((p, q, c) for (p, q), c in sorted(d.items())) for d in dicts]
+    raw[-1] += ((61, 0, 1),)  # past triple_dicts' degrees: a nonzero leading term
+    path = tmp_path_factory.mktemp("op") / "op.json"
+    with _digit_limit(640):
+        try:
+            op = RecurrenceOperator(tuple(raw), valid_from)
+        except (TypeError, ValueError):
+            assert not ok
+            return
+        assert ok
+        save_operator(op, path)
+        assert load_operator(path) == op
+        assert repr(op).endswith(f", valid_from={valid_from})")
+
+
+@pytest.mark.parametrize("value", _NOT_INDICES,
+                         ids=["true", "false", "float", "str", "big", "-big"])
+@pytest.mark.parametrize("field", ["start", "k", "valid_from"])
+def test_records_refuse_an_index_by_the_constructors_rule(field, value):
+    """The readers refuse what the constructors refuse, with the
+    constructor's message after the record's prefix."""
+    if field == "valid_from":
+        build = lambda: RecurrenceOperator(SHIFT_MINUS_ONE.coeffs, valid_from=value)
+        read, prefix = operator_from_record, "operator."
+        rec = operator_to_record(SHIFT_MINUS_ONE)
+    else:
+        build = lambda: PolySequence(**{"start": 0, "values": (ALPHA_ONE,), field: value})
+        read, prefix = sequence_from_record, "sequence."
+        rec = sequence_to_record(PolySequence(0, (ALPHA_ONE,)))
+    with pytest.raises((TypeError, ValueError)) as built:
+        build()
+    rec[field] = value
+    with pytest.raises(SchemaError) as info:
+        read(rec)
+    assert str(info.value) == prefix + str(built.value)
+
+
 def test_operator_requires_nonzero_leading():
     with pytest.raises(ValueError):
         RecurrenceOperator((ONE, ()))
@@ -457,6 +549,21 @@ def test_operator_record_reports_the_constructors_rule(coeffs, message):
     with pytest.raises(ValueError) as info:
         RecurrenceOperator(triples)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("record, message", [
+    ({"order": 1, "coeffs": [[[-10**5000, 0, "1"]], [[0, 0, "1"]]]},
+     f"coeffs[0][0]: bad exponents -1{'0' * 5000}, 0"),
+    ({"order": 1, "coeffs": [[[10**5000, "0", "1"]], [[0, 0, "1"]]]},
+     f"coeffs[0][0]: bad exponents 1{'0' * 5000}, '0'"),
+    ({"order": 10**5000, "coeffs": []}, f"coeffs: expected a list of 1{'0' * 4999}1 entries"),
+], ids=["negative", "not-an-int", "order"])
+def test_operator_record_messages_print_past_the_digit_limit(record, message):
+    """A message names its place, also when it quotes an int past the
+    interpreter's default limit."""
+    with _digit_limit(4300), pytest.raises(SchemaError) as info:
+        operator_from_record(record)
+    assert str(info.value) == "operator." + message
 
 
 def test_operator_degree_limit_is_above_what_guess_writes():
@@ -632,7 +739,9 @@ def test_other_records_are_one_stdlib_chunk():
 
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
-    | st.sampled_from(["recurrence-operator/v1", "poly-sequence/v1", "a", "-0", "1e5"]),
+    | st.sampled_from(["recurrence-operator/v1", "poly-sequence/v1", "a", "-0", "1e5"])
+    # 10^640 and 10^5000, built late: hypothesis prints its strategies
+    | st.sampled_from([(1, 640), (-1, 640), (1, 5000)]).map(lambda se: se[0] * 10**se[1]),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
         st.sampled_from(["schema", "order", "valid_from", "coeffs", "start", "k",
                          "values", "variable"]) | st.text(max_size=3),
