@@ -30,8 +30,6 @@ from .enumerator import (
 )
 from .oracle import (
     CapExceeded,
-    NotABijection,
-    cycle_count,
     cycle_enumerator_all,
     enumerate_derangements,
 )
@@ -51,7 +49,6 @@ from .recurrence import (
     save_sequence,
     sequence_from_record,
     sequence_to_record,
-    specialize_alpha,
     verify_operator,
 )
 from .guesser import (
@@ -72,7 +69,6 @@ __all__ = [
     "InexactDivision",
     "InsufficientTerms",
     "LeadingCoefficientZero",
-    "NotABijection",
     "NotFound",
     "PolySequence",
     "RecurrenceOperator",
@@ -81,7 +77,6 @@ __all__ = [
     "WindowTooShort",
     "builtin_operator",
     "count_derangements",
-    "cycle_count",
     "cycle_enumerator_all",
     "divide_exact",
     "enumerate_derangements",
@@ -105,7 +100,6 @@ __all__ = [
     "scaled_laguerre",
     "sequence_from_record",
     "sequence_to_record",
-    "specialize_alpha",
     "verify_operator",
     "weighted_derangement_poly",
 ]

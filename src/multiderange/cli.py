@@ -37,6 +37,7 @@ from .enumerator import (
     weighted_derangement_poly,
 )
 from .guesser import GuessSpec, InsufficientTerms, NotFound, guess_operator
+from .oracle import DEFAULT_CAP
 from .polys import PolySequence, poly_to_record
 from .recurrence import (
     RecurrenceOperator,
@@ -295,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-order", type=int, default=3)
     p.add_argument("--max-deg-n", type=int, default=3)
     p.add_argument("--max-deg-a", type=int, default=3)
-    p.add_argument("--holdout", type=int, default=5)
+    p.add_argument("--holdout", type=int, default=GuessSpec.holdout)
     common(p)
     p.set_defaults(handler=_cmd_guess)
 
@@ -308,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("selftest", help="run the built-in consistency suites")
-    p.add_argument("--cap", type=int, default=9, help="brute-force oracle bound")
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="brute-force oracle bound")
     common(p)
     p.set_defaults(handler=_cmd_selftest)
 

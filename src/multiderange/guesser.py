@@ -60,8 +60,8 @@ from operator import itemgetter, mul
 from sys import getsizeof
 from typing import Iterable, Iterator, Sequence
 
-from .polys import AlphaPoly
-from .recurrence import PolySequence, RecurrenceOperator, verify_operator
+from .polys import AlphaPoly, PolySequence
+from .recurrence import RecurrenceOperator, verify_operator
 
 _log = logging.getLogger(__name__)
 

@@ -25,21 +25,6 @@ class CapExceeded(Exception):
     """Ground set too large for brute force; use the enumerator instead."""
 
 
-class NotABijection(ValueError):
-    """Image list has duplicates or out-of-range entries."""
-
-
-def cycle_count(perm: Sequence[int]) -> int:
-    """Number of cycles of a permutation given as the image list of 1..m."""
-    m = len(perm)
-    seen = [False] * (m + 1)
-    for v in perm:
-        if type(v) is not int or not 1 <= v <= m or seen[v]:
-            raise NotABijection(f"not a bijection on 1..{m}: {list(perm)!r}")
-        seen[v] = True
-    return _cycles([v - 1 for v in perm])
-
-
 def _cycles(image: Sequence[int]) -> int:
     # orbit traversal over a valid 0-based image list
     visited = [False] * len(image)

@@ -118,7 +118,6 @@ class AlphaPoly:
 
 
 _ZERO = AlphaPoly()
-ALPHA_ONE = AlphaPoly((1,))
 
 
 @dataclass(frozen=True)
@@ -144,7 +143,8 @@ class PolySequence:
 
     def value_at(self, n: int) -> AlphaPoly:
         if not self.start <= n <= self.last:
-            raise IndexError(f"index {n} outside [{self.start}, {self.last}]")
+            bounds = ", ".join(map(_decimal_str, (self.start, self.last)))
+            raise IndexError(f"index {_decimal_str(n)} outside [{bounds}]")
         return self.values[n - self.start]
 
 

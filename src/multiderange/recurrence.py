@@ -194,12 +194,12 @@ def extend_sequence(
         n = seed.start + len(values) - r
         lead_at_n = AlphaPoly._trusted(coeff_at(neg_lead, n))
         if not lead_at_n:
-            raise LeadingCoefficientZero(f"leading coefficient vanishes at n={n}")
+            raise LeadingCoefficientZero(f"leading coefficient vanishes at n={_decimal_str(n)}")
         partial = _apply(op, n, values, len(values) - r, r)
         try:
             values.append(divide_exact(AlphaPoly._trusted(partial), lead_at_n))
         except InexactDivision as exc:
-            raise InexactDivision(f"inexact step at n={n}: {exc}") from None
+            raise InexactDivision(f"inexact step at n={_decimal_str(n)}: {exc}") from None
     return PolySequence(start=seed.start, values=tuple(values), k=seed.k)
 
 
@@ -256,23 +256,6 @@ def fk_sequence_via_recurrence(k: int, last: int,
     if op is None:
         op = builtin_operator(k)
     return extend_sequence(op, operator_seed(k, op, last), last)
-
-
-def specialize_alpha(op: RecurrenceOperator, a: int) -> RecurrenceOperator:
-    """Substitute an integer for the cycle-marking variable.
-
-    Useful for plain counting: at a=1 the k=1 operator reproduces the
-    classical derangement-number recurrence.
-    """
-    coeffs = []
-    for c in op.coeffs:
-        at_a: dict[int, int] = {}
-        for p, q, x in c:
-            at_a[p] = at_a.get(p, 0) + x * a**q
-        coeffs.append(tuple((p, 0, x) for p, x in at_a.items()))
-    if not any(x for _, _, x in coeffs[-1]):
-        raise ValueError(f"operator degenerates at a={a}")
-    return RecurrenceOperator(tuple(coeffs), op.valid_from)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,10 @@ from multiderange.enumerator import (
     weighted_derangement_poly,
 )
 from multiderange.laguerre import laguerre_product
-from multiderange.polys import ALPHA_ONE, AlphaPoly, PolySequence
+from multiderange.polys import AlphaPoly, PolySequence
 from multiderange.recurrence import fk_sequence_via_recurrence
 
+ALPHA_ONE = AlphaPoly((1,))
 A = AlphaPoly((0, 1))
 
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from multiderange.polys import (
-    ALPHA_ONE,
     AlphaPoly,
     InexactDivision,
     SchemaError,
@@ -17,8 +16,9 @@ from multiderange.polys import (
     render_terms,
     rising_factorial,
 )
-from multiderange.recurrence import RecurrenceOperator, coeff_at, specialize_alpha
+from multiderange.recurrence import RecurrenceOperator, coeff_at
 
+ALPHA_ONE = AlphaPoly((1,))
 A = AlphaPoly((0, 1))
 
 
@@ -301,9 +301,6 @@ def test_bivar_eval():
     q = ((0, 1, 20), (1, 1, 8))  # 4a(2n + 5)
     assert coeff_at(q, 0) == [0, 20]
     assert AlphaPoly(coeff_at(q, 1))(2) == 56
-    assert specialize_alpha(RecurrenceOperator((p, q)), 1).coeffs == (
-        p, ((0, 0, 20), (1, 0, 8)),
-    )
 
 
 def test_bivar_content_and_leading():

@@ -11,3 +11,4 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["guess", "-k", "2", "--terms", "25", "--out", "op2.json"]) == 0
     exec(compile(example, str(README), "exec"), {})
+    assert (tmp_path / "found.json").read_bytes() == (tmp_path / "op2.json").read_bytes()

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from multiderange.enumerator import fk_sequence_direct, fk_value
 from multiderange.guesser import MAX_SYSTEM_BITS
 from multiderange.polys import (
-    ALPHA_ONE,
     AlphaPoly,
     InexactDivision,
     SchemaError,
@@ -38,11 +37,11 @@ from multiderange.recurrence import (
     save_sequence,
     sequence_from_record,
     sequence_to_record,
-    specialize_alpha,
     verify_operator,
     windows,
 )
 
+ALPHA_ONE = AlphaPoly((1,))
 ONE = ((0, 0, 1),)
 SHIFT_MINUS_ONE = RecurrenceOperator((((0, 0, -1),), ONE))
 
@@ -142,8 +141,14 @@ def test_extended_values_keep_the_structural_invariants():
 
 
 def test_specialized_alpha_one_gives_derangement_numbers():
-    ints = specialize_alpha(builtin_operator(1), 1)
-    ext = extend_sequence(ints, const_seq([1, 0]), 12)
+    # F(n+2) = (n+1)(F(n+1) + F(n)), with no a in it
+    classical_op = RecurrenceOperator((((0, 0, -1), (1, 0, -1)),
+                                       ((0, 0, -1), (1, 0, -1)), ONE))
+    # the shipped k=1 operator at a = 1 is that recurrence
+    for n in range(21):
+        assert [[sum(coeff_at(c, n))] for c in builtin_operator(1).coeffs] == [
+            coeff_at(c, n) for c in classical_op.coeffs]
+    ext = extend_sequence(classical_op, const_seq([1, 0]), 12)
     got = [v(1) for v in ext.values]
     classical = [1, 0]
     for n in range(1, 12):
@@ -157,12 +162,6 @@ def test_f1_to_1000_at_alpha_one_gives_derangement_numbers():
     for n in range(1, 1001):
         d.append(n * d[-1] + (-1) ** n)
     assert got == d
-
-
-def test_specialize_alpha_rejects_degenerate():
-    op = RecurrenceOperator((((0, 0, -1),), ((0, 1, 1),)))
-    with pytest.raises(ValueError):
-        specialize_alpha(op, 0)
 
 
 def test_extend_preconditions():
@@ -448,6 +447,31 @@ def test_records_refuse_an_index_by_the_constructors_rule(field, value):
     with pytest.raises(SchemaError) as info:
         read(rec)
     assert str(info.value) == prefix + str(built.value)
+
+
+def test_value_at_names_indices_past_the_digit_limit():
+    # last = start + 1 has 641 digits, though start is an index
+    top = 10**640 - 1
+    with _digit_limit(640):
+        with pytest.raises(IndexError) as info:
+            PolySequence(top, (ALPHA_ONE, ALPHA_ONE)).value_at(0)
+        assert str(info.value) == f"index 0 outside [{'9' * 640}, 1{'0' * 640}]"
+
+
+def test_extension_names_a_step_past_the_digit_limit():
+    # from start = 10^640 - 1, the second step is at n = 10^640
+    seed = PolySequence(10**640 - 1, (ALPHA_ONE,))
+    vanishing = RecurrenceOperator((ONE, ((0, 0, -10**640), (1, 0, 1))))  # n - 10^640
+    halving = RecurrenceOperator((((0, 0, -1),), ((0, 0, 2),)))
+    with _digit_limit(640):
+        with pytest.raises(LeadingCoefficientZero) as info:
+            extend_sequence(vanishing, seed, 10**640 + 1)
+        assert str(info.value) == f"leading coefficient vanishes at n=1{'0' * 640}"
+        two = PolySequence(seed.start, (ALPHA_ONE, ALPHA_ONE))
+        with pytest.raises(InexactDivision) as info:
+            extend_sequence(halving, two, 10**640 + 1)
+        assert str(info.value) == (f"inexact step at n=1{'0' * 640}: "
+                                   "fractional quotient coefficient")
 
 
 def test_operator_requires_nonzero_leading():
