@@ -30,8 +30,7 @@ from typing import Callable
 
 from . import selftest as selftest_mod
 from .enumerator import (
-    MAX_GROUND_SET,
-    SHAPE_TOO_LARGE,
+    check_ground_set,
     fk_sequence_direct,
     identified_count,
     weighted_derangement_poly,
@@ -56,10 +55,6 @@ from .recurrence import (
 )
 
 
-class ShapeParseError(ValueError):
-    """Malformed shape expression on the command line."""
-
-
 _SHAPE_PART = re.compile(r"(\d+)(?:\^(\d+))?")
 
 
@@ -71,13 +66,12 @@ def parse_shape(text: str) -> tuple[int, ...]:
         part = part.strip()
         m = _SHAPE_PART.fullmatch(part)
         if not m:
-            raise ShapeParseError(f"bad shape component {part!r}")
+            raise ValueError(f"bad shape component {part!r}")
         k = int(m.group(1))
         reps = int(m.group(2)) if m.group(2) else 1
         total += k * reps
         blocks += reps
-        if total > MAX_GROUND_SET or blocks > MAX_GROUND_SET:
-            raise ShapeParseError(SHAPE_TOO_LARGE)
+        check_ground_set(total, blocks)
         out.extend([k] * reps)
     return tuple(out)
 
@@ -119,7 +113,7 @@ def _cmd_wder(args) -> _Reply:
     shape = parse_shape(args.shape)
     inputs = {"shape": list(shape), "alpha": args.alpha, "identified": args.identified}
     if args.identified and args.alpha not in (None, 1):
-        raise ShapeParseError("--identified requires evaluation at alpha = 1")
+        raise ValueError("--identified requires evaluation at alpha = 1")
     if args.identified or args.alpha is not None:
         value = _shape_value(shape, args.identified, args.alpha)
         label = "identified count =" if args.identified else f"value at a={args.alpha}:"
@@ -160,7 +154,7 @@ def _seq_values(k: int, last: int, op: RecurrenceOperator | None) -> PolySequenc
 
 def _cmd_seq(args) -> _Reply:
     if args.k < 1 or args.count < 1:
-        raise ShapeParseError("k and COUNT must be positive")
+        raise ValueError("k and COUNT must be positive")
     engine, op = _seq_engine(args)
     seq = _seq_values(args.k, args.count, op)
     inputs = {"k": args.k, "count": args.count, "engine": engine, "alpha": args.alpha}
@@ -183,9 +177,9 @@ def _sequence_input(args) -> tuple[PolySequence, object]:
     if args.file:
         return load_sequence(args.file), args.file
     if args.k is None or args.terms is None:
-        raise ShapeParseError(f"{args.command} needs --file or both -k and --terms")
+        raise ValueError(f"{args.command} needs --file or both -k and --terms")
     if args.terms < 1:
-        raise ShapeParseError("--terms must be positive")
+        raise ValueError("--terms must be positive")
     return fk_sequence_direct(args.k, args.terms - 1), {"k": args.k, "terms": args.terms}
 
 
@@ -237,7 +231,7 @@ def _cmd_verify(args) -> _Reply:
 
 def _cmd_selftest(args) -> _Reply:
     if args.cap < 0:
-        raise ShapeParseError("--cap must be nonnegative")
+        raise ValueError("--cap must be nonnegative")
     results = selftest_mod.run_all(cap=args.cap)
     rows = [
         {"name": r.name, "passed": r.passed, "detail": r.detail,
@@ -335,7 +329,7 @@ def _main(argv) -> int:
     t0 = time.perf_counter()
     try:
         inputs, result, text, exit_code = args.handler(args)
-    except (UnsupportedK, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -35,8 +35,8 @@ fk_sequence_direct(k, last) is fk_value for n = 0..last, each value from
 scratch, as the PolySequence F_k(0..last) that the recurrence engine
 also returns.  Carrying the product of n Laguerre factors from n to n + 1
 instead would grow it to degree k*n in x and in a, and is slower for
-every k.  Both refuse a ground set above MAX_GROUND_SET before allocating
-anything, as normalize_shape does for every other shape.
+every k.  Both refuse a shape that check_ground_set refuses before
+allocating anything, as normalize_shape does for every other shape.
 """
 
 from __future__ import annotations
@@ -58,19 +58,25 @@ MAX_GROUND_SET = 10_000
 SHAPE_TOO_LARGE = f"shape too large: more than {MAX_GROUND_SET} elements or blocks"
 
 
+def check_ground_set(elements: int, blocks: int) -> None:
+    """Refuse more than MAX_GROUND_SET elements or blocks, zero blocks counted."""
+    if elements > MAX_GROUND_SET or blocks > MAX_GROUND_SET:
+        raise ValueError(SHAPE_TOO_LARGE)
+
+
 def normalize_shape(shape: Sequence[int]) -> tuple[int, ...]:
-    """Validate block sizes and the ground set's size against
-    MAX_GROUND_SET, and drop zero blocks (they contribute factor 1)."""
+    """Validate block sizes and the shape against check_ground_set, and drop
+    zero blocks (they contribute factor 1)."""
     out = []
-    for k in shape:
+    blocks = 0
+    for blocks, k in enumerate(shape, 1):
         if type(k) is not int:  # bools are refused too
             raise TypeError("shape entries must be int")
         if k < 0:
             raise ValueError(f"shape entries must be nonnegative, got {k}")
         if k:
             out.append(k)
-    if sum(out) > MAX_GROUND_SET:
-        raise ValueError(SHAPE_TOO_LARGE)
+    check_ground_set(sum(out), blocks)
     return tuple(out)
 
 
@@ -115,12 +121,13 @@ def _moment_at(powers: list[tuple[int, int]], j: int) -> int:
 
     The shape is given as (block size, multiplicity) pairs, every size at
     most j.  Only x^0..x^j of the product count, since (-j)_m = 0 for m > j,
-    so every product here is cut at x^j.
+    so every product here is cut at x^j, by add_product.
     """
     p = [1]
     for k, m in powers:
         f = _laguerre_at(k, -j)
-        p = _mul_cut(p, f if m == 1 else _power(f, m, min(j, k * m)), j)
+        prev, p = p, []
+        add_product(p, prev, f if m == 1 else _power(f, m, min(j, k * m)), j)
     # sum_i p[i] (-j)(-j+1)...(-j+i-1), in Horner form
     acc = 0
     for i in range(len(p) - 1, -1, -1):
@@ -159,17 +166,6 @@ def _power(f: list[int], m: int, top: int) -> list[int]:
             raise ArithmeticError("inexact step in the power recurrence")
         q.append(qt)
     return q
-
-
-def _mul_cut(p: list[int], q: list[int], top: int) -> list[int]:
-    """p * q cut at x^top (add_product would form all of it, about twice
-    the work)."""
-    out = [0] * min(len(p) + len(q) - 1, top + 1)
-    for i, pi in enumerate(p[: top + 1]):
-        if pi:
-            for t, qt in enumerate(q[: top + 1 - i], i):
-                out[t] += pi * qt
-    return out
 
 
 def _from_values(values: list[int]) -> AlphaPoly:
@@ -226,8 +222,7 @@ def _check_equal_blocks(k: int, last: int) -> None:
         raise TypeError("k and n must be int")
     if k < 1:
         raise ValueError("k must be positive")
-    if k * last > MAX_GROUND_SET:
-        raise ValueError(SHAPE_TOO_LARGE)
+    check_ground_set(k * last, last)
 
 
 def fk_value(k: int, n: int) -> AlphaPoly:

@@ -60,7 +60,7 @@ from operator import itemgetter, mul
 from sys import getsizeof
 from typing import Iterable, Iterator, Sequence
 
-from .polys import AlphaPoly, PolySequence
+from .polys import AlphaPoly, PolySequence, _check_index
 from .recurrence import RecurrenceOperator, verify_operator
 
 _log = logging.getLogger(__name__)
@@ -96,6 +96,8 @@ class GuessSpec:
     holdout: int = 5
 
     def __post_init__(self):
+        for name in ("max_order", "max_deg_n", "max_deg_a", "holdout"):
+            _check_index(getattr(self, name), name)
         if self.max_order < 1:
             raise ValueError("max_order must be positive")
         if self.max_deg_n < 0 or self.max_deg_a < 0:

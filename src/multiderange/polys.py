@@ -13,12 +13,12 @@ prints both forms.
 
 Coefficients are Python ints throughout, so there is no overflow and no
 rounding anywhere.  add_product is the one dense product kernel over Z[a]:
-the Laguerre product, the moment functional and the recurrence steps all
-accumulate into an int list through it.  divide_exact
-is integer long division that only accepts remainder-free, integral
-quotients.  The public constructors check that every coefficient is an
-int; results built inside this package, from coefficients that are ints by
-construction, skip that check.  PolySequence and RecurrenceOperator check
+the Laguerre product, the moment functional, the enumerator's products cut
+at x^j and the recurrence steps all accumulate into an int list through it.
+divide_exact is integer long division that only accepts remainder-free,
+integral quotients.  The public constructors check that every coefficient
+is an int; results built inside this package, from coefficients that are
+ints by construction, skip that check.  PolySequence and RecurrenceOperator check
 every index (start, k, valid_from) by _check_index: an int, not a bool, of
 at most 640 digits, which prints under any int/str digit limit Python takes.
 """
@@ -148,19 +148,24 @@ class PolySequence:
         return self.values[n - self.start]
 
 
-def add_product(acc: list[int], p: Sequence[int], q: Sequence[int]) -> None:
+def add_product(acc: list[int], p: Sequence[int], q: Sequence[int],
+                top: int | None = None) -> None:
     """acc += p * q, for ascending coefficient sequences; acc grows as needed.
 
-    Trailing entries of acc may be zero afterwards.
+    With top >= 0 given, only the terms up to x^top are added, and acc grows
+    to at most top + 1 entries.  Trailing entries of acc may be zero afterwards.
     """
     if not p or not q:
         return
     end = len(p) + len(q) - 1
+    if top is not None:
+        end = min(end, top + 1)
+        p = p[:end]
     if len(acc) < end:
         acc.extend([0] * (end - len(acc)))
     for s, ps in enumerate(p):
         if ps:
-            for t, qt in enumerate(q, s):
+            for t, qt in enumerate(q if top is None else q[:end - s], s):
                 acc[t] += ps * qt
 
 
@@ -253,17 +258,12 @@ def _decimal_str(c: int) -> str:
 
 def poly_to_record(p: AlphaPoly) -> dict:
     """Machine form: {"variable": "a", "coeffs": [decimal strings, ascending]}."""
-    try:
-        return {"variable": "a", "coeffs": [str(c) for c in p.coeffs]}
-    except ValueError:  # past the digit limit
-        return {"variable": "a", "coeffs": [_decimal_str(c) for c in p.coeffs]}
+    return {"variable": "a", "coeffs": list(map(_decimal_str, p.coeffs))}
 
 
 def poly_from_record(obj, where: str = "polynomial") -> AlphaPoly:
     """Parse the machine form back; strict about canonical shape."""
-    if type(obj) is int:  # JSON true/false are bools, not ints
-        return AlphaPoly._trusted([obj])
-    if isinstance(obj, str):
+    if type(obj) is int or isinstance(obj, str):  # JSON true/false are bools, not ints
         return AlphaPoly._trusted([_parse_int(obj, where)])
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object, got {type(obj).__name__}")

@@ -64,7 +64,7 @@ SEQUENCE_SCHEMA = "poly-sequence/v1"
 MAX_OPERATOR_DEGREE = 10_000
 
 
-class UnsupportedK(Exception):
+class UnsupportedK(ValueError):
     """No built-in operator for this block size; load one or guess one."""
 
 
@@ -179,7 +179,10 @@ def extend_sequence(
     target equal to seed.last takes no step and asks nothing of the seed.
     Past it, the seed must supply at least order values, and the first
     step's window, n = seed.last + 1 - order, must be at least op.valid_from.
+    target is an int, not a bool, of any size: a sequence stores only its start.
     """
+    if type(target) is not int:  # bools are refused too
+        raise TypeError("target: expected an integer")
     if target < seed.last:
         raise ValueError("target precedes the last seed index")
     if target > seed.last and len(seed) < op.order:
@@ -247,6 +250,7 @@ def operator_seed(k: int, op: RecurrenceOperator, last: int) -> PolySequence:
     op.valid_from are direct values too, so the first step uses a window
     the operator is valid on, and a seed never runs past ``last``.
     """
+    _check_index(last, "last")
     return fk_sequence_direct(k, min(max(0, op.valid_from) + op.order - 1, last))
 
 

@@ -76,13 +76,17 @@ def _timed(name: str, fn) -> SuiteResult:
 
 
 def compositions(total: int) -> Iterator[tuple[int, ...]]:
-    """All ordered tuples of positive integers summing to total."""
-    if total == 0:
-        yield ()
+    """All ordered tuples of positive integers summing to total, in
+    lexicographic order: (..., y, x) is followed by (..., y + 1) and x - 1 ones."""
+    if total < 0:
         return
-    for first in range(1, total + 1):
-        for rest in compositions(total - first):
-            yield (first,) + rest
+    parts = [1] * total
+    yield tuple(parts)
+    while len(parts) > 1:
+        last = parts.pop()
+        parts[-1] += 1
+        parts.extend([1] * (last - 1))
+        yield tuple(parts)
 
 
 def sweep_suite(cap: int = oracle.DEFAULT_CAP) -> SuiteResult:

@@ -11,7 +11,7 @@ import pytest
 
 from multiderange import cli, enumerator, guesser, laguerre, polys, recurrence
 from multiderange import selftest as selftest_mod
-from multiderange.cli import parse_shape, ShapeParseError
+from multiderange.cli import parse_shape
 from multiderange.polys import AlphaPoly
 from multiderange.recurrence import builtin_operator, operator_to_record, save_operator
 
@@ -33,7 +33,7 @@ def test_parse_shape():
     assert parse_shape("2,3^2,1") == (2, 3, 3, 1)
     assert parse_shape("0") == (0,)
     for bad in ("", "1,", "a", "2^", "-1", "1^2^3"):
-        with pytest.raises(ShapeParseError):
+        with pytest.raises(ValueError, match="bad shape component"):
             parse_shape(bad)
 
 
@@ -41,7 +41,7 @@ def test_parse_shape():
 def test_parse_shape_budget_fails_before_allocating(text):
     tracemalloc.start()
     try:
-        with pytest.raises(ShapeParseError, match="too large"):
+        with pytest.raises(ValueError, match="too large"):
             parse_shape(text)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -50,8 +50,30 @@ def test_parse_shape_budget_fails_before_allocating(text):
 
 
 def test_parse_shape_budget_boundary():
-    assert parse_shape(f"1^{cli.MAX_GROUND_SET}") == (1,) * cli.MAX_GROUND_SET
+    limit = enumerator.MAX_GROUND_SET
+    assert parse_shape(f"1^{limit}") == (1,) * limit
     assert parse_shape("0,5000,5000") == (0, 5000, 5000)
+
+
+@pytest.mark.parametrize("text", [
+    "1^10000", "1^10001", "0^10000", "0^10001", "5000,5000", "5000,5001",
+    "0,5000,5000", "10000", "10001", "0^9999,10000", "0^9999,1,1", "2^5000", "2^5001",
+])
+def test_parse_shape_refuses_what_the_library_refuses(text):
+    # one budget rule: the parser refuses a text, before expanding it,
+    # exactly when normalize_shape refuses the expanded shape
+    shape = []
+    for part in text.split(","):
+        k, _, reps = part.partition("^")
+        shape += [int(k)] * int(reps or 1)
+    try:
+        enumerator.normalize_shape(shape)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as parsed:
+            parse_shape(text)
+        assert str(parsed.value) == str(exc) == enumerator.SHAPE_TOO_LARGE
+    else:
+        assert parse_shape(text) == tuple(shape)
 
 
 def test_oversized_shape_exit_code(capsys):

@@ -177,6 +177,16 @@ def test_spec_validation():
         GuessSpec(1, 0, 0, holdout=0)
 
 
+@pytest.mark.parametrize("bad", [True, 2.5, "2"])
+@pytest.mark.parametrize("field", ["max_order", "max_deg_n", "max_deg_a", "holdout"])
+def test_spec_fields_are_ints(field, bad):
+    # GuessSpec(True, 1, 1) used to be accepted, and a float failed deep
+    # inside guess_operator
+    fields = {"max_order": 2, "max_deg_n": 1, "max_deg_a": 1, "holdout": 5}
+    with pytest.raises(TypeError, match=f"{field}: expected an integer"):
+        GuessSpec(**{**fields, field: bad})
+
+
 def test_rank_filter_keeps_a_matrix_with_a_kernel():
     # last row = 2*first + third, so (1, 1, -1) spans the rational kernel
     rows = [[1, 2, 3], [2, 4, 6], [1, 0, 1], [3, 4, 7]]

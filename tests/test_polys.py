@@ -39,6 +39,18 @@ def _mul(p, q):
 small_coeffs = st.lists(st.integers(min_value=-99, max_value=99), max_size=6)
 
 
+@given(small_coeffs, small_coeffs, small_coeffs, st.integers(min_value=0, max_value=12))
+def test_cut_product_is_the_full_product_truncated(acc, p, q, top):
+    full = list(acc)
+    add_product(full, p, q)
+    cut = list(acc)
+    add_product(cut, p, q, top)
+    # acc's entries above x^top are left as they were, and acc grows no
+    # further than x^top
+    assert AlphaPoly(cut) == AlphaPoly(full[: top + 1] + acc[top + 1:])
+    assert len(cut) <= max(len(acc), top + 1)
+
+
 def test_canonical_zero():
     assert AlphaPoly().coeffs == ()
     assert AlphaPoly((0, 0, 0)).coeffs == ()

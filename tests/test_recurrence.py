@@ -202,6 +202,21 @@ def test_seed_composes_with_extension_for_every_last(k):
         assert fk_sequence_via_recurrence(k, last) == fk_sequence_direct(k, last)
 
 
+@pytest.mark.parametrize("bad", [5.5, True, "5"])
+def test_index_arguments_follow_the_index_rule(bad):
+    # a float target used to extend through index 6, a float last through 5
+    op = builtin_operator(1)
+    seed = operator_seed(1, op, 5)
+    with pytest.raises(TypeError, match="target: expected an integer"):
+        extend_sequence(op, seed, bad)
+    with pytest.raises(TypeError, match="last: expected an integer"):
+        operator_seed(1, op, bad)
+    with pytest.raises(TypeError, match="last: expected an integer"):
+        fk_sequence_via_recurrence(1, bad)
+    assert extend_sequence(op, seed, 6) == fk_sequence_direct(1, 6)
+    assert fk_sequence_via_recurrence(1, 5) == fk_sequence_direct(1, 5)
+
+
 def test_extend_inexact_division():
     halver = RecurrenceOperator((((0, 0, -1),), ((0, 0, 2),)))
     with pytest.raises(InexactDivision):
