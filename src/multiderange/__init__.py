@@ -19,12 +19,11 @@ from .polys import (
     poly_to_record,
     rising_factorial,
 )
-from .laguerre import laguerre_product, scaled_laguerre
+from .laguerre import laguerre_product, moment_functional, scaled_laguerre
 from .enumerator import (
     count_derangements,
     fk_value,
     identified_count,
-    moment_functional,
     normalize_shape,
     weighted_derangement_poly,
 )

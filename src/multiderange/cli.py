@@ -132,6 +132,8 @@ def _cmd_count(args) -> _Reply:
 def _seq_engine(args) -> tuple[str, RecurrenceOperator | None]:
     """The engine seq reports, and the operator it extends with (None: direct)."""
     if args.operator:
+        if args.engine == "direct":
+            raise ValueError("--engine direct cannot be combined with --operator")
         return "operator-file", load_operator(args.operator)
     if args.engine == "direct":
         return "direct", None
@@ -175,6 +177,8 @@ def _sequence_input(args) -> tuple[PolySequence, object]:
     """The sequence that guess and verify read, --file or -k with --terms,
     and the source their inputs echo."""
     if args.file:
+        if args.k is not None or args.terms is not None:
+            raise ValueError("--file cannot be combined with -k or --terms")
         return load_sequence(args.file), args.file
     if args.k is None or args.terms is None:
         raise ValueError(f"{args.command} needs --file or both -k and --terms")

@@ -25,9 +25,9 @@ Miller's recurrence, in O(j*k) steps, each an exact division.  The
 values are recombined without fractions: Newton's forward differences in
 t = -a, each divided exactly by j!, are the coefficients of the enumerator
 in the basis rising_factorial(j), summed in Horner form.  Any remainder in
-these divisions raises ArithmeticError.  laguerre_product and
-moment_functional, which do form the product, stay as the reference this
-path is tested against; no command reaches them.
+these divisions raises ArithmeticError.  The reference this path is
+tested against, moment_functional(laguerre_product(shape)), does form the
+product; it lives in laguerre, and no command reaches it.
 
 The equal-blocks values F_k(n), n blocks of size k, come from the same
 path: fk_value(k, n) is weighted_derangement_poly of the shape k^n, and
@@ -45,9 +45,9 @@ from collections import Counter
 from math import comb, factorial, prod
 from typing import Sequence
 
-# laguerre_product, the reference for weighted_derangement_poly, stays
-# importable here: the benchmark's tracer wraps enumerator.laguerre_product
-from .laguerre import XAPoly, laguerre_product  # noqa: F401
+# the reference for weighted_derangement_poly stays importable here: the
+# benchmark's tracer wraps enumerator.laguerre_product and moment_functional
+from .laguerre import laguerre_product, moment_functional  # noqa: F401
 from .polys import AlphaPoly, PolySequence, add_product, times_a_plus
 
 # Largest ground set (sum of block sizes) and number of blocks a shape may
@@ -78,20 +78,6 @@ def normalize_shape(shape: Sequence[int]) -> tuple[int, ...]:
             out.append(k)
     check_ground_set(sum(out), blocks)
     return tuple(out)
-
-
-def moment_functional(p: XAPoly) -> AlphaPoly:
-    """Linear map x^m -> a(a+1)...(a+m-1), applied coefficient-wise.
-
-    p is a polynomial in x over Z[a] in the tuple form of ``laguerre``.  The
-    moments are one running product, f_m = (a + m - 1) f_{m-1}.
-    """
-    acc: list[int] = []
-    moment = [1]
-    for m, c in enumerate(p):
-        add_product(acc, c, moment)
-        moment = times_a_plus(moment, m)
-    return AlphaPoly._trusted(acc)
 
 
 def weighted_derangement_poly(shape: Sequence[int]) -> AlphaPoly:
@@ -209,8 +195,9 @@ def count_derangements(shape: Sequence[int]) -> int:
 
 def identified_count(shape: Sequence[int]) -> int:
     """count_derangements with each block's elements identified."""
-    labeled = count_derangements(shape)  # validates the shape
-    scale = prod(factorial(k) for k in shape)
+    blocks = normalize_shape(shape)  # read once: shape may be a one-shot iterable
+    labeled = count_derangements(blocks)
+    scale = prod(factorial(k) for k in blocks)
     q, r = divmod(labeled, scale)
     if r:
         raise ArithmeticError("labeled count not divisible by block factorials")

@@ -1,7 +1,8 @@
-"""Scaled generalized Laguerre polynomials with exact integer coefficients.
+"""The Laguerre-moment reference the enumerator is tested against.
 
-scaled_laguerre(k) is k! times the generalized Laguerre polynomial with
-superscript a-1:
+(-1)^K moment_functional(laguerre_product(shape)) is the enumerator of a
+shape of total K; no command reaches it.  scaled_laguerre(k) is k! times
+the generalized Laguerre polynomial with superscript a-1:
 
     sum_{i=0}^{k} (-1)^i C(k, i) (a+i)(a+i+1)...(a+k-1) x^i
 
@@ -21,7 +22,7 @@ from functools import cache
 from math import comb
 from typing import Sequence
 
-from .polys import add_product, times_a_plus
+from .polys import AlphaPoly, add_product, times_a_plus
 
 XAPoly = tuple[tuple[int, ...], ...]
 
@@ -73,3 +74,17 @@ def laguerre_product(shape: Sequence[int]) -> XAPoly:
     for k in ks:
         out = _mul(out, scaled_laguerre(k))
     return out
+
+
+def moment_functional(p: XAPoly) -> AlphaPoly:
+    """Linear map x^m -> a(a+1)...(a+m-1), applied coefficient-wise.
+
+    p is a polynomial in x over Z[a] in the tuple form.  The moments are one
+    running product, f_m = (a + m - 1) f_{m-1}.
+    """
+    acc: list[int] = []
+    moment = [1]
+    for m, c in enumerate(p):
+        add_product(acc, c, moment)
+        moment = times_a_plus(moment, m)
+    return AlphaPoly._trusted(acc)

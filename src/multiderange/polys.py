@@ -105,6 +105,8 @@ class AlphaPoly:
 
     def __call__(self, v: int) -> int:
         """Exact Horner evaluation at an integer."""
+        if type(v) is not int:  # bools are refused too
+            raise TypeError("evaluation point must be an int")
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * v + c
@@ -142,6 +144,8 @@ class PolySequence:
         return self.start + len(self.values) - 1
 
     def value_at(self, n: int) -> AlphaPoly:
+        if type(n) is not int:  # bools are refused too
+            raise TypeError("index: expected an integer")
         if not self.start <= n <= self.last:
             bounds = ", ".join(map(_decimal_str, (self.start, self.last)))
             raise IndexError(f"index {_decimal_str(n)} outside [{bounds}]")

@@ -2,8 +2,9 @@
 
 Four independent checks: the small-shape sweep against the brute-force
 oracle, the all-permutations cycle identity, the 52-card-deck golden
-values, and recurrence-vs-direct cross-validation.  Each returns a
-SuiteResult so the CLI can print one row per suite.
+values, and recurrence-vs-direct cross-validation.  Each check returns
+(passed, detail); run_all runs them from one table, in that order, and
+times each into a SuiteResult, so the CLI can print one row per suite.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ DECK_COEFFS: dict[int, int] = {
 
 DECK_IDENTIFIED_COUNT = 1493804444499093354916284290188948031229880469556
 
-# Largest ground set the oracle suites check; cap can only lower it.
+# Largest ground set the oracle suites check; cap can only lower it.  Within
+# oracle.DEFAULT_CAP, so those suites call the oracle with its own cap.
 ORACLE_BOUND = 8
 
 
@@ -66,10 +68,10 @@ class SuiteResult:
     ms: float
 
 
-def _timed(name: str, fn) -> SuiteResult:
+def _timed(name: str, check, *args) -> SuiteResult:
     t0 = time.perf_counter()
     try:
-        passed, detail = fn()
+        passed, detail = check(*args)
     except Exception as exc:  # a crash is a failure, not an abort
         passed, detail = False, f"{type(exc).__name__}: {exc}"
     return SuiteResult(name, passed, detail, (time.perf_counter() - t0) * 1000.0)
@@ -89,74 +91,58 @@ def compositions(total: int) -> Iterator[tuple[int, ...]]:
         yield tuple(parts)
 
 
-def sweep_suite(cap: int = oracle.DEFAULT_CAP) -> SuiteResult:
+def _sweep(bound: int) -> tuple[bool, str]:
     """Laguerre-moment path versus brute force on every small shape."""
-    bound = min(ORACLE_BOUND, cap)
-
-    def run():
-        checked = 0
-        for total in range(bound + 1):
-            for shape in compositions(total):
-                got = weighted_derangement_poly(shape)
-                want = oracle.enumerate_derangements(shape, cap=cap)
-                if got != want:
-                    return False, f"mismatch at shape {shape}: {got} vs {want}"
-                checked += 1
-        return True, f"{checked} shapes with total <= {bound}"
-
-    return _timed("oracle-sweep", run)
+    checked = 0
+    for total in range(bound + 1):
+        for shape in compositions(total):
+            got = weighted_derangement_poly(shape)
+            want = oracle.enumerate_derangements(shape)
+            if got != want:
+                return False, f"mismatch at shape {shape}: {got} vs {want}"
+            checked += 1
+    return True, f"{checked} shapes with total <= {bound}"
 
 
-def cycle_identity_suite(cap: int = oracle.DEFAULT_CAP) -> SuiteResult:
+def _cycle_identity(bound: int) -> tuple[bool, str]:
     """Sum of a^cycles over all permutations equals the rising factorial."""
-    bound = min(ORACLE_BOUND, cap)
-
-    def run():
-        for n in range(bound + 1):
-            if oracle.cycle_enumerator_all(n, cap=cap) != rising_factorial(n):
-                return False, f"identity fails at n={n}"
-        return True, f"n <= {bound}"
-
-    return _timed("cycle-identity", run)
+    for n in range(bound + 1):
+        if oracle.cycle_enumerator_all(n) != rising_factorial(n):
+            return False, f"identity fails at n={n}"
+    return True, f"n <= {bound}"
 
 
-def deck_suite() -> SuiteResult:
+def _deck() -> tuple[bool, str]:
     """Golden values for the 52-card deck by rank blocks."""
-
-    def run():
-        poly = weighted_derangement_poly(DECK_SHAPE)
-        want = AlphaPoly(DECK_COEFFS.get(m, 0) for m in range(27))
-        if poly != want:
-            return False, "deck polynomial differs from the golden table"
-        if identified_count(DECK_SHAPE) != DECK_IDENTIFIED_COUNT:
-            return False, "identified deck count differs"
-        return True, "26 coefficients and the identified count"
-
-    return _timed("deck-of-cards", run)
+    poly = weighted_derangement_poly(DECK_SHAPE)
+    want = AlphaPoly(DECK_COEFFS.get(m, 0) for m in range(27))
+    if poly != want:
+        return False, "deck polynomial differs from the golden table"
+    if identified_count(DECK_SHAPE) != DECK_IDENTIFIED_COUNT:
+        return False, "identified deck count differs"
+    return True, "26 coefficients and the identified count"
 
 
-def recurrence_suite() -> SuiteResult:
+def _recurrence() -> tuple[bool, str]:
     """Built-in operators against direct evaluation, plus plain counts."""
-
-    def run():
-        for k, last in ((1, 10), (2, 8)):
-            if fk_sequence_via_recurrence(k, last) != fk_sequence_direct(k, last):
-                return False, f"k={k} diverges from direct evaluation on n <= {last}"
-        counts = [v(1) for v in fk_sequence_via_recurrence(1, 10).values]
-        classical = [1, 0]
-        for n in range(1, 10):
-            classical.append(n * (classical[n] + classical[n - 1]))
-        if counts != classical:
-            return False, "a=1 values are not the derangement numbers"
-        return True, "k=1 (n<=10), k=2 (n<=8), derangement numbers"
-
-    return _timed("recurrence-cross-validation", run)
+    for k, last in ((1, 10), (2, 8)):
+        if fk_sequence_via_recurrence(k, last) != fk_sequence_direct(k, last):
+            return False, f"k={k} diverges from direct evaluation on n <= {last}"
+    counts = [v(1) for v in fk_sequence_via_recurrence(1, 10).values]
+    classical = [1, 0]
+    for n in range(1, 10):
+        classical.append(n * (classical[n] + classical[n - 1]))
+    if counts != classical:
+        return False, "a=1 values are not the derangement numbers"
+    return True, "k=1 (n<=10), k=2 (n<=8), derangement numbers"
 
 
 def run_all(cap: int = oracle.DEFAULT_CAP) -> list[SuiteResult]:
-    return [
-        sweep_suite(cap=cap),
-        cycle_identity_suite(cap=cap),
-        deck_suite(),
-        recurrence_suite(),
-    ]
+    """Run the four suites in order; cap can only lower the oracle suites' bound."""
+    bound = min(ORACLE_BOUND, cap)
+    return [_timed(name, check, *args) for name, check, *args in (
+        ("oracle-sweep", _sweep, bound),
+        ("cycle-identity", _cycle_identity, bound),
+        ("deck-of-cards", _deck),
+        ("recurrence-cross-validation", _recurrence),
+    )]

@@ -267,12 +267,36 @@ def test_commands_form_no_bivariate_product(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("bivariate product formed")
 
+    assert enumerator.moment_functional is laguerre.moment_functional
     monkeypatch.setattr(laguerre, "_mul", refuse)
+    monkeypatch.setattr(laguerre, "moment_functional", refuse)
     monkeypatch.setattr(enumerator, "moment_functional", refuse)
     for argv in (("wder", "4^13"), ("seq", "3", "8"), ("seq", "2", "10", "--engine", "direct"),
                  ("seq", "1", "10"), ("guess", "-k", "1", "--terms", "12"),
                  ("verify", "--operator", _K2, "-k", "2", "--terms", "12")):
         assert run_cli(capsys, *argv)[0] == 0, argv
+
+
+def test_seq_refuses_an_operator_with_the_direct_engine(capsys, tmp_path):
+    # refused before the operator file is read
+    missing = str(tmp_path / "missing.json")
+    for op in (missing, _K1):
+        rc, out, err = run_cli(capsys, "seq", "1", "8", "--engine", "direct", "--operator", op)
+        assert (rc, out) == (2, "")
+        assert err == "error: --engine direct cannot be combined with --operator\n"
+
+
+@pytest.mark.parametrize("command", ["guess", "verify"])
+@pytest.mark.parametrize("extra", [("-k", "3"), ("--terms", "4"), ("-k", "3", "--terms", "4")])
+def test_sequence_file_refuses_k_and_terms(capsys, tmp_path, command, extra):
+    # refused before the sequence file is read; it used to ignore -k and --terms
+    seq_path = tmp_path / "s2.json"
+    assert run_cli(capsys, "seq", "2", "12", "--out", str(seq_path))[0] == 0
+    op = ("--operator", _K2) if command == "verify" else ()
+    for path in (seq_path, tmp_path / "missing.json"):
+        rc, out, err = run_cli(capsys, command, *op, "--file", str(path), *extra)
+        assert (rc, out) == (2, "")
+        assert err == "error: --file cannot be combined with -k or --terms\n"
 
 
 def test_seq_with_operator_file(capsys, tmp_path):
@@ -519,8 +543,10 @@ def test_booleans_in_an_operator_file_are_a_schema_error(capsys, tmp_path):
 def test_deeply_nested_json_is_a_schema_error(capsys, tmp_path, command):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 200_000)
-    flag = "--file" if command == "guess" else "--operator"
-    rc, out, err = run_cli(capsys, command, flag, str(deep), "-k", "1", "--terms", "8")
+    # guess reads the file as its sequence; verify as its operator, beside -k
+    args = ("--file", str(deep)) if command == "guess" else (
+        "--operator", str(deep), "-k", "1", "--terms", "8")
+    rc, out, err = run_cli(capsys, command, *args)
     assert rc == 2
     assert out == ""
     assert err.startswith("error: ") and "nested too deeply" in err

@@ -60,6 +60,9 @@ def test_counts():
     assert count_derangements([1, 1, 1, 1]) == 9
     assert count_derangements([2, 2, 2]) == 80
     assert identified_count([2, 2, 2]) == 10
+    # a one-shot shape is read once: the labeled count used to use it up
+    assert identified_count(iter([2, 2, 2])) == 10
+    assert identified_count(k for k in (2, 0, 2, 2)) == 10
 
 
 def test_fk_values():

@@ -83,6 +83,13 @@ def test_evaluation_examples():
     assert A(5) == 5
 
 
+@pytest.mark.parametrize("point", [0.5, True, False, Fraction(1), "1"])
+def test_evaluation_refuses_points_that_are_not_ints(point):
+    # 0.5 gave the float 1.5 and True evaluated at 1
+    with pytest.raises(TypeError, match="^evaluation point must be an int$"):
+        AlphaPoly((0, 6, 3))(point)
+
+
 def test_rejects_non_int_coefficients():
     with pytest.raises(TypeError):
         AlphaPoly((1.5,))

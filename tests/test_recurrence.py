@@ -213,6 +213,8 @@ def test_index_arguments_follow_the_index_rule(bad):
         operator_seed(1, op, bad)
     with pytest.raises(TypeError, match="last: expected an integer"):
         fk_sequence_via_recurrence(1, bad)
+    with pytest.raises(TypeError, match="^index: expected an integer$"):
+        seed.value_at(bad)  # True read the value at start + 1
     assert extend_sequence(op, seed, 6) == fk_sequence_direct(1, 6)
     assert fk_sequence_via_recurrence(1, 5) == fk_sequence_direct(1, 5)
 

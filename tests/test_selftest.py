@@ -2,7 +2,8 @@ from itertools import islice
 
 import pytest
 
-from multiderange.selftest import compositions
+from multiderange.oracle import DEFAULT_CAP
+from multiderange.selftest import ORACLE_BOUND, compositions
 
 
 def recursive_compositions(total):
@@ -24,3 +25,8 @@ def test_compositions_have_no_recursion_cliff():
     # the recursive definition raised RecursionError before its first tuple
     first_two = list(islice(compositions(5000), 2))
     assert first_two == [(1,) * 5000, (1,) * 4998 + (2,)]
+
+
+def test_oracle_suites_stay_within_the_oracle_cap():
+    # run_all calls the oracle with its default cap, up to ORACLE_BOUND
+    assert ORACLE_BOUND <= DEFAULT_CAP
