@@ -26,6 +26,7 @@ import os
 import re
 import sys
 import time
+from functools import cache
 from typing import Callable
 
 from . import selftest as selftest_mod
@@ -253,7 +254,10 @@ def _cmd_selftest(args) -> _Reply:
     return {"cap": args.cap}, rows, lambda: lines, 0 if ok else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: parsing leaves
+    it as it was."""
     parser = argparse.ArgumentParser(
         prog="multiderange",
         description="Exact cycle-count weight enumerators of multiset derangements",

@@ -14,10 +14,14 @@ the largest degrees: a candidate's row is the larger row at the columns
 whose powers of n and a fit, and the rows it would not have are exactly
 those that become zero.  Since n^p only scales an entry, a row is nonzero
 at a candidate's columns exactly when one of its n^0 a^q columns with
-q <= deg_a is nonzero, so the rows are counted per deg_a as they are built.
+q <= deg_a is nonzero, so one mask of nonzero entries per fitted value
+counts the rows per deg_a before any is built.  A window's rows are built
+when the search first reads them, which is often never.
 
 Most candidates have no kernel, and one screen per order, modulo a fixed
-word-size prime p, shows it.  The order's rows are reduced at every column
+prime p below 2^24, shows it.  Pivot entries are reduced mod p, so every
+dot product the system budget admits stays below 2^63, and CPython's sum()
+keeps it in a machine word.  The order's rows are reduced at every column
 of its largest shape, window by window, until the rank over F_p is full or
 a window raises no pivot.  The basis is kept in reduced echelon form and
 stored by non-pivot column, so a row's residual is one dot product per
@@ -53,20 +57,22 @@ with its shape, its equations x unknowns and its outcome.
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, chain, count, product
+from functools import reduce
+from itertools import accumulate, chain, count, islice, product
 from math import gcd, isqrt
-from operator import itemgetter, mul
+from operator import itemgetter, mul, or_
 from sys import getsizeof
-from typing import Iterable, Iterator, Sequence
 
 from .polys import AlphaPoly, PolySequence, _check_index
 from .recurrence import RecurrenceOperator, verify_operator
 
 _log = logging.getLogger(__name__)
 
-# Modulus of the rank filter; a Mersenne prime, so unlucky minors are rare.
-_PRIME = (1 << 61) - 1
+# Modulus of the rank filter, below 2^24 so that every product of two
+# residues, and every dot product the budget admits, fits a machine word.
+_PRIME = (1 << 24) - 3
 
 # Largest size of one order's rows in bits, a 64-bit slot plus the bit length
 # per entry.  F_3 at bounds (4, 7, 7) on 55 fitted terms needs 0.40 G, and
@@ -131,14 +137,13 @@ def _basis_mod_p(
     pivots are the greedy column basis.  cols[f][b] is the entry of basis
     row b at the non-pivot column f; its pivot entry is 1 and its other
     pivot entries are 0, so a row's residual at f is row[f] minus one dot
-    product of the row's pivot entries with cols[f].  A basis of earlier
-    rows, (pivots, cols) as returned, is extended in place.
+    product of the row's pivot entries, reduced mod p, with cols[f].  No
+    row is read once the rank is ncols.  A basis of earlier rows, (pivots,
+    cols) as returned, is extended in place.
     """
     pivots, cols = basis or ([], {f: [] for f in range(ncols)})
-    for row in rows:
-        if len(pivots) == ncols:
-            break
-        g = [row[q] for q in pivots]
+    for row in rows if cols else ():  # no row is read past rank ncols
+        g = [row[q] % p for q in pivots]
         res = [(f, x) for f, col in cols.items()
                if (x := (row[f] - sum(map(mul, g, col))) % p)]
         if not res:
@@ -153,6 +158,8 @@ def _basis_mod_p(
                 col[:] = [(a - b * z) % p for a, b in zip(col, at_c)]
             col.append(z)
         pivots.append(c)
+        if not cols:
+            break
     return pivots, cols
 
 
@@ -208,9 +215,9 @@ def _is_prime(n: int) -> bool:
 
 
 def _primes() -> Iterator[int]:
-    """_PRIME, then the primes below 2**62 in descending order."""
+    """_PRIME, then the primes below 2**24 - 3 in descending order."""
     yield _PRIME
-    yield from filter(_is_prime, count((1 << 62) - 1, -2))
+    yield from filter(_is_prime, count((1 << 24) - 5, -2))
 
 
 def _rational_lift(v: list[int], m: int) -> list[int] | None:
@@ -307,9 +314,27 @@ def _check_budget(
     return degrees, tops
 
 
+class _Rows(Sequence):
+    """An order's rows, built window by window as far as they are read."""
+
+    def __init__(self, windows: Iterator[list[list[int]]], count: int):
+        self.built: list[list[int]] = []
+        self._windows, self._count = windows, count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, i):
+        want = range(self._count)[i]  # IndexError past the end
+        hi = want + 1 if isinstance(want, int) else want[-1] + 1 if want else 0
+        while len(self.built) < hi:
+            self.built += next(self._windows)
+        return self.built[i]
+
+
 def _fit_rows(
     fit: Sequence[AlphaPoly], start: int, r: int, dn: int, da: int
-) -> tuple[list[list[int]], list[int], list[int]]:
+) -> tuple[_Rows, list[int], list[int]]:
     """Equation rows of candidate (r, dn, da) over the fitting segment, where
     each window's rows end in that list (windows without rows are left out),
     and counts[q], the number of rows of (r, e, q) for every e <= dn.
@@ -317,36 +342,46 @@ def _fit_rows(
     Window t (n = start + t) and power a^s give the row whose entry for the
     monomial n^p a^q of c_j is n^p times the a^(s-q) coefficient of
     fit[t + j].  Raises ValueError, before building anything, when the
-    rows would exceed MAX_SYSTEM_BITS.
+    rows would exceed MAX_SYSTEM_BITS.  The rows are built as they are read.
     """
     degrees, tops = _check_budget(fit, start, r, dn, da)
     # rev[t][top + da - s + q] is the a^(s-q) coefficient of fit[t], 0 outside
     top = max(degrees, default=-1)
     rev = [(0,) * (top + da - v.degree) + v.coeffs[::-1] + (0,) * da for v in fit]
-    rows: list[list[int]] = []
-    ends: list[int] = []
+    # byte i of nonzero[t] is 1 when rev[t][i] is nonzero, 0 when it is 0
+    nonzero = [int.from_bytes(bytes(map(bool, v)), "little") for v in rev]
+    plan: list[tuple[int, list[int]]] = []  # each window's t and its rows' u
     first = [0] * (da + 1)  # first[q]: rows whose lowest nonzero a-power is q
     for t, max_deg in enumerate(tops):
         if max_deg < 0:
             continue  # all-zero window constrains nothing
-        n = start + t
-        window = rev[t : t + r + 1]
-        npows = [n**p for p in range(1, dn + 1)]
-        # each fitted value of the window times n^p, in column order
-        blocks = [x for v in window
-                  for x in (v, *(tuple(npow * c for c in v) for npow in npows))]
+        seen = reduce(or_, nonzero[t : t + r + 1]).to_bytes(len(rev[t]), "little")
+        us = []
         for u in range(top + da, top - max_deg - 1, -1):  # u = top + da - s
-            q = next((q for q in range(da + 1) if any(v[u + q] for v in window)), None)
-            if q is None:
-                continue
-            first[q] += 1
-            w = u + da + 1
-            row: list[int] = []
-            for blk in blocks:
-                row += blk[u:w]
-            rows.append(row)
-        ends.append(len(rows))
-    return rows, ends, list(accumulate(first))
+            q = seen.find(1, u, u + da + 1) - u  # the row's lowest nonzero a-power
+            if q >= 0:
+                first[q] += 1
+                us.append(u)
+        plan.append((t, us))
+
+    def windows() -> Iterator[list[list[int]]]:
+        for t, us in plan:
+            n = start + t
+            npows = [n**p for p in range(1, dn + 1)]
+            # each fitted value of the window times n^p, in column order
+            blocks = [x for v in rev[t : t + r + 1]
+                      for x in (v, *(tuple(npow * c for c in v) for npow in npows))]
+            rows = []
+            for u in us:
+                w = u + da + 1
+                row: list[int] = []
+                for blk in blocks:
+                    row += blk[u:w]
+                rows.append(row)
+            yield rows
+
+    ends = list(accumulate(len(us) for _, us in plan))
+    return _Rows(windows(), ends[-1] if ends else 0), ends, list(accumulate(first))
 
 
 def _columns(r: int, dn: int, da: int, max_dn: int, max_da: int) -> list[int]:
@@ -419,7 +454,7 @@ def guess_operator(seq: PolySequence, spec: GuessSpec) -> GuessResult:
                     done, order_basis = screen = _order_screen(order_rows, ends, ncols)
                 cols = _columns(r, dn, da, max_dn, max_da)
                 basis = _restrict(order_basis, cols,
-                                  _column_subset(order_rows[done:], cols))
+                                  _column_subset(islice(order_rows, done, None), cols))
                 res = None
                 if len(basis[0]) == unknowns:
                     outcome = "rejected mod p"

@@ -18,7 +18,7 @@ polynomials compare equal.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import lru_cache
 from math import comb
 from typing import Sequence
 
@@ -27,13 +27,15 @@ from .polys import AlphaPoly, add_product, times_a_plus
 XAPoly = tuple[tuple[int, ...], ...]
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)  # typed: True is not a cached 1
 def scaled_laguerre(k: int) -> XAPoly:
     """k! * L_k with superscript a-1, in the tuple form.
 
     deg_x = k, the x^k coefficient is (-1)^k, and the constant term is the
     rising factorial a(a+1)...(a+k-1).
     """
+    if type(k) is not int:  # bools are refused too
+        raise TypeError("k must be an int")
     if k < 0:
         raise ValueError("k must be nonnegative")
     # tail = (a+i)(a+i+1)...(a+k-1), built down from the empty product
@@ -69,7 +71,10 @@ def laguerre_product(shape: Sequence[int]) -> XAPoly:
     independent of order.  A negative entry comes first in that order, so
     scaled_laguerre rejects it before any product is formed.
     """
-    ks = sorted(k for k in shape if k)
+    blocks = tuple(shape)
+    if any(type(k) is not int for k in blocks):  # bools are refused too
+        raise TypeError("shape entries must be int")
+    ks = sorted(k for k in blocks if k)
     out: XAPoly = ((1,),)
     for k in ks:
         out = _mul(out, scaled_laguerre(k))

@@ -91,6 +91,8 @@ def cycle_enumerator_all(n: int, cap: int = DEFAULT_CAP) -> AlphaPoly:
     Equals rising_factorial(n); asserting that equality is the classic
     sanity check for the whole cycle-counting machinery.
     """
+    if type(n) is not int:  # bools are refused too
+        raise TypeError("n must be an int")
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > cap:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
-from functools import cache
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 
@@ -198,7 +198,7 @@ def render_terms(terms, names: tuple[str, ...]) -> str:
     return " ".join(parts)
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)  # typed: True is not a cached 1
 def rising_factorial(m: int) -> AlphaPoly:
     """The product a(a+1)...(a+m-1); 1 when m = 0.
 
@@ -206,6 +206,8 @@ def rising_factorial(m: int) -> AlphaPoly:
     normalized weight moment of x^m, which is why it shows up everywhere.
     A miss keeps no intermediates: for m = 3000 they would take gigabytes.
     """
+    if type(m) is not int:  # bools are refused too
+        raise TypeError("m must be an int")
     if m < 0:
         raise ValueError("m must be nonnegative")
     coeffs = [1]

@@ -813,3 +813,20 @@ def test_text_format_smoke(capsys):
     assert rc == 0
     assert "2*a^2 + 2*a" in out
     assert "time:" in out
+
+
+def test_parser_is_built_once_per_process(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    # neither an argparse error nor a handler's usage error leaves the shared
+    # parser in a state that changes the next command
+    with pytest.raises(SystemExit) as info:
+        cli.main(["wder", "2,2", "--format", "json"])
+    assert info.value.code == 2
+    assert "invalid choice: 'json'" in capsys.readouterr().err
+    assert run_cli(capsys, "wder", "2,x")[0] == 2
+    rc, env, err = run_machine(capsys, "wder", "2,2")
+    assert (rc, err) == (0, "")
+    del env["timing_ms"]
+    assert env == {"command": "wder", "inputs": {"shape": [2, 2], "alpha": None,
+                                                 "identified": False},
+                   "result": {"variable": "a", "coeffs": ["0", "2", "2"]}}

@@ -4,7 +4,7 @@ from copy import deepcopy
 from bisect import insort
 from fractions import Fraction
 from itertools import islice
-from math import factorial, gcd, lcm
+from math import factorial, gcd, isqrt, lcm
 from operator import itemgetter, mul
 from unittest.mock import patch
 
@@ -38,8 +38,9 @@ def f_seq(k, terms, start=0):
 
 
 def fit_rows(seq, r, dn, da, holdout):
+    """The rows of _fit_rows, read to the end."""
     fit = seq.values[: len(seq.values) - holdout]
-    return guesser._fit_rows(fit, seq.start, r, dn, da)[0]
+    return list(guesser._fit_rows(fit, seq.start, r, dn, da)[0])
 
 
 def reference_solve(rows, ncols):
@@ -329,23 +330,26 @@ def next_primes(count):
 
 def test_unlucky_prime_with_the_same_rank_is_replaced(screen_primes):
     # mod p the row is (0, 1), so the kernel mod p is (1, 0); over Q the
-    # pivot is column 0, and (-1, p) needs two further primes to lift
+    # pivot is column 0, and (-1, p) needs three further primes to lift:
+    # mod the next prime q = p - 14 it lifts to the wrong (-1, 14), and p
+    # is over sqrt(q q' / 2), about 2^23.5, for the one after
     p = guesser._PRIME
     assert reference_solve([[p, 1]], 2) == ([0], [-1, p])
     assert solve([[p, 1]], 2) == (1, [-1, p])
-    assert screen_primes == [p, *next_primes(2)]
+    assert screen_primes == [p, *next_primes(3)]
 
 
 def test_prime_of_lower_rank_is_dropped(screen_primes):
     # rank 2 over Q and mod p, rank 1 mod the next prime q, which is
-    # skipped; the 101-bit kernel needs three more primes with p
+    # skipped; the 102-bit kernel entry 3 - 2x lifts within sqrt(m / 2)
+    # once m is over 2^203, which takes p and eight more 24-bit primes
     q = next_primes(1)[0]
     x = 2**100 + 7
     rows = [[1, 1, x], [q, 2 * q, 3 * q]]
     assert guesser._basis_mod_p(rows, 3, q)[0] == [0]
     screen_primes.clear()
     assert solve(rows, 3) == (2, [3 - 2 * x, x - 3, 1])
-    assert screen_primes == [guesser._PRIME, *next_primes(4)]
+    assert screen_primes == [guesser._PRIME, *next_primes(9)]
 
 
 @pytest.mark.parametrize("fake", [lambda w: [0] * len(w), lambda w: [-x for x in w]],
@@ -401,8 +405,8 @@ def test_is_prime_is_exact():
     # strong pseudoprimes to bases 2-7 and to the first nine prime bases
     assert not guesser._is_prime(3215031751)
     assert not guesser._is_prime(3825123056546413051)
-    # the largest primes below 2^62 (2^62 - 57, -87, -117)
-    assert next_primes(3) == [2**62 - 57, 2**62 - 87, 2**62 - 117]
+    # the largest primes below _PRIME = 2^24 - 3 (2^24 - 17, -33, -63)
+    assert next_primes(3) == [2**24 - 17, 2**24 - 33, 2**24 - 63]
 
 
 def in_order_reducer(rows, ncols, p):
@@ -520,6 +524,44 @@ def test_fit_rows_match_the_plain_builder(values, start, holdout):
                 fit = seq.values[: len(seq.values) - holdout]
                 ends = guesser._fit_rows(fit, start, r, dn, da)[1]
                 assert ends == want_ends, (r, dn, da)
+
+
+def test_orders_build_only_the_rows_they_read(monkeypatch):
+    built = []
+    fit_rows = guesser._fit_rows
+
+    def kept(*args):
+        built.append((args, fit_rows(*args)))
+        return built[-1][1]
+
+    monkeypatch.setattr(guesser, "_fit_rows", kept)
+    for k, fitted, want in ((1, 35, [(37, 408)]), (2, 25, [(45, 396), (63, 391)])):
+        built.clear()
+        seq = f_seq(k, fitted + 5, start=1)
+        res = guess_operator(seq, GuessSpec(3, 3, 3))
+        *others, (args, (rows, ends, _)) = built
+        # an order without the winner builds the windows that its screen and
+        # its candidates' screens read, a prefix of its rows
+        assert [(len(rows.built), len(rows)) for _, (rows, _, _) in others] == want
+        # the winner's order is read to the end, and is the plain builder's
+        assert res.candidate[0] == args[2]
+        want_ends = []
+        assert list(rows) == plain_fit_rows(seq, *args[2:], 5, want_ends)
+        assert len(rows.built) == len(rows)
+        assert ends == want_ends
+
+
+def test_screen_arithmetic_stays_in_machine_words():
+    # a screen's dot product has one term per pivot, at most the rows or
+    # the unknowns of the order, whichever is fewer, and the budget's 64
+    # bits per entry admit at most isqrt(MAX_SYSTEM_BITS // 64) of both;
+    # each term is a product of two residues, so the sum stays below 2^63
+    # and CPython's sum() keeps it in a C long
+    terms = isqrt(guesser.MAX_SYSTEM_BITS // 64)
+    later = next_primes(5)
+    assert later == sorted(later, reverse=True) and later[0] < guesser._PRIME
+    for p in (guesser._PRIME, later[0]):
+        assert terms * (p - 1) ** 2 < 2**63
 
 
 def test_system_budget_admits_the_f3_search():

@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 
 from multiderange.laguerre import laguerre_product, scaled_laguerre
+from multiderange.oracle import cycle_enumerator_all
 from multiderange.polys import AlphaPoly, rising_factorial
 
 
@@ -110,3 +111,25 @@ def test_rejects_negative_blocks():
         laguerre_product([2, -1])
     with pytest.raises(ValueError):
         scaled_laguerre(-1)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "after-1"])
+@pytest.mark.parametrize("bad", [True, False, 2.5, "2"])
+@pytest.mark.parametrize("call, message", [
+    (rising_factorial, "m must be an int"),
+    (cycle_enumerator_all, "n must be an int"),
+    (scaled_laguerre, "k must be an int"),
+    (lambda k: laguerre_product([k]), "shape entries must be int"),
+    (lambda k: laguerre_product([2, k]), "shape entries must be int"),
+], ids=["rising_factorial", "cycle_enumerator_all", "scaled_laguerre",
+        "laguerre_product", "laguerre_product-second"])
+def test_sizes_are_ints(call, message, bad, warm):
+    # True shared the cache entry of 1 and returned a, or the k=1 factor;
+    # 2.5 failed with Python's own message
+    rising_factorial.cache_clear()
+    scaled_laguerre.cache_clear()
+    want = call(1) if warm else None
+    with pytest.raises(TypeError, match=message):
+        call(bad)
+    if warm:  # and the cached 1 is still the int's
+        assert call(1) == want
