@@ -28,24 +28,31 @@ stored by non-pivot column, so a row's residual is one dot product per
 non-pivot column.  Each candidate cuts that basis to its columns: basis
 rows whose pivots it keeps stay, and the others, zero at every kept pivot,
 are their own residuals and extend it, which gives the basis of its rows
-on the screen's prefix.  Its screen then continues over its own rows past
-the prefix, cut one at a time, and it is rejected as soon as the rank is
-full; only a candidate that is not has its rows cut whole.  The screen is
-sound: any nonzero minor mod p is a nonzero integer minor, so the rank
-over Q is at least the rank over F_p, and full column rank mod p leaves
-no rational kernel.  No candidate with a kernel is dropped, so the
-operator found is the same.
+on the screen's prefix.  Its screen then goes on over its own rows past
+the prefix by the same rule, window by window, each row cut as it is
+read, and it is rejected if the rank is full.  The screen is sound: any
+nonzero minor mod p is a nonzero integer minor, so the rank over Q is at
+least the rank over F_p, and full column rank mod p leaves no rational
+kernel.
 
-A candidate that passes has its kernel read off its screen's basis, one
-vector per non-pivot column, and lifted to the integers: the vectors of
-further primes are combined by CRT, rebuilt by rational reconstruction and
-certified by an exact dot product with every row.  Since the rank over Q
-is at least the rank mod p, d certified vectors, each 1 at its own
-non-pivot column and 0 at the others, show that the rational kernel has
-dimension d.  Each is zero past its column, so the rational pivots are
-the same and the vector at the first non-pivot column is the canonical
-one.  A prime of full rank shows there is no kernel.  Every step works on
-integers.
+A candidate whose screen stops short of full rank has its kernel read off
+the screen's basis, one vector per non-pivot column, and lifted to the
+integers by rational reconstruction.  Each lifted vector is certified by
+its exact residual sum_j c_j(n, a) F(n+j), which must be 0 at every window
+of the fitted values: the same as a zero dot product with each of its
+rows, at less cost.  Since the rank over Q is at least the rank mod p, d
+certified vectors, each 1 at its own non-pivot column and 0 at the others,
+show that the rational kernel has dimension d, so the rows past the stop,
+never read, leave the rank and the reduced basis as they are.  Each vector
+is zero past its column, so the rational pivots are the same and the
+vector at the first non-pivot column is the canonical one.  Only if the
+certificate fails is the screen finished over every row: full rank rejects
+the candidate, and otherwise further primes, each screening every row, are
+combined by CRT until the lift is certified; a prime of full rank shows
+there is no kernel.  No candidate with a kernel is dropped, so the
+operator found is the same.  It is then verified only on the windows from
+n = start + len(fit) - r on, which the certificate did not cover.  Every
+step works on integers.
 
 An order whose rows would exceed MAX_SYSTEM_BITS, counting each entry's
 slot and bit length, is refused with ValueError before they are built.
@@ -57,16 +64,17 @@ with its shape, its equations x unknowns and its outcome.
 from __future__ import annotations
 
 import logging
-from collections.abc import Iterable, Iterator, Sequence
+from bisect import bisect_right
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import reduce
-from itertools import accumulate, chain, count, islice, product
+from functools import partial, reduce
+from itertools import accumulate, count, islice, product
 from math import gcd, isqrt
 from operator import itemgetter, mul, or_
 from sys import getsizeof
 
 from .polys import AlphaPoly, PolySequence, _check_index
-from .recurrence import RecurrenceOperator, verify_operator
+from .recurrence import Coeff, RecurrenceOperator, _apply, verify_operator
 
 _log = logging.getLogger(__name__)
 
@@ -163,31 +171,36 @@ def _basis_mod_p(
     return pivots, cols
 
 
-def _order_screen(
-    rows: Sequence[Sequence[int]], ends: Sequence[int], ncols: int
+def _screen(
+    rows: Sequence[Sequence[int]], ends: Sequence[int], ncols: int,
+    basis: _Basis | None = None, lo: int = 0, cols: Sequence[int] | None = None,
 ) -> tuple[int, _Basis]:
-    """The basis mod _PRIME of a prefix of the rows, and the prefix's length.
+    """Where a screen mod _PRIME of the rows past lo stops, and its basis.
 
     The rows are taken window by window (ends[i] is where window i's rows
-    end), up to the end of the first window that raises no pivot, or until
-    the rank is ncols.
+    end), cut to the columns cols when given, up to the end of the first
+    window that raises no pivot, or until the rank is ncols.  A basis of
+    earlier rows is extended in place; no window is read once the rank is
+    ncols.
     """
-    basis: _Basis = ([], {f: [] for f in range(ncols)})
-    lo = rank = 0
-    for hi in ends:
-        _basis_mod_p(rows[lo:hi], ncols, _PRIME, basis)
-        if len(basis[0]) in (rank, ncols):
-            return hi, basis
-        lo, rank = hi, len(basis[0])
+    basis = basis or ([], {f: [] for f in range(ncols)})
+    rank = len(basis[0])
+    for hi in ends[bisect_right(ends, lo):]:
+        if rank == ncols:
+            break
+        window = rows[lo:hi]
+        _basis_mod_p(window if cols is None else _column_subset(window, cols),
+                     ncols, _PRIME, basis)
+        lo = hi
+        if len(basis[0]) == rank:
+            break
+        rank = len(basis[0])
     return lo, basis
 
 
-def _restrict(
-    basis: _Basis, kept: Sequence[int], rest: Iterable[Sequence[int]]
-) -> _Basis:
+def _restrict(basis: _Basis, kept: Sequence[int]) -> _Basis:
     """The basis mod _PRIME of the same rows cut to the kept columns, which
-    are increasing and numbered 0..len(kept)-1 in the result, continued
-    over the rows rest (already cut) until the rank is len(kept).
+    are increasing and numbered 0..len(kept)-1 in the result.
 
     A basis row whose pivot is kept stays as it is.  One whose pivot is
     dropped is 0 at every kept pivot, so its kept entries are already its
@@ -201,7 +214,7 @@ def _restrict(
                  for b, q in enumerate(pivots) if q not in index]
     out = ([index[pivots[b]] for b in stay],
            {i: [col[b] for b in stay] for i, col in free.items()})
-    return _basis_mod_p(chain(residuals, rest), len(kept), _PRIME, out)
+    return _basis_mod_p(residuals, len(kept), _PRIME, out)
 
 
 def _is_prime(n: int) -> bool:
@@ -245,20 +258,24 @@ def _rational_lift(v: list[int], m: int) -> list[int] | None:
 
 
 def _solve(
-    rows: Sequence[Sequence[int]], ncols: int, basis: _Basis
-) -> tuple[int, list[int] | None]:
-    """Rank over Q and canonical kernel vector of the rows, or None when
-    there is no kernel; basis is the rows' reduced basis mod _PRIME, which
-    has a kernel.
+    rows: Sequence[Sequence[int]] | None, ncols: int, basis: _Basis,
+    annihilates: Callable[[list[int]], bool],
+) -> tuple[int, list[int] | None] | None:
+    """Rank over Q and canonical kernel vector of a system, or None for the
+    vector when there is no kernel; basis is the system's reduced basis mod
+    _PRIME, which has a kernel, and annihilates(w) tells whether the integer
+    vector w solves the system exactly.
 
     Mod p the kernel vector of the non-pivot column f is 1 at f, 0 at the
     other non-pivot columns and -cols[f][b] at pivot b.  The primes with
     the best pivots (highest rank, then smallest sorted pivots) are
     combined by CRT; the others are unlucky.  A lifted vector must be
-    positive at f, so the certified vectors are independent.
+    positive at f, so the certified vectors are independent.  The rows are
+    screened afresh at each later prime; with rows None no later prime is
+    tried, and None is returned when the lift from basis is not certified.
     """
     best = None
-    for p in _primes():
+    for p in _primes() if rows is not None else (_PRIME,):
         pivots, cols = basis or _basis_mod_p(rows, ncols, p)
         basis = None
         if len(pivots) == ncols:
@@ -277,10 +294,10 @@ def _solve(
         else:
             continue
         lifted = [_rational_lift(u, m) for u in acc]
-        if all(w and w[f] > 0 and not any(sum(map(mul, row, w)) for row in rows)
-               for f, w in zip(free, lifted)):
+        if all(w and w[f] > 0 and annihilates(w) for f, w in zip(free, lifted)):
             g = gcd(*lifted[0])
             return ncols - len(lifted), [y // g for y in lifted[0]]
+    return None
 
 
 def _check_budget(
@@ -325,11 +342,13 @@ class _Rows(Sequence):
         return self._count
 
     def __getitem__(self, i):
-        want = range(self._count)[i]  # IndexError past the end
-        hi = want + 1 if isinstance(want, int) else want[-1] + 1 if want else 0
+        # the indices asked for, none negative: IndexError past the end
+        want = range(self._count)[i]
+        one = isinstance(want, int)
+        hi = want + 1 if one else max(want, default=-1) + 1
         while len(self.built) < hi:
             self.built += next(self._windows)
-        return self.built[i]
+        return self.built[want] if one else [self.built[j] for j in want]
 
 
 def _fit_rows(
@@ -400,15 +419,69 @@ def _column_subset(
     return filter(any, map(itemgetter(*cols), rows))
 
 
+def _coeffs(vec: Sequence[int], dn: int, da: int) -> list[Coeff]:
+    """c_0, ..., c_r as sorted triples, where the coefficient of n^p a^q in
+    c_j is vec[(j * (dn + 1) + p) * (da + 1) + q]."""
+    monomials = list(product(range(dn + 1), range(da + 1)))
+    w = len(monomials)
+    return [tuple((p, q, x) for (p, q), x in zip(monomials, vec[u : u + w]) if x)
+            for u in range(0, len(vec), w)]
+
+
+def _annihilates(
+    fit: Sequence[AlphaPoly], start: int, dn: int, da: int, vec: list[int]
+) -> bool:
+    """True when the residual sum_j c_j(n, a) F(n + j) of the coefficients
+    c_0, ..., c_r = _coeffs(vec, dn, da) is 0 at every window of the fitted
+    values: exactly when vec solves the rows of _fit_rows(fit, start, r, dn,
+    da), whose entries are that residual's coefficients in a."""
+    coeffs = _coeffs(vec, dn, da)
+    terms = len(coeffs)
+    return not any(any(_apply(coeffs, start + t, fit, t, terms))
+                   for t in range(len(fit) - terms + 1))
+
+
+def _kernel(
+    rows: Sequence[Sequence[int]], ends: Sequence[int], screen: tuple[int, _Basis],
+    cols: Sequence[int], annihilates: Callable[[list[int]], bool],
+) -> tuple[int, list[int] | None] | None:
+    """What _solve gives for the order's rows cut to the columns cols, or
+    None when their rank mod _PRIME is full.
+
+    screen is the order's (stop, basis).  The candidate's screen goes on
+    from it window by window, and the kernel at its stop must satisfy
+    annihilates; only if it does not is the screen finished over every row,
+    and _solve continued with all of them.
+    """
+    unknowns = len(cols)
+    done, order_basis = screen
+    stop, basis = _screen(rows, ends, unknowns, _restrict(order_basis, cols), done, cols)
+    if len(basis[0]) < unknowns:
+        found = _solve(None, unknowns, basis, annihilates)
+        if found is not None:
+            return found
+        _basis_mod_p(_column_subset(islice(rows, stop, None), cols), unknowns,
+                     _PRIME, basis)
+    if len(basis[0]) == unknowns:
+        return None
+    return _solve(list(_column_subset(rows, cols)), unknowns, basis, annihilates)
+
+
+def _held_out(seq: PolySequence, first: int) -> PolySequence:
+    """The values of seq from index first on, which hold the windows from
+    n = seq.start + first; all of seq when that n has more than 640 digits."""
+    try:
+        return PolySequence(seq.start + first, seq.values[first:], seq.k)
+    except ValueError:  # past the index rule: every window is checked again
+        return seq
+
+
 def _operator_from_vector(
     vec: list[int], dn: int, da: int, start: int
 ) -> RecurrenceOperator | None:
     """The operator whose c_j(n, a) has the coefficient of n^p a^q at
     vec[(j * (dn + 1) + p) * (da + 1) + q], or None below order 1."""
-    monomials = list(product(range(dn + 1), range(da + 1)))
-    w = len(monomials)
-    coeffs = [tuple((p, q, x) for (p, q), x in zip(monomials, vec[u : u + w]) if x)
-              for u in range(0, len(vec), w)]
+    coeffs = _coeffs(vec, dn, da)
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     if len(coeffs) < 2:
@@ -421,9 +494,10 @@ def guess_operator(seq: PolySequence, spec: GuessSpec) -> GuessResult:
 
     Candidates are tried by increasing order, then deg_n, then deg_a; the
     first operator that annihilates the whole sequence (holdout included)
-    wins.  Each order's rows are built once and, if the order has an
-    admissible candidate, screened mod _PRIME once; each candidate's screen
-    starts from that basis, cut to its columns, and runs to its verdict.
+    wins.  Each order's rows are built once, as far as they are read, and,
+    if the order has an admissible candidate, screened mod _PRIME once;
+    each candidate's screen starts from that basis, cut to its columns, and
+    _kernel takes it to its verdict.
     Raises NotFound when every admissible candidate fails, InsufficientTerms
     when no candidate even has enough equations, and ValueError when an
     order reached by the search exceeds MAX_SYSTEM_BITS.
@@ -451,27 +525,28 @@ def guess_operator(seq: PolySequence, spec: GuessSpec) -> GuessResult:
                     continue
                 any_admissible = True
                 if screen is None:
-                    done, order_basis = screen = _order_screen(order_rows, ends, ncols)
-                cols = _columns(r, dn, da, max_dn, max_da)
-                basis = _restrict(order_basis, cols,
-                                  _column_subset(islice(order_rows, done, None), cols))
+                    screen = _screen(order_rows, ends, ncols)
+                found = _kernel(order_rows, ends, screen,
+                                _columns(r, dn, da, max_dn, max_da),
+                                partial(_annihilates, fit, seq.start, dn, da))
                 res = None
-                if len(basis[0]) == unknowns:
+                if found is None:
                     outcome = "rejected mod p"
                 else:
-                    rows = list(_column_subset(order_rows, cols))
-                    rank, vec = _solve(rows, unknowns, basis)
+                    rank, vec = found
                     op = vec and _operator_from_vector(vec, dn, da, seq.start)
                     if vec is None:
                         outcome = "no exact kernel"
                     elif op is None:
                         outcome = "kernel gives no recurrence"
-                    elif not verify_operator(op, seq):
+                    # the kernel is certified on every window of the fitted
+                    # values, so only the windows from len(fit) - r on remain
+                    elif not verify_operator(op, _held_out(seq, len(fit) - r)):
                         outcome = "verify failed"
                     else:
                         outcome = "accepted"
                         res = GuessResult(op, (r, dn, da), unknowns - rank,
-                                          len(rows), unknowns)
+                                          counts[da], unknowns)
                 _log.debug("candidate (%d, %d, %d): %d x %d, %s",
                            r, dn, da, counts[da], unknowns, outcome)
                 if res is not None:

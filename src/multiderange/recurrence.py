@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import gcd
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .enumerator import fk_sequence_direct
 from .polys import (
@@ -198,7 +198,7 @@ def extend_sequence(
         lead_at_n = AlphaPoly._trusted(coeff_at(neg_lead, n))
         if not lead_at_n:
             raise LeadingCoefficientZero(f"leading coefficient vanishes at n={_decimal_str(n)}")
-        partial = _apply(op, n, values, len(values) - r, r)
+        partial = _apply(op.coeffs, n, values, len(values) - r, r)
         try:
             values.append(divide_exact(AlphaPoly._trusted(partial), lead_at_n))
         except InexactDivision as exc:
@@ -206,8 +206,9 @@ def extend_sequence(
     return PolySequence(start=seed.start, values=tuple(values), k=seed.k)
 
 
-def _apply(op: RecurrenceOperator, n: int, values, base: int, terms: int) -> list[int]:
-    """Coefficients in a of sum_{j < terms} c_j(n, a) * values[base + j].
+def _apply(coeffs: Sequence[Coeff], n: int, values, base: int, terms: int) -> list[int]:
+    """Coefficients in a of sum_{j < terms} c_j(n, a) * values[base + j], where
+    c_j is coeffs[j], an operator's or any other list of triples.
 
     One int list accumulates every product, so no intermediate polynomial
     is built; trailing entries may be zero.
@@ -216,7 +217,7 @@ def _apply(op: RecurrenceOperator, n: int, values, base: int, terms: int) -> lis
     for j in range(terms):
         v = values[base + j].coeffs
         if v:
-            add_product(acc, coeff_at(op.coeffs[j], n), v)
+            add_product(acc, coeff_at(coeffs[j], n), v)
     return acc
 
 
@@ -233,7 +234,7 @@ def windows(op: RecurrenceOperator, seq: PolySequence) -> range:
 def first_failure(op: RecurrenceOperator, seq: PolySequence) -> int | None:
     """Smallest applicable n where the operator fails to annihilate, if any."""
     for n in windows(op, seq):
-        if any(_apply(op, n, seq.values, n - seq.start, op.order + 1)):
+        if any(_apply(op.coeffs, n, seq.values, n - seq.start, op.order + 1)):
             return n
     return None
 

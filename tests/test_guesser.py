@@ -71,11 +71,18 @@ def reference_solve(rows, ncols):
     return pivots, [x // g for x in w]
 
 
+def annihilates(rows):
+    """The certificate of an exact solution of the rows: every dot product is 0."""
+    return lambda w: not any(sum(map(mul, row, w)) for row in rows)
+
+
 def solve(rows, ncols):
-    """guesser._solve from a fresh screen of the rows mod _PRIME, or None
-    when that screen has full rank (rejected mod p)."""
+    """guesser._solve from a fresh screen of the rows mod _PRIME, certified
+    by the rows, or None when that screen has full rank (rejected mod p)."""
     basis = guesser._basis_mod_p(rows, ncols, guesser._PRIME)
-    return None if len(basis[0]) == ncols else guesser._solve(rows, ncols, basis)
+    if len(basis[0]) == ncols:
+        return None
+    return guesser._solve(rows, ncols, basis, annihilates(rows))
 
 
 def nullspace_vector(rows):
@@ -535,20 +542,46 @@ def test_orders_build_only_the_rows_they_read(monkeypatch):
         return built[-1][1]
 
     monkeypatch.setattr(guesser, "_fit_rows", kept)
-    for k, fitted, want in ((1, 35, [(37, 408)]), (2, 25, [(45, 396), (63, 391)])):
+    for k, fitted, want in ((1, 35, [(37, 408), (65, 404)]),
+                            (2, 25, [(45, 396), (63, 391), (115, 385)])):
         built.clear()
         seq = f_seq(k, fitted + 5, start=1)
         res = guess_operator(seq, GuessSpec(3, 3, 3))
-        *others, (args, (rows, ends, _)) = built
-        # an order without the winner builds the windows that its screen and
-        # its candidates' screens read, a prefix of its rows
-        assert [(len(rows.built), len(rows)) for _, (rows, _, _) in others] == want
-        # the winner's order is read to the end, and is the plain builder's
+        # every order builds the windows that its screen and its candidates'
+        # screens read, a prefix of its rows; the winner's screen stops at a
+        # window that raises no pivot, and its certified kernel needs no more
+        assert [(len(rows.built), len(rows)) for _, (rows, _, _) in built] == want
+        *_, (args, (rows, ends, _)) = built
         assert res.candidate[0] == args[2]
+        assert len(rows.built) in ends
+        # read to the end, the winner's order is the plain builder's
         want_ends = []
         assert list(rows) == plain_fit_rows(seq, *args[2:], 5, want_ends)
-        assert len(rows.built) == len(rows)
         assert ends == want_ends
+
+
+def test_rows_index_and_slice_like_the_built_list():
+    # on rows not yet built, as the search reads them, negative indices and
+    # steps included: rows[::-1] once built only through its first index
+    seq = f_seq(1, 15)
+    fit = seq.values[:-5]
+
+    def fresh():
+        return guesser._fit_rows(fit, 0, 2, 1, 1)[0]
+
+    full = list(fresh())
+    n = len(full)
+    assert n > 20 and len(fresh()[::-1]) == n
+    for i in range(-n, n):
+        assert fresh()[i] == full[i], i
+    for i in (-n - 1, n):
+        with pytest.raises(IndexError):
+            fresh()[i]
+    bounds = [None, 0, 1, n // 2, n - 1, n, n + 2, -1, -2, -(n // 2), -n, -n - 2]
+    for lo in bounds:
+        for hi in bounds:
+            for step in (None, 1, 2, 5, -1, -2, -5):
+                assert fresh()[lo:hi:step] == full[lo:hi:step], (lo, hi, step)
 
 
 def test_screen_arithmetic_stays_in_machine_words():
@@ -669,7 +702,7 @@ def test_order_screen_decides_like_a_screen_per_candidate(system):
     prime, (r, max_dn, max_da), rows, ends = system
     ncols = len(rows[0])
     with patch.object(guesser, "_PRIME", prime):
-        done, basis = guesser._order_screen(rows, ends, ncols)
+        done, basis = guesser._screen(rows, ends, ncols)
         assert done in ends
         # the prefix the order screen stopped at, and every row
         full = guesser._basis_mod_p(rows, ncols, prime)
@@ -680,20 +713,35 @@ def test_order_screen_decides_like_a_screen_per_candidate(system):
                     cols = guesser._columns(r, dn, da, max_dn, max_da)
                     sub = [itemgetter(*cols)(row) for row in rows]
                     # the cut basis is the candidate's own basis of the prefix
-                    cut = guesser._restrict(screened, cols, ())
+                    cut = guesser._restrict(screened, cols)
                     want = guesser._basis_mod_p(sub[:prefix], len(cols), prime)
                     assert sorted_basis(cut) == sorted_basis(want), (prefix, dn, da)
                     if len(cut[0]) == len(cols):  # sound: no rational kernel either
                         assert reference_solve(sub, len(cols))[1] is None
-                    # continued over its rows past the prefix, as the search
-                    # cuts them, it is the basis of all its rows
-                    rest = guesser._column_subset(rows[prefix:], cols)
-                    got = guesser._restrict(screened, cols, rest)
+                    # screened on window by window, as the search cuts its
+                    # rows, it is the basis of its rows up to where it stops
+                    stop, got = guesser._screen(rows, ends, len(cols), cut, prefix, cols)
+                    assert stop == prefix or stop in ends
+                    want = guesser._basis_mod_p(sub[:stop], len(cols), prime)
+                    assert sorted_basis(got) == sorted_basis(want), (prefix, dn, da)
+                    # which is at full rank, at the end, or after a window
+                    # that raised no pivot
+                    last = max([prefix, *(e for e in ends if e < stop)])
+                    quiet = guesser._basis_mod_p(sub[:last], len(cols), prime)
+                    assert (len(got[0]) == len(cols) or stop == len(rows)
+                            or stop > prefix and len(quiet[0]) == len(got[0])), (prefix, dn, da)
+                    # finished over the rest, it is the basis of all its rows
+                    rest = guesser._column_subset(rows[stop:], cols)
+                    guesser._basis_mod_p(rest, len(cols), prime, got)
                     fresh = guesser._basis_mod_p(sub, len(cols), prime)
                     assert sorted_basis(got) == sorted_basis(fresh), (prefix, dn, da)
-                    if len(got[0]) < len(cols):  # and _solve lifts the same from it
-                        assert (guesser._solve(sub, len(cols), got)
-                                == guesser._solve(sub, len(cols), fresh)), (prefix, dn, da)
+                    # and the candidate's kernel, lifted from where its screen
+                    # stops, is the one lifted from all its rows
+                    want = (None if len(fresh[0]) == len(cols) else
+                            guesser._solve(sub, len(cols), fresh, annihilates(sub)))
+                    got = guesser._kernel(rows, ends, (prefix, screened), cols,
+                                          annihilates(sub))
+                    assert got == want, (prefix, dn, da)
             assert screened == before  # the order's basis serves every candidate
 
 
@@ -703,7 +751,7 @@ def candidate_outcome(seq, rows, r, dn, da, unknowns):
     basis = guesser._basis_mod_p(rows, unknowns, guesser._PRIME)
     if len(basis[0]) == unknowns:
         return "rejected mod p", None
-    rank, vec = guesser._solve(rows, unknowns, basis)
+    rank, vec = guesser._solve(rows, unknowns, basis, annihilates(rows))
     if vec is None:
         return "no exact kernel", None
     op = guesser._operator_from_vector(vec, dn, da, seq.start)
@@ -791,6 +839,86 @@ def test_guess_matches_the_per_candidate_search(caplog, seq, start):
 def test_failed_guess_matches_the_per_candidate_search(caplog, seq, spec, exc):
     got = assert_guess_matches_the_per_candidate_search(caplog, seq, spec)
     assert got[0] is exc
+
+
+def changed(seq, i):
+    """seq with 1 added to the constant coefficient of its i-th value."""
+    values = list(seq.values)
+    values[i] = AlphaPoly([values[i](0) + 1, *values[i].coeffs[1:]])
+    return PolySequence(seq.start, tuple(values), k=seq.k)
+
+
+@pytest.fixture
+def certificates(monkeypatch):
+    """The outcome of each guesser._annihilates call made while the test runs."""
+    calls = []
+    certify = guesser._annihilates
+
+    def counted(*args):
+        calls.append(certify(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(guesser, "_annihilates", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seq", [f_seq(1, 20), f_seq(2, 30)], ids=["F1", "F2"])
+def test_a_failed_certificate_screens_every_row(caplog, certificates, seq):
+    # the last fitted value is off, so a kernel lifted from a screen that
+    # stopped before the last window fails its certificate, and the search
+    # reaches the verdicts of a screen of every row
+    assert_guess_matches_the_per_candidate_search(
+        caplog, changed(seq, len(seq.values) - 6), GuessSpec(3, 3, 3))
+    assert False in certificates
+
+
+@pytest.mark.parametrize("seq, spec", [(f_seq(1, 20), GuessSpec(2, 1, 1)),
+                                       (f_seq(2, 30), GuessSpec(3, 3, 3))],
+                         ids=["F1", "F2"])
+def test_a_changed_holdout_fails_verification(monkeypatch, caplog, certificates, seq, spec):
+    # the winner is certified on the fitted values, then checked on the
+    # rest, from the first window the certificate did not cover
+    held = []
+    verify = guesser.verify_operator
+
+    def kept(op, tail):
+        held.append(tail)
+        return verify(op, tail)
+
+    monkeypatch.setattr(guesser, "verify_operator", kept)
+    seq = changed(seq, len(seq.values) - 5)
+    got = assert_guess_matches_the_per_candidate_search(caplog, seq, spec)
+    assert got[0] is NotFound
+    assert caplog.messages[-1].endswith("verify failed")
+    assert certificates[-1]
+    r, fit = spec.max_order, len(seq.values) - 5
+    assert (held[-1].start, held[-1].values) == (seq.start + fit - r, seq.values[fit - r :])
+
+
+def test_holdout_of_an_operator_of_lower_order_starts_at_the_fitted_windows(caplog):
+    # doubling, except that the last fitted value is 24, not 32; order 1 has
+    # no kernel, but order 2 fits (-2, 1, 0), an operator of order 1 whose
+    # window at n = 4 holds only fitted values and fails
+    seq = const_seq([1, 2, 4, 8, 16, 24, 48, 96, 192])
+    got = assert_guess_matches_the_per_candidate_search(caplog, seq, GuessSpec(2, 0, 0, 3))
+    assert got[0] is NotFound
+    assert caplog.messages == ["candidate (1, 0, 0): 5 x 2, rejected mod p",
+                               "candidate (2, 0, 0): 4 x 3, verify failed"]
+
+
+def test_every_vector_of_a_larger_kernel_is_certified(caplog, certificates):
+    seq = PolySequence(0, tuple(map(AlphaPoly, [(2,), (1,), (), (-2, 1), (), (), (), (), ()])))
+    got = assert_guess_matches_the_per_candidate_search(caplog, seq, GuessSpec(1, 2, 1, 1))
+    assert (got.candidate, got.kernel_dim) == ((1, 2, 0), 2)
+    assert certificates[-2:] == [True, True]
+
+
+def test_guess_from_the_largest_start_verifies_every_window(caplog):
+    # the fitted windows end past the 640-digit index rule, so the holdout
+    # has no sequence of its own, and the whole sequence is verified again
+    seq = const_seq([2**t for t in range(12)], start=10**640 - 3)
+    got = assert_guess_matches_the_per_candidate_search(caplog, seq, GuessSpec(2, 1, 1))
+    assert got.operator == RecurrenceOperator((((0, 0, -2),), ((0, 0, 1),)), 10**640 - 3)
 
 
 @pytest.mark.parametrize("start", [0, 1])
