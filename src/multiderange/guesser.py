@@ -15,8 +15,9 @@ whose powers of n and a fit, and the rows it would not have are exactly
 those that become zero.  Since n^p only scales an entry, a row is nonzero
 at a candidate's columns exactly when one of its n^0 a^q columns with
 q <= deg_a is nonzero, so one mask of nonzero entries per fitted value
-counts the rows per deg_a before any is built.  A window's rows are built
-when the search first reads them, which is often never.
+counts the rows per deg_a before any is built.  Windows are the unit of
+work: a window's rows are built when the search first reads them, which is
+often never, and kept.
 
 Most candidates have no kernel, and one screen per order, modulo a fixed
 prime p below 2^24, shows it.  Pivot entries are reduced mod p, so every
@@ -28,12 +29,11 @@ stored by non-pivot column, so a row's residual is one dot product per
 non-pivot column.  Each candidate cuts that basis to its columns: basis
 rows whose pivots it keeps stay, and the others, zero at every kept pivot,
 are their own residuals and extend it, which gives the basis of its rows
-on the screen's prefix.  Its screen then goes on over its own rows past
-the prefix by the same rule, window by window, each row cut as it is
-read, and it is rejected if the rank is full.  The screen is sound: any
-nonzero minor mod p is a nonzero integer minor, so the rank over Q is at
-least the rank over F_p, and full column rank mod p leaves no rational
-kernel.
+on the screen's prefix.  Its screen then goes on over the windows past the
+prefix by the same rule, each row cut to its columns as it is read, and it
+is rejected if the rank is full.  The screen is sound: any nonzero minor
+mod p is a nonzero integer minor, so the rank over Q is at least the rank
+over F_p, and full column rank mod p leaves no rational kernel.
 
 A candidate whose screen stops short of full rank has its kernel read off
 the screen's basis, one vector per non-pivot column, and lifted to the
@@ -46,13 +46,13 @@ show that the rational kernel has dimension d, so the rows past the stop,
 never read, leave the rank and the reduced basis as they are.  Each vector
 is zero past its column, so the rational pivots are the same and the
 vector at the first non-pivot column is the canonical one.  Only if the
-certificate fails is the screen finished over every row: full rank rejects
-the candidate, and otherwise further primes, each screening every row, are
-combined by CRT until the lift is certified; a prime of full rank shows
-there is no kernel.  No candidate with a kernel is dropped, so the
-operator found is the same.  It is then verified only on the windows from
-n = start + len(fit) - r on, which the certificate did not cover.  Every
-step works on integers.
+certificate fails is the screen finished over the remaining windows: full
+rank rejects the candidate, a raised rank is lifted afresh, and then
+further primes, each screening every row, are combined by CRT until the
+lift is certified; a prime of full rank shows there is no kernel.  No
+candidate with a kernel is dropped, so the operator found is the same.  It
+is then verified only on the windows from n = start + len(fit) - r on,
+which the certificate did not cover.  Every step works on integers.
 
 An order whose rows would exceed MAX_SYSTEM_BITS, counting each entry's
 slot and bit length, is refused with ValueError before they are built.
@@ -64,11 +64,10 @@ with its shape, its equations x unknowns and its outcome.
 from __future__ import annotations
 
 import logging
-from bisect import bisect_right
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import partial, reduce
-from itertools import accumulate, count, islice, product
+from functools import cache, partial, reduce
+from itertools import accumulate, chain, islice, product
 from math import gcd, isqrt
 from operator import itemgetter, mul, or_
 from sys import getsizeof
@@ -172,29 +171,25 @@ def _basis_mod_p(
 
 
 def _screen(
-    rows: Sequence[Sequence[int]], ends: Sequence[int], ncols: int,
+    window: Callable[[int], list[list[int]]], windows: int, ncols: int,
     basis: _Basis | None = None, lo: int = 0, cols: Sequence[int] | None = None,
 ) -> tuple[int, _Basis]:
-    """Where a screen mod _PRIME of the rows past lo stops, and its basis.
+    """The window index where a screen mod _PRIME of the windows from lo on
+    stops, and its basis.
 
-    The rows are taken window by window (ends[i] is where window i's rows
-    end), cut to the columns cols when given, up to the end of the first
-    window that raises no pivot, or until the rank is ncols.  A basis of
-    earlier rows is extended in place; no window is read once the rank is
-    ncols.
+    The windows' rows are cut to the columns cols when given, and the
+    screen stops after the first window that raises no pivot, or when the
+    rank is ncols.  A basis of earlier rows is extended in place; no window
+    is read once the rank is ncols.
     """
     basis = basis or ([], {f: [] for f in range(ncols)})
-    rank = len(basis[0])
-    for hi in ends[bisect_right(ends, lo):]:
-        if rank == ncols:
-            break
-        window = rows[lo:hi]
-        _basis_mod_p(window if cols is None else _column_subset(window, cols),
+    while lo < windows and (rank := len(basis[0])) < ncols:
+        rows = window(lo)
+        _basis_mod_p(rows if cols is None else _column_subset(rows, cols),
                      ncols, _PRIME, basis)
-        lo = hi
+        lo += 1
         if len(basis[0]) == rank:
             break
-        rank = len(basis[0])
     return lo, basis
 
 
@@ -217,20 +212,12 @@ def _restrict(basis: _Basis, kept: Sequence[int]) -> _Basis:
     return _basis_mod_p(residuals, len(kept), _PRIME, out)
 
 
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin with the bases that make it exact for odd 37 < n < 2**64."""
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        xs = [pow(a, (n - 1) >> (s - i), n) for i in range(s)]  # a^(d 2^i)
-        if xs[0] != 1 and n - 1 not in xs:
-            return False
-    return True
-
-
 def _primes() -> Iterator[int]:
-    """_PRIME, then the primes below 2**24 - 3 in descending order."""
+    """_PRIME, then the odd primes below 2**24 - 3 in descending order."""
     yield _PRIME
-    yield from filter(_is_prime, count((1 << 24) - 5, -2))
+    for n in range((1 << 24) - 5, 2, -2):
+        if all(n % d for d in range(3, isqrt(n) + 1, 2)):
+            yield n
 
 
 def _rational_lift(v: list[int], m: int) -> list[int] | None:
@@ -258,28 +245,25 @@ def _rational_lift(v: list[int], m: int) -> list[int] | None:
 
 
 def _solve(
-    rows: Sequence[Sequence[int]] | None, ncols: int, basis: _Basis,
+    bases: Iterable[tuple[int, _Basis]], ncols: int,
     annihilates: Callable[[list[int]], bool],
 ) -> tuple[int, list[int] | None] | None:
     """Rank over Q and canonical kernel vector of a system, or None for the
-    vector when there is no kernel; basis is the system's reduced basis mod
-    _PRIME, which has a kernel, and annihilates(w) tells whether the integer
-    vector w solves the system exactly.
+    vector when there is no kernel; None when its rank mod _PRIME is full.
 
-    Mod p the kernel vector of the non-pivot column f is 1 at f, 0 at the
-    other non-pivot columns and -cols[f][b] at pivot b.  The primes with
-    the best pivots (highest rank, then smallest sorted pivots) are
-    combined by CRT; the others are unlucky.  A lifted vector must be
-    positive at f, so the certified vectors are independent.  The rows are
-    screened afresh at each later prime; with rows None no later prime is
-    tried, and None is returned when the lift from basis is not certified.
+    bases yields (p, basis), a reduced basis mod p of the system's rows,
+    _PRIME first, and annihilates(w) tells whether the integer vector w
+    solves the system exactly.  Mod p the kernel vector of the non-pivot
+    column f is 1 at f, 0 at the other non-pivot columns and -cols[f][b] at
+    pivot b.  The primes with the best pivots (highest rank, then smallest
+    sorted pivots) are combined by CRT; the others are unlucky.  A lifted
+    vector must be positive at f, so the certified vectors are independent.
+    A later prime of full rank shows that there is no kernel.
     """
     best = None
-    for p in _primes() if rows is not None else (_PRIME,):
-        pivots, cols = basis or _basis_mod_p(rows, ncols, p)
-        basis = None
+    for p, (pivots, cols) in bases:
         if len(pivots) == ncols:
-            return ncols, None
+            return None if p == _PRIME else (ncols, None)
         key = (-len(pivots), sorted(pivots))
         at = {q: b for b, q in enumerate(pivots)}  # pivot column -> basis row
         vecs = [[-col[at[c]] % p if c in at else int(c == f) for c in range(ncols)]
@@ -331,37 +315,19 @@ def _check_budget(
     return degrees, tops
 
 
-class _Rows(Sequence):
-    """An order's rows, built window by window as far as they are read."""
-
-    def __init__(self, windows: Iterator[list[list[int]]], count: int):
-        self.built: list[list[int]] = []
-        self._windows, self._count = windows, count
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __getitem__(self, i):
-        # the indices asked for, none negative: IndexError past the end
-        want = range(self._count)[i]
-        one = isinstance(want, int)
-        hi = want + 1 if one else max(want, default=-1) + 1
-        while len(self.built) < hi:
-            self.built += next(self._windows)
-        return self.built[want] if one else [self.built[j] for j in want]
-
-
 def _fit_rows(
     fit: Sequence[AlphaPoly], start: int, r: int, dn: int, da: int
-) -> tuple[_Rows, list[int], list[int]]:
-    """Equation rows of candidate (r, dn, da) over the fitting segment, where
-    each window's rows end in that list (windows without rows are left out),
-    and counts[q], the number of rows of (r, e, q) for every e <= dn.
+) -> tuple[Callable[[int], list[list[int]]], int, list[int]]:
+    """Equation rows of candidate (r, dn, da) over the fitting segment as
+    window(i), the rows of window i of the windows that have rows, with
+    their number, and counts[q], the number of rows of (r, e, q) for every
+    e <= dn.
 
     Window t (n = start + t) and power a^s give the row whose entry for the
     monomial n^p a^q of c_j is n^p times the a^(s-q) coefficient of
     fit[t + j].  Raises ValueError, before building anything, when the
-    rows would exceed MAX_SYSTEM_BITS.  The rows are built as they are read.
+    rows would exceed MAX_SYSTEM_BITS.  A window's rows are built on its
+    first call and kept.
     """
     degrees, tops = _check_budget(fit, start, r, dn, da)
     # rev[t][top + da - s + q] is the a^(s-q) coefficient of fit[t], 0 outside
@@ -383,24 +349,24 @@ def _fit_rows(
                 us.append(u)
         plan.append((t, us))
 
-    def windows() -> Iterator[list[list[int]]]:
-        for t, us in plan:
-            n = start + t
-            npows = [n**p for p in range(1, dn + 1)]
-            # each fitted value of the window times n^p, in column order
-            blocks = [x for v in rev[t : t + r + 1]
-                      for x in (v, *(tuple(npow * c for c in v) for npow in npows))]
-            rows = []
-            for u in us:
-                w = u + da + 1
-                row: list[int] = []
-                for blk in blocks:
-                    row += blk[u:w]
-                rows.append(row)
-            yield rows
+    @cache
+    def window(i: int) -> list[list[int]]:
+        t, us = plan[i]
+        n = start + t
+        npows = [n**p for p in range(1, dn + 1)]
+        # each fitted value of the window times n^p, in column order
+        blocks = [x for v in rev[t : t + r + 1]
+                  for x in (v, *(tuple(npow * c for c in v) for npow in npows))]
+        rows = []
+        for u in us:
+            w = u + da + 1
+            row: list[int] = []
+            for blk in blocks:
+                row += blk[u:w]
+            rows.append(row)
+        return rows
 
-    ends = list(accumulate(len(us) for _, us in plan))
-    return _Rows(windows(), ends[-1] if ends else 0), ends, list(accumulate(first))
+    return window, len(plan), list(accumulate(first))
 
 
 def _columns(r: int, dn: int, da: int, max_dn: int, max_da: int) -> list[int]:
@@ -442,29 +408,35 @@ def _annihilates(
 
 
 def _kernel(
-    rows: Sequence[Sequence[int]], ends: Sequence[int], screen: tuple[int, _Basis],
-    cols: Sequence[int], annihilates: Callable[[list[int]], bool],
+    window: Callable[[int], list[list[int]]], windows: int,
+    screen: tuple[int, _Basis], cols: Sequence[int],
+    annihilates: Callable[[list[int]], bool],
 ) -> tuple[int, list[int] | None] | None:
-    """What _solve gives for the order's rows cut to the columns cols, or
-    None when their rank mod _PRIME is full.
+    """What _solve gives for the order's rows cut to the columns cols.
 
-    screen is the order's (stop, basis).  The candidate's screen goes on
-    from it window by window, and the kernel at its stop must satisfy
-    annihilates; only if it does not is the screen finished over every row,
-    and _solve continued with all of them.
+    screen is the order's (stop, basis), from which the candidate's screen
+    goes on.  _solve lifts the basis at its stop; only if that lift is not
+    certified is the screen finished over the remaining windows, the basis
+    lifted again if that raised its rank, and every row screened at each
+    later prime.
     """
     unknowns = len(cols)
-    done, order_basis = screen
-    stop, basis = _screen(rows, ends, unknowns, _restrict(order_basis, cols), done, cols)
-    if len(basis[0]) < unknowns:
-        found = _solve(None, unknowns, basis, annihilates)
-        if found is not None:
-            return found
-        _basis_mod_p(_column_subset(islice(rows, stop, None), cols), unknowns,
-                     _PRIME, basis)
-    if len(basis[0]) == unknowns:
-        return None
-    return _solve(list(_column_subset(rows, cols)), unknowns, basis, annihilates)
+    done, basis = screen
+    stop, basis = _screen(window, windows, unknowns, _restrict(basis, cols), done, cols)
+
+    def rows(lo: int) -> Iterator[tuple[int, ...]]:
+        return _column_subset(chain.from_iterable(map(window, range(lo, windows))), cols)
+
+    def bases() -> Iterator[tuple[int, _Basis]]:
+        rank = len(basis[0])
+        yield _PRIME, basis
+        _basis_mod_p(rows(stop), unknowns, _PRIME, basis)
+        if len(basis[0]) > rank:
+            yield _PRIME, basis
+        for p in islice(_primes(), 1, None):
+            yield p, _basis_mod_p(rows(0), unknowns, p)
+
+    return _solve(bases(), unknowns, annihilates)
 
 
 def _held_out(seq: PolySequence, first: int) -> PolySequence:
@@ -494,7 +466,7 @@ def guess_operator(seq: PolySequence, spec: GuessSpec) -> GuessResult:
 
     Candidates are tried by increasing order, then deg_n, then deg_a; the
     first operator that annihilates the whole sequence (holdout included)
-    wins.  Each order's rows are built once, as far as they are read, and,
+    wins.  Each order's windows are built once, as far as they are read, and,
     if the order has an admissible candidate, screened mod _PRIME once;
     each candidate's screen starts from that basis, cut to its columns, and
     _kernel takes it to its verdict.
@@ -513,7 +485,7 @@ def guess_operator(seq: PolySequence, spec: GuessSpec) -> GuessResult:
     # an order needs a window of r + 1 fitted terms, and zero values give no rows
     last = min(spec.max_order, len(fit) - 1) if any(v.coeffs for v in fit) else 0
     for r in range(1, last + 1):
-        order_rows, ends, counts = _fit_rows(fit, seq.start, r, max_dn, max_da)
+        window, windows, counts = _fit_rows(fit, seq.start, r, max_dn, max_da)
         ncols = (r + 1) * (max_dn + 1) * (max_da + 1)
         screen = None
         # no candidate has more rows than counts[-1], nor fewer unknowns than
@@ -525,8 +497,8 @@ def guess_operator(seq: PolySequence, spec: GuessSpec) -> GuessResult:
                     continue
                 any_admissible = True
                 if screen is None:
-                    screen = _screen(order_rows, ends, ncols)
-                found = _kernel(order_rows, ends, screen,
+                    screen = _screen(window, windows, ncols)
+                found = _kernel(window, windows, screen,
                                 _columns(r, dn, da, max_dn, max_da),
                                 partial(_annihilates, fit, seq.start, dn, da))
                 res = None

@@ -3,7 +3,7 @@ import random
 from copy import deepcopy
 from bisect import insort
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, takewhile
 from math import factorial, gcd, isqrt, lcm
 from operator import itemgetter, mul
 from unittest.mock import patch
@@ -38,9 +38,10 @@ def f_seq(k, terms, start=0):
 
 
 def fit_rows(seq, r, dn, da, holdout):
-    """The rows of _fit_rows, read to the end."""
+    """The rows of _fit_rows, every window read."""
     fit = seq.values[: len(seq.values) - holdout]
-    return list(guesser._fit_rows(fit, seq.start, r, dn, da)[0])
+    window, windows, _ = guesser._fit_rows(fit, seq.start, r, dn, da)
+    return [row for i in range(windows) for row in window(i)]
 
 
 def reference_solve(rows, ncols):
@@ -77,12 +78,11 @@ def annihilates(rows):
 
 
 def solve(rows, ncols):
-    """guesser._solve from a fresh screen of the rows mod _PRIME, certified
-    by the rows, or None when that screen has full rank (rejected mod p)."""
-    basis = guesser._basis_mod_p(rows, ncols, guesser._PRIME)
-    if len(basis[0]) == ncols:
-        return None
-    return guesser._solve(rows, ncols, basis, annihilates(rows))
+    """guesser._solve from a fresh screen of the rows at each prime, certified
+    by the rows, or None when the screen mod _PRIME has full rank (rejected
+    mod p)."""
+    bases = ((p, guesser._basis_mod_p(rows, ncols, p)) for p in guesser._primes())
+    return guesser._solve(bases, ncols, annihilates(rows))
 
 
 def nullspace_vector(rows):
@@ -405,13 +405,15 @@ def test_solve_lifts_planted_kernels_of_over_100_digits(screen_primes, ncols, ra
 
 
 def test_is_prime_is_exact():
-    sieve = [True] * 30000
-    for i in range(2, 174):
-        sieve[i * i :: i] = [False] * len(sieve[i * i :: i])
-    assert all(guesser._is_prime(n) == sieve[n] for n in range(39, 30000, 2))
-    # strong pseudoprimes to bases 2-7 and to the first nine prime bases
-    assert not guesser._is_prime(3215031751)
-    assert not guesser._is_prime(3825123056546413051)
+    # a sieve of the top of the 2^24 range by every divisor up to 4096 >
+    # sqrt(2^24): the later primes are the primes below _PRIME, descending
+    lo = 2**24 - 20000
+    sieve = [True] * 20000  # sieve[i]: lo + i is prime
+    for d in range(2, 4097):
+        sieve[-lo % d :: d] = [False] * len(sieve[-lo % d :: d])
+    want = [lo + i for i in range(20000 - 4, -1, -1) if sieve[i]]
+    assert len(want) > 1000
+    assert list(takewhile(lambda n: n >= lo, next_primes(len(want) + 1))) == want
     # the largest primes below _PRIME = 2^24 - 3 (2^24 - 17, -33, -63)
     assert next_primes(3) == [2**24 - 17, 2**24 - 33, 2**24 - 63]
 
@@ -487,18 +489,17 @@ def test_screen_matches_the_in_order_reducer(monkeypatch, prime):
             assert got == (len(want_pivots), want), rows
 
 
-def plain_fit_rows(seq, r, dn, da, holdout, ends=None):
-    """Reference: every equation row built entry by entry; the end of each
-    window's rows is appended to ends, for windows that have rows."""
+def plain_fit_windows(seq, r, dn, da, holdout):
+    """Reference: the rows of each window that has rows, every equation row
+    built entry by entry."""
     fit = seq.values[: len(seq.values) - holdout]
     unknowns = (r + 1) * (dn + 1) * (da + 1)
-    rows = []
+    windows = []
     for t in range(len(fit) - r):
         n = seq.start + t
         window = fit[t : t + r + 1]
         max_deg = max(v.degree for v in window)
-        if max_deg < 0:
-            continue
+        rows = []
         for s in range(max_deg + da + 1):
             row = [0] * unknowns
             u = 0
@@ -510,9 +511,9 @@ def plain_fit_rows(seq, r, dn, da, holdout, ends=None):
                         u += 1
             if any(row):
                 rows.append(row)
-        if ends is not None and len(rows) > (ends[-1] if ends else 0):
-            ends.append(len(rows))
-    return rows
+        if rows:
+            windows.append(rows)
+    return windows
 
 
 @pytest.mark.parametrize("holdout", [3, 5, 7])
@@ -525,12 +526,15 @@ def test_fit_rows_match_the_plain_builder(values, start, holdout):
     for r in range(1, 4):
         for dn in range(4):
             for da in range(4):
-                want_ends = []
-                want = plain_fit_rows(seq, r, dn, da, holdout, want_ends)
-                assert fit_rows(seq, r, dn, da, holdout) == want, (r, dn, da)
+                want = plain_fit_windows(seq, r, dn, da, holdout)
                 fit = seq.values[: len(seq.values) - holdout]
-                ends = guesser._fit_rows(fit, start, r, dn, da)[1]
-                assert ends == want_ends, (r, dn, da)
+                window, windows, _ = guesser._fit_rows(fit, start, r, dn, da)
+                assert [window(i) for i in range(windows)] == want, (r, dn, da)
+
+
+def rows_in(window, windows):
+    """The number of rows of window(0), ..., window(windows - 1)."""
+    return sum(len(window(i)) for i in range(windows))
 
 
 def test_orders_build_only_the_rows_they_read(monkeypatch):
@@ -548,40 +552,20 @@ def test_orders_build_only_the_rows_they_read(monkeypatch):
         seq = f_seq(k, fitted + 5, start=1)
         res = guess_operator(seq, GuessSpec(3, 3, 3))
         # every order builds the windows that its screen and its candidates'
-        # screens read, a prefix of its rows; the winner's screen stops at a
+        # screens read, the first ones; the winner's screen stops at a
         # window that raises no pivot, and its certified kernel needs no more
-        assert [(len(rows.built), len(rows)) for _, (rows, _, _) in built] == want
-        *_, (args, (rows, ends, _)) = built
+        read = []
+        for _, (window, windows, _) in built:
+            info = window.cache_info()
+            read.append(rows_in(window, info.currsize))
+            assert window.cache_info().misses == info.misses
+        assert [(n, rows_in(window, windows))
+                for n, (_, (window, windows, _)) in zip(read, built)] == want
+        *_, (args, (window, windows, _)) = built
         assert res.candidate[0] == args[2]
-        assert len(rows.built) in ends
         # read to the end, the winner's order is the plain builder's
-        want_ends = []
-        assert list(rows) == plain_fit_rows(seq, *args[2:], 5, want_ends)
-        assert ends == want_ends
-
-
-def test_rows_index_and_slice_like_the_built_list():
-    # on rows not yet built, as the search reads them, negative indices and
-    # steps included: rows[::-1] once built only through its first index
-    seq = f_seq(1, 15)
-    fit = seq.values[:-5]
-
-    def fresh():
-        return guesser._fit_rows(fit, 0, 2, 1, 1)[0]
-
-    full = list(fresh())
-    n = len(full)
-    assert n > 20 and len(fresh()[::-1]) == n
-    for i in range(-n, n):
-        assert fresh()[i] == full[i], i
-    for i in (-n - 1, n):
-        with pytest.raises(IndexError):
-            fresh()[i]
-    bounds = [None, 0, 1, n // 2, n - 1, n, n + 2, -1, -2, -(n // 2), -n, -n - 2]
-    for lo in bounds:
-        for hi in bounds:
-            for step in (None, 1, 2, 5, -1, -2, -5):
-                assert fresh()[lo:hi:step] == full[lo:hi:step], (lo, hi, step)
+        want = plain_fit_windows(seq, *args[2:], 5)
+        assert [window(i) for i in range(windows)] == want
 
 
 def test_screen_arithmetic_stays_in_machine_words():
@@ -657,8 +641,8 @@ def test_search_visits_no_shape_past_its_order_rows(monkeypatch):
     fit_rows = guesser._fit_rows
 
     def counted(*args):
-        rows, ends, counts = fit_rows(*args)
-        return rows, ends, Counts(counts)
+        window, windows, counts = fit_rows(*args)
+        return window, windows, Counts(counts)
 
     monkeypatch.setattr(guesser, "_fit_rows", counted)
     with pytest.raises(InsufficientTerms):
@@ -701,12 +685,14 @@ def sorted_basis(basis):
 def test_order_screen_decides_like_a_screen_per_candidate(system):
     prime, (r, max_dn, max_da), rows, ends = system
     ncols = len(rows[0])
+    at = [0, *ends]  # at[i]: the rows before window i
+    window, windows = [rows[a:b] for a, b in zip(at, ends)].__getitem__, len(ends)
     with patch.object(guesser, "_PRIME", prime):
-        done, basis = guesser._screen(rows, ends, ncols)
-        assert done in ends
-        # the prefix the order screen stopped at, and every row
+        done, basis = guesser._screen(window, windows, ncols)
+        assert 0 < done <= windows
+        # the windows the order screen stopped at, and every window
         full = guesser._basis_mod_p(rows, ncols, prime)
-        for prefix, screened in ((done, basis), (len(rows), full)):
+        for prefix, screened in ((done, basis), (windows, full)):
             before = deepcopy(screened)
             for dn in range(max_dn + 1):
                 for da in range(max_da + 1):
@@ -714,32 +700,31 @@ def test_order_screen_decides_like_a_screen_per_candidate(system):
                     sub = [itemgetter(*cols)(row) for row in rows]
                     # the cut basis is the candidate's own basis of the prefix
                     cut = guesser._restrict(screened, cols)
-                    want = guesser._basis_mod_p(sub[:prefix], len(cols), prime)
+                    want = guesser._basis_mod_p(sub[: at[prefix]], len(cols), prime)
                     assert sorted_basis(cut) == sorted_basis(want), (prefix, dn, da)
                     if len(cut[0]) == len(cols):  # sound: no rational kernel either
                         assert reference_solve(sub, len(cols))[1] is None
                     # screened on window by window, as the search cuts its
                     # rows, it is the basis of its rows up to where it stops
-                    stop, got = guesser._screen(rows, ends, len(cols), cut, prefix, cols)
-                    assert stop == prefix or stop in ends
-                    want = guesser._basis_mod_p(sub[:stop], len(cols), prime)
+                    stop, got = guesser._screen(window, windows, len(cols), cut, prefix, cols)
+                    assert prefix <= stop <= windows
+                    want = guesser._basis_mod_p(sub[: at[stop]], len(cols), prime)
                     assert sorted_basis(got) == sorted_basis(want), (prefix, dn, da)
                     # which is at full rank, at the end, or after a window
                     # that raised no pivot
-                    last = max([prefix, *(e for e in ends if e < stop)])
+                    last = at[max(prefix, stop - 1)]
                     quiet = guesser._basis_mod_p(sub[:last], len(cols), prime)
-                    assert (len(got[0]) == len(cols) or stop == len(rows)
+                    assert (len(got[0]) == len(cols) or stop == windows
                             or stop > prefix and len(quiet[0]) == len(got[0])), (prefix, dn, da)
                     # finished over the rest, it is the basis of all its rows
-                    rest = guesser._column_subset(rows[stop:], cols)
+                    rest = guesser._column_subset(rows[at[stop] :], cols)
                     guesser._basis_mod_p(rest, len(cols), prime, got)
                     fresh = guesser._basis_mod_p(sub, len(cols), prime)
                     assert sorted_basis(got) == sorted_basis(fresh), (prefix, dn, da)
                     # and the candidate's kernel, lifted from where its screen
                     # stops, is the one lifted from all its rows
-                    want = (None if len(fresh[0]) == len(cols) else
-                            guesser._solve(sub, len(cols), fresh, annihilates(sub)))
-                    got = guesser._kernel(rows, ends, (prefix, screened), cols,
+                    want = solve(sub, len(cols))
+                    got = guesser._kernel(window, windows, (prefix, screened), cols,
                                           annihilates(sub))
                     assert got == want, (prefix, dn, da)
             assert screened == before  # the order's basis serves every candidate
@@ -748,10 +733,10 @@ def test_order_screen_decides_like_a_screen_per_candidate(system):
 def candidate_outcome(seq, rows, r, dn, da, unknowns):
     """Reference: the outcome of one candidate from a fresh screen of its
     rows mod _PRIME, with the result when it verifies."""
-    basis = guesser._basis_mod_p(rows, unknowns, guesser._PRIME)
-    if len(basis[0]) == unknowns:
+    found = solve(rows, unknowns)
+    if found is None:
         return "rejected mod p", None
-    rank, vec = guesser._solve(rows, unknowns, basis, annihilates(rows))
+    rank, vec = found
     if vec is None:
         return "no exact kernel", None
     op = guesser._operator_from_vector(vec, dn, da, seq.start)
@@ -776,7 +761,7 @@ def per_candidate_guess(seq, spec, transcript):
     fit = seq.values[: len(seq.values) - spec.holdout]
     any_admissible = False
     for r in range(1, min(spec.max_order, len(fit) - 1) + 1):
-        order_rows = guesser._fit_rows(fit, seq.start, r, max_dn, max_da)[0]
+        order_rows = fit_rows(seq, r, max_dn, max_da, spec.holdout)
         for dn in range(max_dn + 1):
             for da in range(max_da + 1):
                 unknowns = (r + 1) * (dn + 1) * (da + 1)
@@ -862,14 +847,36 @@ def certificates(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def lifts(monkeypatch):
+    """The modulus and residues of each guesser._rational_lift call made
+    while the test runs."""
+    calls = []
+    lift = guesser._rational_lift
+
+    def counted(v, m):
+        calls.append((m, tuple(v)))
+        return lift(v, m)
+
+    monkeypatch.setattr(guesser, "_rational_lift", counted)
+    return calls
+
+
+def assert_each_basis_is_lifted_once(lifts):
+    # a basis whose lift failed is not lifted again: the finished screen is
+    # lifted only when it raised the rank, and then a basis at a later prime
+    assert lifts and all(a != b for a, b in zip(lifts, lifts[1:]))
+
+
 @pytest.mark.parametrize("seq", [f_seq(1, 20), f_seq(2, 30)], ids=["F1", "F2"])
-def test_a_failed_certificate_screens_every_row(caplog, certificates, seq):
+def test_a_failed_certificate_screens_every_row(caplog, certificates, lifts, seq):
     # the last fitted value is off, so a kernel lifted from a screen that
     # stopped before the last window fails its certificate, and the search
     # reaches the verdicts of a screen of every row
     assert_guess_matches_the_per_candidate_search(
         caplog, changed(seq, len(seq.values) - 6), GuessSpec(3, 3, 3))
     assert False in certificates
+    assert_each_basis_is_lifted_once(lifts)
 
 
 @pytest.mark.parametrize("seq, spec", [(f_seq(1, 20), GuessSpec(2, 1, 1)),
@@ -927,18 +934,23 @@ def test_guess_from_the_largest_start_verifies_every_window(caplog):
                          ids=["F1", "F2", "random"])
 def test_equation_counts_match_the_cut_rows(values, start):
     seq = PolySequence(start, values)
-    fit = seq.values[:-2]
     for r in range(1, 4):
-        rows, _, counts = guesser._fit_rows(fit, start, r, 3, 3)
+        rows = fit_rows(seq, r, 3, 3, 2)
+        counts = guesser._fit_rows(seq.values[:-2], start, r, 3, 3)[2]
         for dn in range(4):
             for da in range(4):
                 cols = guesser._columns(r, dn, da, 3, 3)
                 assert counts[da] == len(list(guesser._column_subset(rows, cols)))
 
 
-def test_guess_finds_the_f3_operator():
+def test_guess_finds_the_f3_operator(lifts):
     res = guess_operator(f_seq(3, 25), GuessSpec(4, 6, 8))
     assert res.candidate == (4, 6, 8)
     assert res.kernel_dim == 1
     assert (res.equations, res.unknowns) == (401, 315)
     assert sum(map(len, res.operator.coeffs)) == 179
+    # the lift from _PRIME is not certified, the screen of every row raises
+    # no rank, and the next prime's lift is certified
+    p, q = guesser._PRIME, next_primes(1)[0]
+    assert [m for m, _ in lifts] == [p, p * q]
+    assert_each_basis_is_lifted_once(lifts)

@@ -74,6 +74,8 @@ TOMBSTONES = [
     "selftest.cycle_identity_suite",
     "selftest.deck_suite",
     "selftest.recurrence_suite",
+    "guesser._Rows",  # a lazy row Sequence beside the cached window builder
+    "guesser._is_prime",  # Miller-Rabin beside the trial division in _primes
 ]
 
 
