@@ -26,6 +26,7 @@ from .enumerator import (
     identified_count,
     normalize_shape,
     weighted_derangement_poly,
+    weighted_derangement_value,
 )
 from .oracle import (
     CapExceeded,
@@ -101,4 +102,5 @@ __all__ = [
     "sequence_to_record",
     "verify_operator",
     "weighted_derangement_poly",
+    "weighted_derangement_value",
 ]

@@ -35,6 +35,7 @@ from .enumerator import (
     fk_sequence_direct,
     identified_count,
     weighted_derangement_poly,
+    weighted_derangement_value,
 )
 from .guesser import GuessSpec, InsufficientTerms, NotFound, guess_operator
 from .oracle import DEFAULT_CAP
@@ -107,7 +108,7 @@ def _shape_value(shape: tuple[int, ...], identified: bool, alpha: int | None) ->
     """The number wder and count print: the identified count, or the value at alpha."""
     if identified:
         return identified_count(shape)
-    return weighted_derangement_poly(shape)(alpha)
+    return weighted_derangement_value(shape, alpha)
 
 
 def _cmd_wder(args) -> _Reply:

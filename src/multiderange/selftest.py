@@ -1,8 +1,9 @@
 """Built-in consistency suites behind the ``selftest`` CLI command.
 
-Four independent checks: the small-shape sweep against the brute-force
-oracle, the all-permutations cycle identity, the 52-card-deck golden
-values, and recurrence-vs-direct cross-validation.  Each check returns
+Four independent checks: the small-shape sweep of the polynomial and of
+its one-product values against the brute-force oracle, the
+all-permutations cycle identity, the 52-card-deck golden values, and
+recurrence-vs-direct cross-validation.  Each check returns
 (passed, detail); run_all runs them from one table, in that order, and
 times each into a SuiteResult, so the CLI can print one row per suite.
 """
@@ -14,7 +15,12 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import oracle
-from .enumerator import fk_sequence_direct, identified_count, weighted_derangement_poly
+from .enumerator import (
+    fk_sequence_direct,
+    identified_count,
+    weighted_derangement_poly,
+    weighted_derangement_value,
+)
 from .polys import AlphaPoly, rising_factorial
 from .recurrence import fk_sequence_via_recurrence
 
@@ -92,7 +98,9 @@ def compositions(total: int) -> Iterator[tuple[int, ...]]:
 
 
 def _sweep(bound: int) -> tuple[bool, str]:
-    """Laguerre-moment path versus brute force on every small shape."""
+    """Laguerre-moment paths versus brute force on every small shape: the
+    polynomial, and the one-product values behind count, --identified and
+    --alpha at a few points."""
     checked = 0
     for total in range(bound + 1):
         for shape in compositions(total):
@@ -100,8 +108,12 @@ def _sweep(bound: int) -> tuple[bool, str]:
             want = oracle.enumerate_derangements(shape)
             if got != want:
                 return False, f"mismatch at shape {shape}: {got} vs {want}"
+            for a in (-2, -1, 1, 2, 3):
+                value = weighted_derangement_value(shape, a)
+                if value != want(a):
+                    return False, f"mismatch at shape {shape}, a={a}: {value} vs {want(a)}"
             checked += 1
-    return True, f"{checked} shapes with total <= {bound}"
+    return True, f"{checked} shapes with total <= {bound}, values at a = -2, -1, 1, 2, 3"
 
 
 def _cycle_identity(bound: int) -> tuple[bool, str]:

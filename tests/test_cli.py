@@ -122,25 +122,49 @@ def test_wder_deck_identified(capsys):
     assert env["result"] == "1493804444499093354916284290188948031229880469556"
 
 
+@pytest.fixture
+def enumerator_calls(monkeypatch):
+    """Calls to the enumerator's polynomial and one-value functions, from
+    the CLI or from inside the enumerator."""
+    calls = {"weighted_derangement_poly": 0, "weighted_derangement_value": 0}
+    for name in calls:
+        real = getattr(enumerator, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(enumerator, name, counted)
+        monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize(
-    "argv, calls",
+    "argv, values",
     [
         (("wder", "4^13", "--identified"), 1),
         (("wder", "2,2", "--identified", "--alpha", "2"), 0),
     ],
 )
-def test_wder_identified_computes_the_enumerator_once(capsys, monkeypatch, argv, calls):
-    real = enumerator.weighted_derangement_poly
-    seen = []
-
-    def counted(shape):
-        seen.append(shape)
-        return real(shape)
-
-    monkeypatch.setattr(enumerator, "weighted_derangement_poly", counted)
-    monkeypatch.setattr(cli, "weighted_derangement_poly", counted)
+def test_wder_identified_computes_the_enumerator_once(capsys, enumerator_calls, argv, values):
+    # one value at a = 1, from one product: the polynomial is never built
     run_cli(capsys, *argv)
-    assert len(seen) == calls
+    assert enumerator_calls == {"weighted_derangement_poly": 0,
+                                "weighted_derangement_value": values}
+
+
+@pytest.mark.parametrize("argv, polys", [
+    (("count", "4^13"), 0),
+    (("count", "2,3,3", "--identified"), 0),
+    (("wder", "4^13", "--alpha", "3"), 0),
+    (("wder", "5,5", "--alpha", str(-(2**64 - 1))), 0),
+    (("wder", "5,5", "--alpha", str(2**64)), 1),
+])
+def test_counts_and_alpha_values_take_one_product(capsys, enumerator_calls, argv, polys):
+    # past 64-bit a the value is the polynomial's, built once
+    run_cli(capsys, *argv)
+    assert enumerator_calls == {"weighted_derangement_poly": polys,
+                                "weighted_derangement_value": 1}
 
 
 def test_bad_shape_exit_code(capsys):

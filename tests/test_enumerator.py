@@ -1,8 +1,9 @@
 import random
+import time
 from math import factorial, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from multiderange import enumerator, oracle
 from multiderange.enumerator import (
@@ -15,6 +16,7 @@ from multiderange.enumerator import (
     moment_functional,
     normalize_shape,
     weighted_derangement_poly,
+    weighted_derangement_value,
 )
 from multiderange.laguerre import laguerre_product
 from multiderange.polys import AlphaPoly, PolySequence
@@ -129,7 +131,9 @@ def test_equal_blocks_budget():
     (lambda: fk_value(1, True), "k and n must be int"),
     (lambda: fk_sequence_direct(True, 3), "k and n must be int"),
     (lambda: fk_sequence_direct(2, False), "k and n must be int"),
-], ids=["shape", "wder", "fk-k", "fk-n", "direct-k", "direct-last"])
+    (lambda: weighted_derangement_value([True, 1], 1), "shape entries must be int"),
+    (lambda: weighted_derangement_value([2, 2], True), "evaluation point must be an int"),
+], ids=["shape", "wder", "fk-k", "fk-n", "direct-k", "direct-last", "value-shape", "value-a"])
 def test_booleans_are_not_block_sizes_or_counts(call, message):
     # bool is an int subclass; the records and AlphaPoly refuse it too, and
     # the equal-blocks functions refuse it before computing any value
@@ -143,7 +147,7 @@ def test_shape_budget(monkeypatch):
     monkeypatch.setattr(enumerator, "MAX_GROUND_SET", 10)
     assert normalize_shape([6, 0, 4]) == (6, 4)
     for fn in (normalize_shape, weighted_derangement_poly, count_derangements,
-               identified_count):
+               identified_count, lambda shape: weighted_derangement_value(shape, -3)):
         with pytest.raises(ValueError) as exc:
             fn([6, 5])
         assert str(exc.value) == SHAPE_TOO_LARGE
@@ -212,7 +216,11 @@ def _partitions(total, largest):
 @pytest.mark.parametrize("total", range(9))
 def test_interpolation_matches_the_oracle(total):
     for shape in _partitions(total, total):
-        assert weighted_derangement_poly(shape) == oracle.enumerate_derangements(shape)
+        want = oracle.enumerate_derangements(shape)
+        assert weighted_derangement_poly(shape) == want
+        # and the one-product values, on both sides of every vanishing point
+        for a in range(-total - 2, total + 3):
+            assert weighted_derangement_value(shape, a) == want(a)
 
 
 # shapes on which the bivariate product took up to about 1 s
@@ -226,3 +234,87 @@ def test_interpolation_needs_integer_coefficients():
     assert enumerator._from_values([0, 0, 2]) == AlphaPoly((0, 1, 1))
     with pytest.raises(ArithmeticError):
         enumerator._from_values([0, 0, 1])
+
+
+# the one-point path: weighted_derangement_value against the polynomial
+# and classical counts (the oracle test above covers it too)
+
+# on both sides of the 64-bit rule, and far past it
+EDGE_POINTS = [2**64 - 1, -(2**64 - 1), 2**64, -(2**64), 10**300, -(10**300)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=6), max_size=8))
+def test_value_matches_the_polynomial(shape):
+    poly = weighted_derangement_poly(shape)
+    total = sum(shape)
+    for a in [*range(-total - 2, total + 3), *EDGE_POINTS]:
+        assert weighted_derangement_value(shape, a) == poly(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=8),
+       st.integers(min_value=-(2**200), max_value=2**200))
+def test_moment_kernel_is_exact_past_the_bit_rule(shape, a):
+    # the whole product at any a whose factors have a nonzero constant term
+    assume(a > 0 or -a >= max(shape))
+    total = sum(shape)
+    value = enumerator._moment_at(enumerator._powers(tuple(shape)), a, total)
+    assert (-value if total % 2 else value) == weighted_derangement_poly(shape)(a)
+
+
+def test_value_edge_cases(monkeypatch):
+    def refuse(shape):
+        raise AssertionError("polynomial built")
+
+    monkeypatch.setattr(enumerator, "weighted_derangement_poly", refuse)
+    for a in (-5, 0, 1, 7, -(10**300)):
+        assert weighted_derangement_value((), a) == 1
+        assert weighted_derangement_value([0, 0], a) == 1
+        # a block above K//2: no derangement at any a
+        assert weighted_derangement_value([4, 1, 1], a) == 0
+    # zero blocks are dropped
+    assert weighted_derangement_value([0, 2, 0, 2], 3) == weighted_derangement_value([2, 2], 3) == 24
+    # a nonempty shape has no derangement with no cycles
+    assert weighted_derangement_value([2, 2], 0) == 0
+    # at a = -1 a block of 2 vanishes up to x^1; at a = -2 it does not
+    assert weighted_derangement_value([2, 2], -1) == 0
+    assert weighted_derangement_value([2, 2], -2) == 4
+    with pytest.raises(ValueError, match="nonnegative"):
+        weighted_derangement_value([2, -1], 1)
+
+
+@pytest.mark.parametrize("a", [1.0, 2**0.5, "1", None])
+def test_value_refuses_a_point_that_is_not_an_int(a):
+    # the message of AlphaPoly.__call__, which bools also get
+    with pytest.raises(TypeError) as info:
+        weighted_derangement_value([2, 2], a)
+    assert str(info.value) == "evaluation point must be an int"
+
+
+def _timed(fn, *args):
+    t0 = time.perf_counter()
+    out = fn(*args)
+    return out, time.perf_counter() - t0
+
+
+def test_count_of_3000_singletons():
+    # the classical derangement numbers, D_n = n D_(n-1) + (-1)^n
+    want = 1
+    for n in range(1, 3001):
+        want = n * want + (-1) ** n
+    got, seconds = _timed(count_derangements, [1] * 3000)
+    assert got == want
+    assert seconds < 5
+
+
+def test_count_of_500_pairs():
+    # rook-polynomial inclusion-exclusion: sum_i (-1)^i r_i (1000 - i)!, with
+    # r = (1 + 4x + 2x^2)^500, the rook polynomial of 500 2x2 boards
+    r = [1]
+    for _ in range(500):
+        r = [p + 4 * q + 2 * s for p, q, s in zip(r + [0, 0], [0, *r, 0], [0, 0, *r])]
+    want = sum((-1) ** i * ri * factorial(1000 - i) for i, ri in enumerate(r))
+    got, seconds = _timed(count_derangements, [2] * 500)
+    assert got == want
+    assert seconds < 5
