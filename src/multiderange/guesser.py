@@ -19,19 +19,26 @@ counts the rows per deg_a before any is built.  Windows are the unit of
 work: a window's rows are built when the search first reads them, which is
 often never, and kept.
 
-Most candidates have no kernel, and one screen per order, modulo a fixed
-prime p below 2^24, shows it.  Pivot entries are reduced mod p, so every
-dot product the system budget admits stays below 2^63, and CPython's sum()
-keeps it in a machine word.  The order's rows are reduced at every column
-of its largest shape, window by window, until the rank over F_p is full or
-a window raises no pivot.  The basis is kept in reduced echelon form and
-stored by non-pivot column, so a row's residual is one dot product per
-non-pivot column.  Each candidate cuts that basis to its columns: basis
-rows whose pivots it keeps stay, and the others, zero at every kept pivot,
-are their own residuals and extend it, which gives the basis of its rows
-on the screen's prefix.  Its screen then goes on over the windows past the
-prefix by the same rule, each row cut to its columns as it is read, and it
-is rejected if the rank is full.  The screen is sound: any nonzero minor
+Most candidates have no kernel, and a screen modulo a fixed prime p below
+2^24 shows it.  Pivot entries are reduced mod p, so every dot product the
+system budget admits stays below 2^63, and CPython's sum() keeps it in a
+machine word.  Each order is screened in slabs (r, s, max_deg_a), which are
+shapes too: a slab is screened when the search first reaches a deg_n past
+the slab before it, and its width s + 1 doubles, 1, 2, 4, ..., up to
+max_deg_n + 1, so a search that ends early never pays for the columns of
+shapes it does not reach, and one that reaches the largest shape pays
+about a seventh more, elimination costing about the cube of the columns.
+A slab's rows are reduced at its columns, window by window, until the rank
+over F_p is full or a window raises no pivot.  The basis is kept in
+reduced echelon form and stored by non-pivot column, so a row's residual
+is one dot product per non-pivot column.  Each candidate cuts the basis of
+the slab that holds it to its columns: basis rows whose pivots it keeps
+stay, and the others, zero at every kept pivot, are their own residuals
+and extend it, which gives the basis of its rows on the screen's prefix.
+Its screen then goes on over the windows past the prefix by the same
+rule, each row cut to its columns as it is read, and it is rejected if
+the rank is full.  Reduced echelon form is unique, so where the slab's
+screen stopped changes no verdict.  The screen is sound: any nonzero minor
 mod p is a nonzero integer minor, so the rank over Q is at least the rank
 over F_p, and full column rank mod p leaves no rational kernel.
 
@@ -144,15 +151,17 @@ def _basis_mod_p(
     pivots are the greedy column basis.  cols[f][b] is the entry of basis
     row b at the non-pivot column f; its pivot entry is 1 and its other
     pivot entries are 0, so a row's residual at f is row[f] minus one dot
-    product of the row's pivot entries, reduced mod p, with cols[f].  No
-    row is read once the rank is ncols.  A basis of earlier rows, (pivots,
-    cols) as returned, is extended in place.
+    product of the row's pivot entries with cols[f].  That residual and the
+    update of the basis add terms negated mod p rather than subtract, since
+    % p is faster on nonnegative ints.  No row is read once the rank is
+    ncols.  A basis of earlier rows, (pivots, cols) as returned, is extended
+    in place.
     """
     pivots, cols = basis or ([], {f: [] for f in range(ncols)})
     for row in rows if cols else ():  # no row is read past rank ncols
-        g = [row[q] % p for q in pivots]
+        g = [-row[q] % p for q in pivots]
         res = [(f, x) for f, col in cols.items()
-               if (x := (row[f] - sum(map(mul, g, col))) % p)]
+               if (x := (row[f] + sum(map(mul, g, col))) % p)]
         if not res:
             continue
         c, x = res[0]
@@ -162,7 +171,8 @@ def _basis_mod_p(
         for f, col in cols.items():
             z = new.get(f, 0)
             if z:  # clear column c from the old basis rows
-                col[:] = [(a - b * z) % p for a, b in zip(col, at_c)]
+                w = p - z
+                col[:] = [(a + b * w) % p for a, b in zip(col, at_c)]
             col.append(z)
         pivots.append(c)
         if not cols:
@@ -177,10 +187,10 @@ def _screen(
     """The window index where a screen mod _PRIME of the windows from lo on
     stops, and its basis.
 
-    The windows' rows are cut to the columns cols when given, and the
-    screen stops after the first window that raises no pivot, or when the
-    rank is ncols.  A basis of earlier rows is extended in place; no window
-    is read once the rank is ncols.
+    The windows' rows are cut to the columns cols when given, those of a
+    slab or of a candidate, and the screen stops after the first window
+    that raises no pivot, or when the rank is ncols.  A basis of earlier
+    rows is extended in place; no window is read once the rank is ncols.
     """
     basis = basis or ([], {f: [] for f in range(ncols)})
     while lo < windows and (rank := len(basis[0])) < ncols:
@@ -205,8 +215,8 @@ def _restrict(basis: _Basis, kept: Sequence[int]) -> _Basis:
     index = {c: i for i, c in enumerate(kept)}
     free = {index[f]: col for f, col in cols.items() if f in index}
     stay = [b for b, q in enumerate(pivots) if q in index]
-    residuals = [[free[i][b] if i in free else 0 for i in range(len(kept))]
-                 for b, q in enumerate(pivots) if q not in index]
+    residuals = ([free[i][b] if i in free else 0 for i in range(len(kept))]
+                 for b, q in enumerate(pivots) if q not in index)
     out = ([index[pivots[b]] for b in stay],
            {i: [col[b] for b in stay] for i, col in free.items()})
     return _basis_mod_p(residuals, len(kept), _PRIME, out)
@@ -370,8 +380,9 @@ def _fit_rows(
 
 
 def _columns(r: int, dn: int, da: int, max_dn: int, max_da: int) -> list[int]:
-    """The columns of (r, max_dn, max_da) that candidate (r, dn, da) keeps:
-    those of n-power <= dn and a-power <= da, in its own column order."""
+    """The columns of (r, max_dn, max_da), an order or a slab, that the
+    shape (r, dn, da) keeps: those of n-power <= dn and a-power <= da, in
+    its own column order."""
     return [(j * (max_dn + 1) + p) * (max_da + 1) + q
             for j in range(r + 1) for p in range(dn + 1) for q in range(da + 1)]
 
@@ -409,20 +420,22 @@ def _annihilates(
 
 def _kernel(
     window: Callable[[int], list[list[int]]], windows: int,
-    screen: tuple[int, _Basis], cols: Sequence[int],
+    screen: tuple[int, _Basis], kept: Sequence[int], cols: Sequence[int],
     annihilates: Callable[[list[int]], bool],
 ) -> tuple[int, list[int] | None] | None:
     """What _solve gives for the order's rows cut to the columns cols.
 
-    screen is the order's (stop, basis), from which the candidate's screen
-    goes on.  _solve lifts the basis at its stop; only if that lift is not
-    certified is the screen finished over the remaining windows, the basis
-    lifted again if that raised its rank, and every row screened at each
-    later prime.
+    screen is a slab's (stop, basis), from which the candidate's screen
+    goes on: kept are the candidate's columns in the slab's numbering, and
+    cols the same columns in the order's, by which the window rows are cut.
+    _solve lifts the basis at its stop; only if that lift is not certified
+    is the screen finished over the remaining windows, the basis lifted
+    again if that raised its rank, and every row screened at each later
+    prime.
     """
     unknowns = len(cols)
     done, basis = screen
-    stop, basis = _screen(window, windows, unknowns, _restrict(basis, cols), done, cols)
+    stop, basis = _screen(window, windows, unknowns, _restrict(basis, kept), done, cols)
 
     def rows(lo: int) -> Iterator[tuple[int, ...]]:
         return _column_subset(chain.from_iterable(map(window, range(lo, windows))), cols)
@@ -466,10 +479,12 @@ def guess_operator(seq: PolySequence, spec: GuessSpec) -> GuessResult:
 
     Candidates are tried by increasing order, then deg_n, then deg_a; the
     first operator that annihilates the whole sequence (holdout included)
-    wins.  Each order's windows are built once, as far as they are read, and,
-    if the order has an admissible candidate, screened mod _PRIME once;
-    each candidate's screen starts from that basis, cut to its columns, and
-    _kernel takes it to its verdict.
+    wins.  Each order's windows are built once, as far as they are read.
+    The first admissible candidate past the order's current slab opens the
+    next slab (r, s, max_deg_a), of twice the width: s + 1 = 1, 2, 4, ... up
+    to max_deg_n + 1.  Each slab is screened mod _PRIME once; a candidate's
+    screen starts from its slab's basis, cut to its columns, and _kernel
+    takes it to its verdict.
     Raises NotFound when every admissible candidate fails, InsufficientTerms
     when no candidate even has enough equations, and ValueError when an
     order reached by the search exceeds MAX_SYSTEM_BITS.
@@ -486,8 +501,7 @@ def guess_operator(seq: PolySequence, spec: GuessSpec) -> GuessResult:
     last = min(spec.max_order, len(fit) - 1) if any(v.coeffs for v in fit) else 0
     for r in range(1, last + 1):
         window, windows, counts = _fit_rows(fit, seq.start, r, max_dn, max_da)
-        ncols = (r + 1) * (max_dn + 1) * (max_da + 1)
-        screen = None
+        width = 0  # the current slab (r, width - 1, max_da); none yet
         # no candidate has more rows than counts[-1], nor fewer unknowns than
         # a smaller shape, so the shapes past that are never admissible
         for dn in range(min(max_dn + 1, counts[-1] // (r + 1))):
@@ -496,9 +510,13 @@ def guess_operator(seq: PolySequence, spec: GuessSpec) -> GuessResult:
                 if counts[da] < unknowns:
                     continue
                 any_admissible = True
-                if screen is None:
-                    screen = _screen(window, windows, ncols)
+                if dn >= width:  # dn == width: a shape admits every smaller dn
+                    width = min(2 * width or 1, max_dn + 1)
+                    slab = _columns(r, width - 1, max_da, max_dn, max_da)
+                    screen = _screen(window, windows, len(slab),
+                                     cols=None if width > max_dn else slab)
                 found = _kernel(window, windows, screen,
+                                _columns(r, dn, da, width - 1, max_da),
                                 _columns(r, dn, da, max_dn, max_da),
                                 partial(_annihilates, fit, seq.start, dn, da))
                 res = None

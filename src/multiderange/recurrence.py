@@ -18,8 +18,10 @@ operators/k2.json, exactly as the guesser writes them, and extend the
 equal-blocks sequences F_k far beyond what direct evaluation reaches
 comfortably.  operator_seed is the one rule for how many direct values an
 operator needs: F_k(0..max(0, valid_from) + order - 1), never past the
-last index asked for.  extend_sequence checks a seed only when it has a step to take,
-so fk_sequence_via_recurrence is that seed extended, for every last >= 0.
+last index asked for.  It also holds every extension of F_k to the direct
+engine's budget: k times the last index at most MAX_GROUND_SET.
+extend_sequence checks a seed only when it has a step to take, so
+fk_sequence_via_recurrence is that seed extended, for every last >= 0.
 A step divides exactly; a remainder means a wrong operator or wrong seeds,
 never legitimate fractional output, so it raises.
 """
@@ -34,7 +36,7 @@ from math import gcd
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .enumerator import fk_sequence_direct
+from .enumerator import check_ground_set, fk_sequence_direct
 from .polys import (
     AlphaPoly,
     InexactDivision,
@@ -249,10 +251,14 @@ def operator_seed(k: int, op: RecurrenceOperator, last: int) -> PolySequence:
 
     m = min(max(0, op.valid_from) + op.order - 1, last): the terms before
     op.valid_from are direct values too, so the first step uses a window
-    the operator is valid on, and a seed never runs past ``last``.
+    the operator is valid on, and a seed never runs past ``last``.  The
+    extension through ``last`` is held to the budget of fk_sequence_direct:
+    ValueError when k * last is past enumerator.MAX_GROUND_SET.
     """
     _check_index(last, "last")
-    return fk_sequence_direct(k, min(max(0, op.valid_from) + op.order - 1, last))
+    seed = fk_sequence_direct(k, min(max(0, op.valid_from) + op.order - 1, last))
+    check_ground_set(k * last, last)  # k is an int once the seed is made
+    return seed
 
 
 def fk_sequence_via_recurrence(k: int, last: int,

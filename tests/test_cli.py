@@ -255,6 +255,23 @@ def test_block_size_budget_fails_before_allocating(capsys, argv, code, message):
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize("argv", [
+    ("seq", "1", "10001"), ("seq", "2", "5001"), ("seq", "3", "3334"),
+    ("seq", "1", "10001", "--operator", "K1"),
+], ids=["recurrence-k1", "recurrence-k2", "direct", "operator-file"])
+def test_seq_holds_every_engine_to_the_budget(capsys, tmp_path, argv):
+    # one rule on every engine: k times the last index may not exceed
+    # MAX_GROUND_SET; the recurrence engines used to run on for seconds
+    out_file = tmp_path / "s.json"
+    argv = [_K1 if a == "K1" else a for a in argv]
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(capsys, *argv, "--out", str(out_file))
+    assert time.perf_counter() - t0 < 1.0
+    assert (rc, out) == (2, "")
+    assert err == f"error: {enumerator.SHAPE_TOO_LARGE}\n"
+    assert not out_file.exists()
+
+
 def test_missing_operator_directory_is_an_error(capsys, monkeypatch, tmp_path):
     missing = tmp_path / "operators"
     monkeypatch.setattr(recurrence, "_OPERATORS", missing)

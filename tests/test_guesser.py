@@ -546,14 +546,16 @@ def test_orders_build_only_the_rows_they_read(monkeypatch):
         return built[-1][1]
 
     monkeypatch.setattr(guesser, "_fit_rows", kept)
-    for k, fitted, want in ((1, 35, [(37, 408), (65, 404)]),
+    for k, fitted, want in ((1, 35, [(37, 408), (40, 404)]),
                             (2, 25, [(45, 396), (63, 391), (115, 385)])):
         built.clear()
         seq = f_seq(k, fitted + 5, start=1)
         res = guess_operator(seq, GuessSpec(3, 3, 3))
-        # every order builds the windows that its screen and its candidates'
-        # screens read, the first ones; the winner's screen stops at a
-        # window that raises no pivot, and its certified kernel needs no more
+        # every order builds the windows that its slab screens and its
+        # candidates' screens read, the first ones; the winner's screen stops
+        # at a window that raises no pivot, and its certified kernel needs no
+        # more.  K=1's winner (2, 1, 1) is in the slab (2, 1, 3), which stops
+        # sooner than a screen of every column of (2, 3, 3)
         read = []
         for _, (window, windows, _) in built:
             info = window.cache_info()
@@ -566,6 +568,38 @@ def test_orders_build_only_the_rows_they_read(monkeypatch):
         # read to the end, the winner's order is the plain builder's
         want = plain_fit_windows(seq, *args[2:], 5)
         assert [window(i) for i in range(windows)] == want
+
+
+@pytest.fixture
+def slabs(monkeypatch):
+    """The column count of each slab screen, the _screen calls that start
+    from no basis, made while the test runs."""
+    calls = []
+    screen = guesser._screen
+
+    def counted(window, windows, ncols, basis=None, lo=0, cols=None):
+        if basis is None:
+            calls.append(ncols)
+            # only an order's whole slab is read without a column cut
+            assert (cols is None) == (ncols == len(window(0)[0]))
+        return screen(window, windows, ncols, basis, lo, cols)
+
+    monkeypatch.setattr(guesser, "_screen", counted)
+    return calls
+
+
+@pytest.mark.parametrize("k, fitted, winner, want", [
+    (1, 35, (2, 1, 1), [8, 16, 32, 12, 24]),
+    (2, 25, (3, 3, 3), [8, 16, 32, 12, 24, 48, 16, 32, 64]),
+], ids=["F1", "F2"])
+def test_each_order_is_screened_in_slabs_of_doubling_width(slabs, k, fitted, winner, want):
+    # a slab (r, s, max_deg_a) is screened when the search first reaches a
+    # deg_n past the slab before it, and s + 1 runs 1, 2, 4, ... up to
+    # max_deg_n + 1: here 8, 16 and 32 columns at order 1.  K=1's winner
+    # (2, 1, 1) ends the search in order 2's second slab
+    res = guess_operator(f_seq(k, fitted + 5, start=1), GuessSpec(3, 3, 3))
+    assert res.candidate == winner
+    assert slabs == want
 
 
 def test_screen_arithmetic_stays_in_machine_words():
@@ -654,7 +688,7 @@ def test_search_visits_no_shape_past_its_order_rows(monkeypatch):
 def order_systems(draw):
     """Rows at the columns of a largest shape (r, max_dn, max_da), combined
     from a few random rows (some scaled by the prime), cut into windows;
-    with more rows than the planted rank, the order screen often stops at a
+    with more rows than the planted rank, a slab's screen often stops at a
     quiet window before the last."""
     prime = draw(st.sampled_from([guesser._PRIME, 2, 3]))
     r, max_dn, max_da = draw(st.tuples(st.integers(1, 2), st.integers(0, 2),
@@ -681,25 +715,30 @@ def sorted_basis(basis):
 
 
 @settings(max_examples=150, deadline=None)
-@given(order_systems())
-def test_order_screen_decides_like_a_screen_per_candidate(system):
+@given(order_systems(), st.integers(0, 2))
+def test_order_screen_decides_like_a_screen_per_candidate(system, s):
     prime, (r, max_dn, max_da), rows, ends = system
-    ncols = len(rows[0])
+    s = min(s, max_dn)  # the slab (r, s, max_da); at s = max_dn the whole order
     at = [0, *ends]  # at[i]: the rows before window i
     window, windows = [rows[a:b] for a, b in zip(at, ends)].__getitem__, len(ends)
+    slab = guesser._columns(r, s, max_da, max_dn, max_da)
     with patch.object(guesser, "_PRIME", prime):
-        done, basis = guesser._screen(window, windows, ncols)
+        done, basis = guesser._screen(window, windows, len(slab),
+                                      cols=None if s == max_dn else slab)
         assert 0 < done <= windows
-        # the windows the order screen stopped at, and every window
-        full = guesser._basis_mod_p(rows, ncols, prime)
+        # the windows the slab screen stopped at, and every window
+        full = guesser._basis_mod_p([itemgetter(*slab)(row) for row in rows],
+                                    len(slab), prime)
         for prefix, screened in ((done, basis), (windows, full)):
             before = deepcopy(screened)
-            for dn in range(max_dn + 1):
+            for dn in range(s + 1):
                 for da in range(max_da + 1):
+                    kept = guesser._columns(r, dn, da, s, max_da)
                     cols = guesser._columns(r, dn, da, max_dn, max_da)
+                    assert [slab[i] for i in kept] == cols
                     sub = [itemgetter(*cols)(row) for row in rows]
                     # the cut basis is the candidate's own basis of the prefix
-                    cut = guesser._restrict(screened, cols)
+                    cut = guesser._restrict(screened, kept)
                     want = guesser._basis_mod_p(sub[: at[prefix]], len(cols), prime)
                     assert sorted_basis(cut) == sorted_basis(want), (prefix, dn, da)
                     if len(cut[0]) == len(cols):  # sound: no rational kernel either
@@ -724,10 +763,10 @@ def test_order_screen_decides_like_a_screen_per_candidate(system):
                     # and the candidate's kernel, lifted from where its screen
                     # stops, is the one lifted from all its rows
                     want = solve(sub, len(cols))
-                    got = guesser._kernel(window, windows, (prefix, screened), cols,
-                                          annihilates(sub))
+                    got = guesser._kernel(window, windows, (prefix, screened), kept,
+                                          cols, annihilates(sub))
                     assert got == want, (prefix, dn, da)
-            assert screened == before  # the order's basis serves every candidate
+            assert screened == before  # the slab's basis serves every candidate
 
 
 def candidate_outcome(seq, rows, r, dn, da, unknowns):
@@ -804,12 +843,15 @@ def assert_guess_matches_the_per_candidate_search(caplog, seq, spec):
                                  const_seq([3] * 12)],
                          ids=["F1", "F2", "random", "constant"])
 def test_guess_matches_the_per_candidate_search(caplog, seq, start):
+    # deg_n bounds of one slab per order (0), a capped second slab (1, 2),
+    # and three and four slabs (3, 5)
     seq = PolySequence(start, seq.values, k=seq.k)
     found = 0
-    for holdout in range(1, 7):
-        got = assert_guess_matches_the_per_candidate_search(
-            caplog, seq, GuessSpec(3, 3, 3, holdout))
-        found += isinstance(got, guesser.GuessResult)
+    for max_dn in (0, 1, 2, 3, 5):
+        for holdout in range(1, 7):
+            got = assert_guess_matches_the_per_candidate_search(
+                caplog, seq, GuessSpec(3, max_dn, 3, holdout))
+            found += isinstance(got, guesser.GuessResult)
     assert found
 
 
@@ -943,9 +985,11 @@ def test_equation_counts_match_the_cut_rows(values, start):
                 assert counts[da] == len(list(guesser._column_subset(rows, cols)))
 
 
-def test_guess_finds_the_f3_operator(lifts):
+def test_guess_finds_the_f3_operator(lifts, slabs):
     res = guess_operator(f_seq(3, 25), GuessSpec(4, 6, 8))
     assert res.candidate == (4, 6, 8)
+    # each order in four slabs, of deg_n 0, 1, 3 and 6
+    assert slabs == [18, 36, 72, 126, 27, 54, 108, 189, 36, 72, 144, 252, 45, 90, 180, 315]
     assert res.kernel_dim == 1
     assert (res.equations, res.unknowns) == (401, 315)
     assert sum(map(len, res.operator.coeffs)) == 179

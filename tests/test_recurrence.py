@@ -1,6 +1,7 @@
 import json
 import sys
 from contextlib import contextmanager
+from functools import partial
 from math import gcd, isqrt
 
 import pytest
@@ -154,6 +155,20 @@ def test_specialized_alpha_one_gives_derangement_numbers():
     for n in range(1, 12):
         classical.append(n * (classical[n] + classical[n - 1]))
     assert got == classical
+
+
+@pytest.mark.parametrize("k, last", [(1, 10001), (2, 5001)])
+def test_extension_is_held_to_the_direct_budget(k, last):
+    # the seed refuses what fk_sequence_direct refuses, with the same
+    # message, so no extension takes a step past the budget
+    op = builtin_operator(k)
+    for build in (fk_sequence_direct, fk_sequence_via_recurrence,
+                  partial(fk_sequence_via_recurrence, op=op),
+                  partial(operator_seed, op=op)):
+        with pytest.raises(ValueError, match="^shape too large"):
+            build(k, last=last)
+    # one index short, the seed is made: the budget is k * last <= 10 000
+    assert operator_seed(k, op, last - 1) == fk_sequence_direct(k, op.order - 1)
 
 
 def test_f1_to_1000_at_alpha_one_gives_derangement_numbers():
