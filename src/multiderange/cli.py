@@ -57,7 +57,7 @@ from .recurrence import (
 )
 
 
-_SHAPE_PART = re.compile(r"(\d+)(?:\^(\d+))?")
+_SHAPE_PART = re.compile(r"([0-9]+)(?:\^([0-9]+))?")
 
 
 def parse_shape(text: str) -> tuple[int, ...]:

@@ -9,15 +9,16 @@ operator annihilates the entire input sequence, including a trailing
 holdout that never enters the linear system.  Overdetermination plus the
 holdout is the defense against fitting coincidences.
 
-The rows of every candidate of one order are cut from a single set built at
-the largest degrees: a candidate's row is the larger row at the columns
-whose powers of n and a fit, and the rows it would not have are exactly
-those that become zero.  Since n^p only scales an entry, a row is nonzero
-at a candidate's columns exactly when one of its n^0 a^q columns with
-q <= deg_a is nonzero, so one mask of nonzero entries per fitted value
-counts the rows per deg_a before any is built.  Windows are the unit of
-work: a window's rows are built when the search first reads them, which is
-often never, and kept.
+Every candidate of one order reads one set of rows, built at the largest
+degrees, and a column has one number, its index in those rows: a
+candidate's rows are the order's rows read at its columns, those whose
+powers of n and a fit, and the rows it would not have are exactly those
+that are zero there, which raise no pivot.  No row is copied or cut.  Since
+n^p only scales an entry, a row is nonzero at a candidate's columns
+exactly when one of its n^0 a^q columns with q <= deg_a is nonzero, so one
+mask of nonzero entries per fitted value counts the rows per deg_a before
+any is built.  Windows are the unit of work: a window's rows are built
+when the search first reads them, which is often never, and kept.
 
 Most candidates have no kernel, and a screen modulo a fixed prime p below
 2^24 shows it.  Pivot entries are reduced mod p, so every dot product the
@@ -30,13 +31,13 @@ shapes it does not reach, and one that reaches the largest shape pays
 about a seventh more, elimination costing about the cube of the columns.
 A slab's rows are reduced at its columns, window by window, until the rank
 over F_p is full or a window raises no pivot.  The basis is kept in
-reduced echelon form and stored by non-pivot column, so a row's residual
-is one dot product per non-pivot column.  Each candidate cuts the basis of
-the slab that holds it to its columns: basis rows whose pivots it keeps
-stay, and the others, zero at every kept pivot, are their own residuals
-and extend it, which gives the basis of its rows on the screen's prefix.
-Its screen then goes on over the windows past the prefix by the same
-rule, each row cut to its columns as it is read, and it is rejected if
+reduced echelon form and stored by non-pivot column, keyed by the order's
+column numbers, so a row's residual is one dot product per non-pivot
+column.  Each candidate restricts the basis of the slab that holds it to
+its columns: basis rows whose pivots it keeps stay, and the others, zero
+at every kept pivot, are their own residuals and extend it, which gives
+the basis of its rows on the screen's prefix.  Its screen then goes on
+over the windows past the prefix by the same rule, and it is rejected if
 the rank is full.  Reduced echelon form is unique, so where the slab's
 screen stopped changes no verdict.  The screen is sound: any nonzero minor
 mod p is a nonzero integer minor, so the rank over Q is at least the rank
@@ -76,7 +77,7 @@ from dataclasses import dataclass
 from functools import cache, partial, reduce
 from itertools import accumulate, chain, islice, product
 from math import gcd, isqrt
-from operator import itemgetter, mul, or_
+from operator import mul, or_
 from sys import getsizeof
 
 from .polys import AlphaPoly, PolySequence, _check_index
@@ -93,7 +94,8 @@ _PRIME = (1 << 24) - 3
 # F_4 at (5, 10, 14) on 41 fitted terms 0.82 G (rows of 50 and 102 MB).
 MAX_SYSTEM_BITS = 2_000_000_000
 
-# A reduced echelon basis mod p, (pivots, cols), as _basis_mod_p returns it.
+# A reduced echelon basis mod p, (pivots, cols), as _basis_mod_p returns it,
+# keyed by the columns of the order's rows.
 _Basis = tuple[list[int], dict[int, list[int]]]
 
 
@@ -142,23 +144,26 @@ class GuessResult:
 
 
 def _basis_mod_p(
-    rows: Sequence[Sequence[int]], ncols: int, p: int, basis: _Basis | None = None
+    rows: Iterable[Sequence[int] | dict[int, int]], p: int, basis: _Basis
 ) -> _Basis:
-    """Pivots and non-pivot columns of the rows' reduced echelon basis mod p.
+    """The reduced echelon basis mod p of basis's rows and the rows, by
+    extending basis in place; ([], {f: [] for f in cols}) is the basis of
+    no rows at the increasing order columns cols.
 
-    Rows are taken in order, stopping at rank ncols.  A row that raises the
-    rank pivots at its lowest column with a nonzero residual, so the sorted
-    pivots are the greedy column basis.  cols[f][b] is the entry of basis
-    row b at the non-pivot column f; its pivot entry is 1 and its other
-    pivot entries are 0, so a row's residual at f is row[f] minus one dot
-    product of the row's pivot entries with cols[f].  That residual and the
-    update of the basis add terms negated mod p rather than subtract, since
-    % p is faster on nonnegative ints.  No row is read once the rank is
-    ncols.  A basis of earlier rows, (pivots, cols) as returned, is extended
-    in place.
+    A basis reads each row at its own columns only, row[f] and row[q], so
+    an order's window rows serve every shape of the order uncut: a row that
+    is zero at a basis's columns raises no pivot.  Rows are taken in order,
+    stopping at full rank, when no non-pivot column is left.  A row that
+    raises the rank pivots at its lowest column with a nonzero residual, so
+    the sorted pivots are the greedy column basis.  cols[f][b] is the entry
+    of basis row b at the non-pivot column f; its pivot entry is 1 and its
+    other pivot entries are 0, so a row's residual at f is row[f] minus one
+    dot product of the row's pivot entries with cols[f].  That residual and
+    the update of the basis add terms negated mod p rather than subtract,
+    since % p is faster on nonnegative ints.
     """
-    pivots, cols = basis or ([], {f: [] for f in range(ncols)})
-    for row in rows if cols else ():  # no row is read past rank ncols
+    pivots, cols = basis
+    for row in rows if cols else ():  # no row is read at full rank
         g = [-row[q] % p for q in pivots]
         res = [(f, x) for f, col in cols.items()
                if (x := (row[f] + sum(map(mul, g, col))) % p)]
@@ -177,49 +182,45 @@ def _basis_mod_p(
         pivots.append(c)
         if not cols:
             break
-    return pivots, cols
+    return basis
 
 
 def _screen(
-    window: Callable[[int], list[list[int]]], windows: int, ncols: int,
-    basis: _Basis | None = None, lo: int = 0, cols: Sequence[int] | None = None,
+    window: Callable[[int], list[list[int]]], windows: int, basis: _Basis, lo: int = 0
 ) -> tuple[int, _Basis]:
     """The window index where a screen mod _PRIME of the windows from lo on
-    stops, and its basis.
+    stops, and basis, extended in place by their rows.
 
-    The windows' rows are cut to the columns cols when given, those of a
-    slab or of a candidate, and the screen stops after the first window
-    that raises no pivot, or when the rank is ncols.  A basis of earlier
-    rows is extended in place; no window is read once the rank is ncols.
+    The screen stops after the first window that raises no pivot, or at
+    full rank; no window is read at full rank.  The window rows are read
+    uncut, at basis's columns, those of a slab or of a candidate.
     """
-    basis = basis or ([], {f: [] for f in range(ncols)})
-    while lo < windows and (rank := len(basis[0])) < ncols:
-        rows = window(lo)
-        _basis_mod_p(rows if cols is None else _column_subset(rows, cols),
-                     ncols, _PRIME, basis)
+    while lo < windows and basis[1]:
+        rank = len(basis[0])
+        _basis_mod_p(window(lo), _PRIME, basis)
         lo += 1
         if len(basis[0]) == rank:
             break
     return lo, basis
 
 
-def _restrict(basis: _Basis, kept: Sequence[int]) -> _Basis:
-    """The basis mod _PRIME of the same rows cut to the kept columns, which
-    are increasing and numbered 0..len(kept)-1 in the result.
+def _restrict(basis: _Basis, cols: Sequence[int]) -> _Basis:
+    """The basis mod _PRIME of the same rows at the columns cols, a subset
+    of basis's columns, as a new basis keyed by the same order columns.
 
-    A basis row whose pivot is kept stays as it is.  One whose pivot is
-    dropped is 0 at every kept pivot, so its kept entries are already its
-    residual, and it extends the basis.  Reduced echelon form is unique.
+    A basis row whose pivot is in cols stays, without its entries at the
+    other columns.  One whose pivot is dropped is 0 at every kept pivot, so
+    its entries at cols are already its residual, and it extends the basis.
+    Reduced echelon form is unique.
     """
-    pivots, cols = basis
-    index = {c: i for i, c in enumerate(kept)}
-    free = {index[f]: col for f, col in cols.items() if f in index}
-    stay = [b for b, q in enumerate(pivots) if q in index]
-    residuals = ([free[i][b] if i in free else 0 for i in range(len(kept))]
-                 for b, q in enumerate(pivots) if q not in index)
-    out = ([index[pivots[b]] for b in stay],
-           {i: [col[b] for b in stay] for i, col in free.items()})
-    return _basis_mod_p(residuals, len(kept), _PRIME, out)
+    pivots, free = basis
+    kept = set(cols)
+    stay = [b for b, q in enumerate(pivots) if q in kept]
+    out = ([pivots[b] for b in stay],
+           {f: [col[b] for b in stay] for f, col in free.items() if f in kept})
+    residuals = ({c: free[c][b] if c in free else 0 for c in cols}
+                 for b, q in enumerate(pivots) if q not in kept)
+    return _basis_mod_p(residuals, _PRIME, out)
 
 
 def _primes() -> Iterator[int]:
@@ -255,31 +256,36 @@ def _rational_lift(v: list[int], m: int) -> list[int] | None:
 
 
 def _solve(
-    bases: Iterable[tuple[int, _Basis]], ncols: int,
-    annihilates: Callable[[list[int]], bool],
+    bases: Iterable[tuple[int, _Basis]], annihilates: Callable[[list[int]], bool]
 ) -> tuple[int, list[int] | None] | None:
     """Rank over Q and canonical kernel vector of a system, or None for the
     vector when there is no kernel; None when its rank mod _PRIME is full.
 
     bases yields (p, basis), a reduced basis mod p of the system's rows,
     _PRIME first, and annihilates(w) tells whether the integer vector w
-    solves the system exactly.  Mod p the kernel vector of the non-pivot
-    column f is 1 at f, 0 at the other non-pivot columns and -cols[f][b] at
-    pivot b.  The primes with the best pivots (highest rank, then smallest
-    sorted pivots) are combined by CRT; the others are unlucky.  A lifted
-    vector must be positive at f, so the certified vectors are independent.
-    A later prime of full rank shows that there is no kernel.
+    solves the system exactly.  A vector has one entry per column of the
+    bases, in increasing order: the order's numbering keeps the order of a
+    candidate's own, so it is the candidate's vector.  Mod p the kernel
+    vector of the non-pivot column f is 1 at f, 0 at the other non-pivot
+    columns and -cols[f][b] at pivot b.  The primes with the best pivots
+    (highest rank, then smallest sorted pivots) are combined by CRT; the
+    others are unlucky.  A lifted vector must be positive at f, so the
+    certified vectors are independent.  A later prime of full rank shows
+    that there is no kernel.
     """
     best = None
     for p, (pivots, cols) in bases:
-        if len(pivots) == ncols:
-            return None if p == _PRIME else (ncols, None)
+        if not cols:
+            return None if p == _PRIME else (len(pivots), None)
         key = (-len(pivots), sorted(pivots))
+        columns = sorted([*pivots, *cols])
         at = {q: b for b, q in enumerate(pivots)}  # pivot column -> basis row
-        vecs = [[-col[at[c]] % p if c in at else int(c == f) for c in range(ncols)]
+        vecs = [[-col[at[c]] % p if c in at else int(c == f) for c in columns]
                 for f, col in cols.items()]
         if best is None or key < best:
-            best, free, m, acc = key, list(cols), p, vecs
+            # where each non-pivot column is in a vector; cols is increasing
+            free = [i for i, c in enumerate(columns) if c in cols]
+            best, m, acc = key, p, vecs
         elif key == best:  # CRT: x = a mod m and x = b mod p
             t = pow(m, -1, p)
             acc = [[a + m * ((b - a) * t % p) for a, b in zip(u, v)]
@@ -288,9 +294,9 @@ def _solve(
         else:
             continue
         lifted = [_rational_lift(u, m) for u in acc]
-        if all(w and w[f] > 0 and annihilates(w) for f, w in zip(free, lifted)):
+        if all(w and w[i] > 0 and annihilates(w) for i, w in zip(free, lifted)):
             g = gcd(*lifted[0])
-            return ncols - len(lifted), [y // g for y in lifted[0]]
+            return len(pivots), [y // g for y in lifted[0]]
     return None
 
 
@@ -380,20 +386,11 @@ def _fit_rows(
 
 
 def _columns(r: int, dn: int, da: int, max_dn: int, max_da: int) -> list[int]:
-    """The columns of (r, max_dn, max_da), an order or a slab, that the
-    shape (r, dn, da) keeps: those of n-power <= dn and a-power <= da, in
-    its own column order."""
+    """The columns of the order (r, max_dn, max_da) that the shape (r, dn,
+    da), a slab or a candidate, keeps: those of n-power <= dn and a-power
+    <= da, increasing."""
     return [(j * (max_dn + 1) + p) * (max_da + 1) + q
             for j in range(r + 1) for p in range(dn + 1) for q in range(da + 1)]
-
-
-def _column_subset(
-    rows: Iterable[Sequence[int]], cols: Sequence[int]
-) -> Iterator[tuple[int, ...]]:
-    """The rows of candidate (r, dn, da), cut one at a time from those of
-    (r, max_dn, max_da) at its columns _columns(r, dn, da, max_dn, max_da):
-    the nonzero ones, which are _fit_rows(fit, start, r, dn, da) in order."""
-    return filter(any, map(itemgetter(*cols), rows))
 
 
 def _coeffs(vec: Sequence[int], dn: int, da: int) -> list[Coeff]:
@@ -420,36 +417,33 @@ def _annihilates(
 
 def _kernel(
     window: Callable[[int], list[list[int]]], windows: int,
-    screen: tuple[int, _Basis], kept: Sequence[int], cols: Sequence[int],
+    screen: tuple[int, _Basis], cols: Sequence[int],
     annihilates: Callable[[list[int]], bool],
 ) -> tuple[int, list[int] | None] | None:
-    """What _solve gives for the order's rows cut to the columns cols.
+    """What _solve gives for the order's rows at the columns cols.
 
-    screen is a slab's (stop, basis), from which the candidate's screen
-    goes on: kept are the candidate's columns in the slab's numbering, and
-    cols the same columns in the order's, by which the window rows are cut.
-    _solve lifts the basis at its stop; only if that lift is not certified
-    is the screen finished over the remaining windows, the basis lifted
-    again if that raised its rank, and every row screened at each later
-    prime.
+    screen is a slab's (stop, basis), restricted to cols, from which the
+    candidate's screen goes on over the uncut window rows.  _solve lifts
+    the basis at its stop; only if that lift is not certified is the screen
+    finished over the remaining windows, the basis lifted again if that
+    raised its rank, and every row screened at each later prime.
     """
-    unknowns = len(cols)
     done, basis = screen
-    stop, basis = _screen(window, windows, unknowns, _restrict(basis, kept), done, cols)
+    stop, basis = _screen(window, windows, _restrict(basis, cols), done)
 
-    def rows(lo: int) -> Iterator[tuple[int, ...]]:
-        return _column_subset(chain.from_iterable(map(window, range(lo, windows))), cols)
+    def rows(lo: int) -> Iterator[list[int]]:
+        return chain.from_iterable(map(window, range(lo, windows)))
 
     def bases() -> Iterator[tuple[int, _Basis]]:
         rank = len(basis[0])
         yield _PRIME, basis
-        _basis_mod_p(rows(stop), unknowns, _PRIME, basis)
+        _basis_mod_p(rows(stop), _PRIME, basis)
         if len(basis[0]) > rank:
             yield _PRIME, basis
         for p in islice(_primes(), 1, None):
-            yield p, _basis_mod_p(rows(0), unknowns, p)
+            yield p, _basis_mod_p(rows(0), p, ([], {f: [] for f in cols}))
 
-    return _solve(bases(), unknowns, annihilates)
+    return _solve(bases(), annihilates)
 
 
 def _held_out(seq: PolySequence, first: int) -> PolySequence:
@@ -483,8 +477,8 @@ def guess_operator(seq: PolySequence, spec: GuessSpec) -> GuessResult:
     The first admissible candidate past the order's current slab opens the
     next slab (r, s, max_deg_a), of twice the width: s + 1 = 1, 2, 4, ... up
     to max_deg_n + 1.  Each slab is screened mod _PRIME once; a candidate's
-    screen starts from its slab's basis, cut to its columns, and _kernel
-    takes it to its verdict.
+    screen starts from its slab's basis, restricted to its columns, and
+    _kernel takes it to its verdict.
     Raises NotFound when every admissible candidate fails, InsufficientTerms
     when no candidate even has enough equations, and ValueError when an
     order reached by the search exceeds MAX_SYSTEM_BITS.
@@ -513,10 +507,8 @@ def guess_operator(seq: PolySequence, spec: GuessSpec) -> GuessResult:
                 if dn >= width:  # dn == width: a shape admits every smaller dn
                     width = min(2 * width or 1, max_dn + 1)
                     slab = _columns(r, width - 1, max_da, max_dn, max_da)
-                    screen = _screen(window, windows, len(slab),
-                                     cols=None if width > max_dn else slab)
+                    screen = _screen(window, windows, ([], {f: [] for f in slab}))
                 found = _kernel(window, windows, screen,
-                                _columns(r, dn, da, width - 1, max_da),
                                 _columns(r, dn, da, max_dn, max_da),
                                 partial(_annihilates, fit, seq.start, dn, da))
                 res = None

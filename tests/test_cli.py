@@ -32,7 +32,8 @@ def test_parse_shape():
     assert parse_shape("4^13") == (4,) * 13
     assert parse_shape("2,3^2,1") == (2, 3, 3, 1)
     assert parse_shape("0") == (0,)
-    for bad in ("", "1,", "a", "2^", "-1", "1^2^3"):
+    # only ASCII digits, as in the records' integers
+    for bad in ("", "1,", "a", "2^", "-1", "1^2^3", "\u0664^\u0661\u0663", "\uff12,\uff12"):
         with pytest.raises(ValueError, match="bad shape component"):
             parse_shape(bad)
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multiderange import guesser
-from multiderange.enumerator import fk_value
+from multiderange.enumerator import fk_sequence_direct, fk_value
 from multiderange.guesser import (
     GuessSpec,
     InsufficientTerms,
@@ -24,6 +24,8 @@ from multiderange.recurrence import (
     PolySequence,
     RecurrenceOperator,
     builtin_operator,
+    extend_sequence,
+    operator_seed,
     verify_operator,
 )
 
@@ -42,6 +44,30 @@ def fit_rows(seq, r, dn, da, holdout):
     fit = seq.values[: len(seq.values) - holdout]
     window, windows, _ = guesser._fit_rows(fit, seq.start, r, dn, da)
     return [row for i in range(windows) for row in window(i)]
+
+
+def no_rows(cols):
+    """The basis of no rows at the increasing columns cols."""
+    return [], {f: [] for f in cols}
+
+
+def basis_mod_p(rows, ncols, p):
+    """guesser._basis_mod_p of the rows at their columns 0..ncols-1."""
+    return guesser._basis_mod_p(rows, p, no_rows(range(ncols)))
+
+
+def column_subset(rows, cols):
+    """Reference: the rows of candidate (r, dn, da) cut from those of its
+    order (r, max_dn, max_da) at its columns _columns(r, dn, da, max_dn,
+    max_da), numbered 0..len(cols)-1: the nonzero ones, which are
+    _fit_rows(fit, start, r, dn, da) in order."""
+    return filter(any, map(itemgetter(*cols), rows))
+
+
+def renumbered(basis, cols):
+    """A basis at the columns 0..len(cols)-1 with column i named cols[i]."""
+    pivots, free = basis
+    return [cols[q] for q in pivots], {cols[f]: col for f, col in free.items()}
 
 
 def reference_solve(rows, ncols):
@@ -81,8 +107,8 @@ def solve(rows, ncols):
     """guesser._solve from a fresh screen of the rows at each prime, certified
     by the rows, or None when the screen mod _PRIME has full rank (rejected
     mod p)."""
-    bases = ((p, guesser._basis_mod_p(rows, ncols, p)) for p in guesser._primes())
-    return guesser._solve(bases, ncols, annihilates(rows))
+    bases = ((p, basis_mod_p(rows, ncols, p)) for p in guesser._primes())
+    return guesser._solve(bases, annihilates(rows))
 
 
 def nullspace_vector(rows):
@@ -199,20 +225,20 @@ def test_rank_filter_keeps_a_matrix_with_a_kernel():
     # last row = 2*first + third, so (1, 1, -1) spans the rational kernel
     rows = [[1, 2, 3], [2, 4, 6], [1, 0, 1], [3, 4, 7]]
     assert nullspace_vector(rows) is not None
-    pivots, cols = guesser._basis_mod_p(rows, 3, guesser._PRIME)
+    pivots, cols = basis_mod_p(rows, 3, guesser._PRIME)
     assert pivots == [0, 1] and list(cols) == [2]
 
 
 def test_rank_filter_drops_a_full_rank_matrix():
     rows = [[0, 0, 0], [1, 5, 0], [2, 0, 1], [0, 3, 4]]
-    assert guesser._basis_mod_p(rows, 3, guesser._PRIME) == ([0, 1, 2], {})
+    assert basis_mod_p(rows, 3, guesser._PRIME) == ([0, 1, 2], {})
     assert solve(rows, 3) is None
 
 
 def test_rank_filter_passes_multiples_of_p_to_the_exact_path():
     p = guesser._PRIME
     rows = [[p, 0, 2 * p], [0, 3 * p, p], [p, p, 0]]  # det = -7 * p^3 != 0
-    assert guesser._basis_mod_p(rows, 3, p)[0] == []
+    assert basis_mod_p(rows, 3, p)[0] == []
     assert nullspace_vector(rows) is None
     assert solve(rows, 3) == (3, None)
 
@@ -259,7 +285,7 @@ def test_rows_cut_from_the_largest_shape_equal_rows_built_directly(k, terms, sta
             for da in range(4):
                 direct = fit_rows(seq, r, dn, da, 2)
                 cols = guesser._columns(r, dn, da, 3, 3)
-                got = list(guesser._column_subset(largest, cols))
+                got = list(column_subset(largest, cols))
                 assert got == [tuple(row) for row in direct], (r, dn, da)
 
 
@@ -281,9 +307,9 @@ def screen_primes(monkeypatch):
     calls = []
     screen = guesser._basis_mod_p
 
-    def counted(rows, ncols, p, basis=None):
+    def counted(rows, p, basis):
         calls.append(p)
-        return screen(rows, ncols, p, basis)
+        return screen(rows, p, basis)
 
     monkeypatch.setattr(guesser, "_basis_mod_p", counted)
     return calls
@@ -320,7 +346,7 @@ def test_solve_matches_the_reference_on_every_admissible_candidate(screen_primes
 def test_unlucky_prime_minor_takes_the_next_prime(screen_primes):
     p = guesser._PRIME
     rows = [[1, 1], [p, 2 * p]]  # rank 2 over Q, rank 1 mod p
-    assert guesser._basis_mod_p(rows, 2, p)[0] == [0]
+    assert basis_mod_p(rows, 2, p)[0] == [0]
     screen_primes.clear()
     # (-1, 1) fails the second row, and the next prime has full rank
     assert solve(rows, 2) == (2, None)
@@ -353,7 +379,7 @@ def test_prime_of_lower_rank_is_dropped(screen_primes):
     q = next_primes(1)[0]
     x = 2**100 + 7
     rows = [[1, 1, x], [q, 2 * q, 3 * q]]
-    assert guesser._basis_mod_p(rows, 3, q)[0] == [0]
+    assert basis_mod_p(rows, 3, q)[0] == [0]
     screen_primes.clear()
     assert solve(rows, 3) == (2, [3 - 2 * x, x - 3, 1])
     assert screen_primes == [guesser._PRIME, *next_primes(9)]
@@ -470,7 +496,7 @@ def test_screen_matches_the_in_order_reducer(monkeypatch, prime):
     rng = random.Random(prime)
     for _ in range(300):
         rows, ncols = planted_rank_matrix(rng, prime)
-        pivots, cols = guesser._basis_mod_p(rows, ncols, prime)
+        pivots, cols = basis_mod_p(rows, ncols, prime)
         assert pivots == in_order_reducer(rows, ncols, prime), rows
         assert sorted(pivots + list(cols)) == list(range(ncols))
         # each non-pivot column's kernel vector, read off cols, is one mod p
@@ -573,16 +599,20 @@ def test_orders_build_only_the_rows_they_read(monkeypatch):
 @pytest.fixture
 def slabs(monkeypatch):
     """The column count of each slab screen, the _screen calls that start
-    from no basis, made while the test runs."""
+    from the first window, made while the test runs."""
     calls = []
     screen = guesser._screen
 
-    def counted(window, windows, ncols, basis=None, lo=0, cols=None):
-        if basis is None:
-            calls.append(ncols)
-            # only an order's whole slab is read without a column cut
-            assert (cols is None) == (ncols == len(window(0)[0]))
-        return screen(window, windows, ncols, basis, lo, cols)
+    def counted(window, windows, basis, lo=0):
+        if lo == 0:
+            cols = list(basis[1])
+            assert not basis[0]  # a slab's screen starts from no rows
+            calls.append(len(cols))
+            # an order's last slab covers all of its columns: a slab that
+            # reaches its last column is every column
+            width = len(window(0)[0])
+            assert cols[-1] < width - 1 or cols == list(range(width))
+        return screen(window, windows, basis, lo)
 
     monkeypatch.setattr(guesser, "_screen", counted)
     return calls
@@ -714,6 +744,12 @@ def sorted_basis(basis):
     return sorted(pivots), [(f, [col[b] for b in order]) for f, col in cols.items()]
 
 
+def cut_basis(rows, cols, p):
+    """sorted_basis of the basis mod p of rows cut to the columns cols,
+    with column i named cols[i]."""
+    return sorted_basis(renumbered(basis_mod_p(rows, len(cols), p), cols))
+
+
 @settings(max_examples=150, deadline=None)
 @given(order_systems(), st.integers(0, 2))
 def test_order_screen_decides_like_a_screen_per_candidate(system, s):
@@ -723,50 +759,75 @@ def test_order_screen_decides_like_a_screen_per_candidate(system, s):
     window, windows = [rows[a:b] for a, b in zip(at, ends)].__getitem__, len(ends)
     slab = guesser._columns(r, s, max_da, max_dn, max_da)
     with patch.object(guesser, "_PRIME", prime):
-        done, basis = guesser._screen(window, windows, len(slab),
-                                      cols=None if s == max_dn else slab)
+        done, basis = guesser._screen(window, windows, no_rows(slab))
         assert 0 < done <= windows
         # the windows the slab screen stopped at, and every window
-        full = guesser._basis_mod_p([itemgetter(*slab)(row) for row in rows],
-                                    len(slab), prime)
+        full = guesser._basis_mod_p(rows, prime, no_rows(slab))
         for prefix, screened in ((done, basis), (windows, full)):
             before = deepcopy(screened)
             for dn in range(s + 1):
                 for da in range(max_da + 1):
-                    kept = guesser._columns(r, dn, da, s, max_da)
                     cols = guesser._columns(r, dn, da, max_dn, max_da)
-                    assert [slab[i] for i in kept] == cols
+                    assert set(cols) <= set(slab)
                     sub = [itemgetter(*cols)(row) for row in rows]
-                    # the cut basis is the candidate's own basis of the prefix
-                    cut = guesser._restrict(screened, kept)
-                    want = guesser._basis_mod_p(sub[: at[prefix]], len(cols), prime)
-                    assert sorted_basis(cut) == sorted_basis(want), (prefix, dn, da)
+                    # the restricted basis is the candidate's own basis of the prefix
+                    cut = guesser._restrict(screened, cols)
+                    assert sorted_basis(cut) == cut_basis(sub[: at[prefix]], cols, prime), (prefix, dn, da)
                     if len(cut[0]) == len(cols):  # sound: no rational kernel either
                         assert reference_solve(sub, len(cols))[1] is None
-                    # screened on window by window, as the search cuts its
-                    # rows, it is the basis of its rows up to where it stops
-                    stop, got = guesser._screen(window, windows, len(cols), cut, prefix, cols)
+                    # screened on window by window, reading the uncut rows,
+                    # it is the basis of its rows up to where it stops
+                    stop, got = guesser._screen(window, windows, cut, prefix)
                     assert prefix <= stop <= windows
-                    want = guesser._basis_mod_p(sub[: at[stop]], len(cols), prime)
-                    assert sorted_basis(got) == sorted_basis(want), (prefix, dn, da)
+                    assert sorted_basis(got) == cut_basis(sub[: at[stop]], cols, prime), (prefix, dn, da)
                     # which is at full rank, at the end, or after a window
                     # that raised no pivot
                     last = at[max(prefix, stop - 1)]
-                    quiet = guesser._basis_mod_p(sub[:last], len(cols), prime)
+                    quiet = basis_mod_p(sub[:last], len(cols), prime)
                     assert (len(got[0]) == len(cols) or stop == windows
                             or stop > prefix and len(quiet[0]) == len(got[0])), (prefix, dn, da)
                     # finished over the rest, it is the basis of all its rows
-                    rest = guesser._column_subset(rows[at[stop] :], cols)
-                    guesser._basis_mod_p(rest, len(cols), prime, got)
-                    fresh = guesser._basis_mod_p(sub, len(cols), prime)
-                    assert sorted_basis(got) == sorted_basis(fresh), (prefix, dn, da)
+                    guesser._basis_mod_p(rows[at[stop] :], prime, got)
+                    assert sorted_basis(got) == cut_basis(sub, cols, prime), (prefix, dn, da)
                     # and the candidate's kernel, lifted from where its screen
                     # stops, is the one lifted from all its rows
                     want = solve(sub, len(cols))
-                    got = guesser._kernel(window, windows, (prefix, screened), kept,
-                                          cols, annihilates(sub))
+                    got = guesser._kernel(window, windows, (prefix, screened), cols,
+                                          annihilates(sub))
                     assert got == want, (prefix, dn, da)
             assert screened == before  # the slab's basis serves every candidate
+
+
+@st.composite
+def column_subsets(draw):
+    """A prime, rows of a planted rank, and increasing columns cols within
+    more columns wider."""
+    prime = draw(st.sampled_from([guesser._PRIME, 2, 3]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rows, ncols = planted_rank_matrix(rng, prime)
+    wider = sorted(rng.sample(range(ncols), rng.randint(1, ncols)))
+    cols = sorted(rng.sample(wider, rng.randint(1, len(wider))))
+    return prime, rows, wider, cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(column_subsets())
+def test_a_basis_reads_uncut_rows_at_its_columns(system):
+    # one numbering: a basis at the columns cols of the uncut rows is the
+    # basis of the rows cut to cols, numbered 0..len(cols)-1, renamed by
+    # cols; the map keeps the order of the columns, so the pivots and the
+    # kernel vector are the same
+    prime, rows, wider, cols = system
+    cut = [[row[c] for c in cols] for row in rows]
+    with patch.object(guesser, "_PRIME", prime):
+        uncut = guesser._basis_mod_p(rows, prime, no_rows(cols))
+        assert sorted_basis(uncut) == cut_basis(cut, cols, prime)
+        # a basis at wider columns, restricted to cols, is the fresh one
+        restricted = guesser._restrict(guesser._basis_mod_p(rows, prime, no_rows(wider)), cols)
+        assert sorted_basis(restricted) == sorted_basis(uncut)
+        # and _solve lifts the same vector from either numbering
+        bases = ((p, guesser._basis_mod_p(rows, p, no_rows(cols))) for p in guesser._primes())
+        assert guesser._solve(bases, annihilates(cut)) == solve(cut, len(cols))
 
 
 def candidate_outcome(seq, rows, r, dn, da, unknowns):
@@ -805,7 +866,7 @@ def per_candidate_guess(seq, spec, transcript):
             for da in range(max_da + 1):
                 unknowns = (r + 1) * (dn + 1) * (da + 1)
                 cols = guesser._columns(r, dn, da, max_dn, max_da)
-                rows = list(guesser._column_subset(order_rows, cols))
+                rows = list(column_subset(order_rows, cols))
                 if len(rows) < unknowns:
                     continue
                 any_admissible = True
@@ -982,7 +1043,7 @@ def test_equation_counts_match_the_cut_rows(values, start):
         for dn in range(4):
             for da in range(4):
                 cols = guesser._columns(r, dn, da, 3, 3)
-                assert counts[da] == len(list(guesser._column_subset(rows, cols)))
+                assert counts[da] == len(list(column_subset(rows, cols)))
 
 
 def test_guess_finds_the_f3_operator(lifts, slabs):
@@ -998,3 +1059,8 @@ def test_guess_finds_the_f3_operator(lifts, slabs):
     p, q = guesser._PRIME, next_primes(1)[0]
     assert [m for m, _ in lifts] == [p, p * q]
     assert_each_basis_is_lifted_once(lifts)
+    # its leading coefficient c_4 has a-degree 2, so each extension step
+    # divides by a polynomial in a, not by a constant
+    assert max(q for _, q, _ in res.operator.coeffs[-1]) == 2
+    op = res.operator
+    assert extend_sequence(op, operator_seed(3, op, 40), 40) == fk_sequence_direct(3, 40)

@@ -76,6 +76,7 @@ TOMBSTONES = [
     "selftest.recurrence_suite",
     "guesser._Rows",  # a lazy row Sequence beside the cached window builder
     "guesser._is_prime",  # Miller-Rabin beside the trial division in _primes
+    "guesser._column_subset",  # a second column numbering beside the order's
 ]
 
 
