@@ -226,9 +226,12 @@ def divide_exact(num: AlphaPoly, den: AlphaPoly) -> AlphaPoly:
 
     Raises InexactDivision on a nonzero remainder or fractional quotient
     coefficient; either one means the caller's inputs are inconsistent.
+    A unit divisor, 1 or -1, gives num or -num without dividing.
     """
     if not den:
         raise ZeroDivisionError("division by the zero polynomial")
+    if den.coeffs in ((1,), (-1,)):
+        return num if den.coeffs[0] == 1 else -num
     if not num:
         return _ZERO
     if num.degree < den.degree:

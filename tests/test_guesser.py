@@ -572,8 +572,8 @@ def test_orders_build_only_the_rows_they_read(monkeypatch):
         return built[-1][1]
 
     monkeypatch.setattr(guesser, "_fit_rows", kept)
-    for k, fitted, want in ((1, 35, [(37, 408), (40, 404)]),
-                            (2, 25, [(45, 396), (63, 391), (115, 385)])):
+    for k, fitted, want in ((1, 35, [(0, 408), (40, 404)]),
+                            (2, 25, [(0, 396), (0, 391), (115, 385)])):
         built.clear()
         seq = f_seq(k, fitted + 5, start=1)
         res = guess_operator(seq, GuessSpec(3, 3, 3))
@@ -581,7 +581,9 @@ def test_orders_build_only_the_rows_they_read(monkeypatch):
         # candidates' screens read, the first ones; the winner's screen stops
         # at a window that raises no pivot, and its certified kernel needs no
         # more.  K=1's winner (2, 1, 1) is in the slab (2, 1, 3), which stops
-        # sooner than a screen of every column of (2, 3, 3)
+        # sooner than a screen of every column of (2, 3, 3).  An order whose
+        # candidates the one-point screen rejects, K=1's order 1 and K=2's
+        # orders 1 and 2, reads no row
         read = []
         for _, (window, windows, _) in built:
             info = window.cache_info()
@@ -619,14 +621,17 @@ def slabs(monkeypatch):
 
 
 @pytest.mark.parametrize("k, fitted, winner, want", [
-    (1, 35, (2, 1, 1), [8, 16, 32, 12, 24]),
-    (2, 25, (3, 3, 3), [8, 16, 32, 12, 24, 48, 16, 32, 64]),
+    (1, 35, (2, 1, 1), [24]),
+    (2, 25, (3, 3, 3), [64]),
 ], ids=["F1", "F2"])
 def test_each_order_is_screened_in_slabs_of_doubling_width(slabs, k, fitted, winner, want):
     # a slab (r, s, max_deg_a) is screened when the search first reaches a
     # deg_n past the slab before it, and s + 1 runs 1, 2, 4, ... up to
-    # max_deg_n + 1: here 8, 16 and 32 columns at order 1.  K=1's winner
-    # (2, 1, 1) ends the search in order 2's second slab
+    # max_deg_n + 1; the first is the smallest past the first deg_n that the
+    # one-point screen does not reject.  K=1's order 1 and order 2 at deg_n
+    # 0, and K=2's orders 1 and 2 and order 3 below deg_n 3, are rejected
+    # at a = _A0, so K=1's winner (2, 1, 1) is in order 2's first slab, of
+    # width 2, and K=2's (3, 3, 3) in order 3's first, of width 4
     res = guess_operator(f_seq(k, fitted + 5, start=1), GuessSpec(3, 3, 3))
     assert res.candidate == winner
     assert slabs == want
@@ -830,6 +835,44 @@ def test_a_basis_reads_uncut_rows_at_its_columns(system):
         assert guesser._solve(bases, annihilates(cut)) == solve(cut, len(cols))
 
 
+@st.composite
+def point_data(draw):
+    """A start and fitted values: random polynomials, or the values of a
+    random operator of order 1 or 2 with leading coefficient 1, extended
+    from random initial values, which have kernels at its shape."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    start, terms = draw(st.integers(0, 3)), draw(st.integers(6, 16))
+
+    def poly(length):
+        return AlphaPoly([rng.randint(-3, 3) for _ in range(length)])
+
+    if draw(st.booleans()):
+        return start, [poly(rng.randint(0, 3)) for _ in range(terms)]
+    order = rng.randint(1, 2)
+    coeffs = [tuple((p, q, rng.choice([-2, -1, 1, 2])) for p in range(2) for q in range(2)
+                    if rng.random() < 0.5) for _ in range(order)]
+    op = RecurrenceOperator((*coeffs, ((0, 0, 1),)), start)
+    seed = PolySequence(start, tuple(poly(rng.randint(1, 2)) for _ in range(order)))
+    return start, list(extend_sequence(op, seed, start + terms - 1).values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_data(), st.integers(1, 3), st.integers(0, 3), st.integers(0, 2))
+def test_a_point_rejected_shape_has_full_rank_at_every_deg_a(data, r, max_dn, max_da):
+    # a kernel vector of (r, dn, da) mod p, divided by the gcd in F_p[a] of
+    # its coefficients, is a kernel vector that is nonzero at _A0, so full
+    # column rank at a = _A0 leaves no kernel at any deg_a
+    start, fit = data
+    at = [v(guesser._A0) % guesser._PRIME for v in fit]
+    rejected = guesser._point_screen(at, start, r, max_dn + 1)
+    for dn in range(rejected):
+        for da in range(max_da + 1):
+            window, windows, _ = guesser._fit_rows(fit, start, r, dn, da)
+            rows = [row for i in range(windows) for row in window(i)]
+            basis = basis_mod_p(rows, (r + 1) * (dn + 1) * (da + 1), guesser._PRIME)
+            assert not basis[1], (r, dn, da)
+
+
 def candidate_outcome(seq, rows, r, dn, da, unknowns):
     """Reference: the outcome of one candidate from a fresh screen of its
     rows mod _PRIME, with the result when it verifies."""
@@ -904,8 +947,8 @@ def assert_guess_matches_the_per_candidate_search(caplog, seq, spec):
                                  const_seq([3] * 12)],
                          ids=["F1", "F2", "random", "constant"])
 def test_guess_matches_the_per_candidate_search(caplog, seq, start):
-    # deg_n bounds of one slab per order (0), a capped second slab (1, 2),
-    # and three and four slabs (3, 5)
+    # deg_n bounds whose slab widths end at one slab (0), a capped second
+    # slab (1, 2), and three and four slabs (3, 5)
     seq = PolySequence(start, seq.values, k=seq.k)
     found = 0
     for max_dn in (0, 1, 2, 3, 5):
@@ -971,13 +1014,17 @@ def assert_each_basis_is_lifted_once(lifts):
     assert lifts and all(a != b for a, b in zip(lifts, lifts[1:]))
 
 
-@pytest.mark.parametrize("seq", [f_seq(1, 20), f_seq(2, 30)], ids=["F1", "F2"])
-def test_a_failed_certificate_screens_every_row(caplog, certificates, lifts, seq):
+@pytest.mark.parametrize("seq, spec", [(f_seq(1, 20), GuessSpec(3, 3, 3)),
+                                       (f_seq(2, 30), GuessSpec(3, 4, 3))],
+                         ids=["F1", "F2"])
+def test_a_failed_certificate_screens_every_row(caplog, certificates, lifts, seq, spec):
     # the last fitted value is off, so a kernel lifted from a screen that
     # stopped before the last window fails its certificate, and the search
-    # reaches the verdicts of a screen of every row
+    # reaches the verdicts of a screen of every row.  At deg_n 3 the
+    # one-point screen rejects every F2 candidate; at deg_n 4 it leaves
+    # order 3's, of 20 point columns on 22 windows, to the bivariate screen
     assert_guess_matches_the_per_candidate_search(
-        caplog, changed(seq, len(seq.values) - 6), GuessSpec(3, 3, 3))
+        caplog, changed(seq, len(seq.values) - 6), spec)
     assert False in certificates
     assert_each_basis_is_lifted_once(lifts)
 
@@ -1046,11 +1093,37 @@ def test_equation_counts_match_the_cut_rows(values, start):
                 assert counts[da] == len(list(column_subset(rows, cols)))
 
 
+def test_a_common_root_at_the_point_leaves_every_shape_to_the_bivariate_screen(
+        monkeypatch, caplog, slabs):
+    # every value of (a - _A0) F_1(n) is 0 at a = _A0, so the one-point
+    # screen rejects no deg_n, and the search is the one without it
+    rejected = []
+    point_screen = guesser._point_screen
+
+    def counted(*args):
+        rejected.append(point_screen(*args))
+        return rejected[-1]
+
+    monkeypatch.setattr(guesser, "_point_screen", counted)
+    values = []
+    for v in f_seq(1, 25).values:
+        acc = []
+        add_product(acc, (-guesser._A0, 1), v.coeffs)
+        values.append(AlphaPoly(acc))
+    seq = PolySequence(0, tuple(values))
+    got = assert_guess_matches_the_per_candidate_search(caplog, seq, GuessSpec(3, 3, 3))
+    assert got.operator == builtin_operator(1)
+    assert rejected == [0, 0]
+    assert slabs == [8, 16, 32, 12, 24]
+
+
 def test_guess_finds_the_f3_operator(lifts, slabs):
     res = guess_operator(f_seq(3, 25), GuessSpec(4, 6, 8))
     assert res.candidate == (4, 6, 8)
-    # each order in four slabs, of deg_n 0, 1, 3 and 6
-    assert slabs == [18, 36, 72, 126, 27, 54, 108, 189, 36, 72, 144, 252, 45, 90, 180, 315]
+    # the one-point screen rejects order 1, order 2 below deg_n 6 and order
+    # 3 below deg_n 4, whose first slabs are the capped ones, of deg_n 6;
+    # order 4, rejected below deg_n 3, opens the slabs of deg_n 3 and 6
+    assert slabs == [189, 252, 180, 315]
     assert res.kernel_dim == 1
     assert (res.equations, res.unknowns) == (401, 315)
     assert sum(map(len, res.operator.coeffs)) == 179

@@ -263,6 +263,31 @@ def test_divide_exact_matches_rational_division_on_arbitrary_pairs():
         _check_against_reference(_random_poly(rng, 6, 30), _random_divisor(rng))
 
 
+@pytest.mark.parametrize("unit", [1, -1])
+def test_divide_exact_by_a_unit_is_the_numerator_times_the_unit(unit):
+    rng = random.Random(unit)
+    den = AlphaPoly((unit,))
+    for num in [AlphaPoly(), *(_random_poly(rng, 8, 10**30) for _ in range(200))]:
+        got = divide_exact(num, den)
+        assert got.coeffs == tuple(unit * c for c in num.coeffs)
+        assert got == _reference_divide(num, den)
+
+
+def test_divide_exact_by_any_other_divisor_divides_as_before():
+    # only the constants 1 and -1 skip the long division; the reference
+    # tests above draw every other divisor, and each InexactDivision keeps
+    # its message, a unit lead or a constant divisor included
+    for num, den, message in [
+        (A, AlphaPoly((2,)), "fractional quotient coefficient"),
+        (AlphaPoly((3,)), AlphaPoly((-2,)), "fractional quotient coefficient"),
+        (AlphaPoly((1, 1)), A, "nonzero remainder"),
+        (AlphaPoly((1, 1)), AlphaPoly((1, -1)), "nonzero remainder"),
+        (AlphaPoly((3,)), AlphaPoly((1, 1)), "degree 0 < divisor degree 1"),
+    ]:
+        with pytest.raises(InexactDivision, match=f"^{message}$"):
+            divide_exact(num, den)
+
+
 def test_record_round_trip():
     p = AlphaPoly((0, 6, 3))
     rec = poly_to_record(p)
