@@ -16,9 +16,10 @@ powers of n and a fit, and the rows it would not have are exactly those
 that are zero there, which raise no pivot.  No row is copied or cut.  Since
 n^p only scales an entry, a row is nonzero at a candidate's columns
 exactly when one of its n^0 a^q columns with q <= deg_a is nonzero, so one
-mask of nonzero entries per fitted value counts the rows per deg_a before
-any is built.  Windows are the unit of work: a window's rows are built
-when the search first reads them, which is often never, and kept.
+int per fitted value, with bit e set when its a^e coefficient is nonzero,
+counts and places the rows per deg_a before any is built.  Windows are the
+unit of work: a window's rows are built when the search first reads them,
+which is often never, and kept.
 
 Most candidates have no kernel, and a screen modulo a fixed prime p below
 2^24 shows it.  Pivot entries are reduced mod p, so every dot product the
@@ -102,7 +103,7 @@ import logging
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache, partial, reduce
-from itertools import accumulate, chain, islice, product
+from itertools import chain, islice, product
 from math import gcd, isqrt
 from operator import mul, or_
 from sys import getsizeof
@@ -350,10 +351,9 @@ def _solve(
 
 def _check_budget(
     fit: Sequence[AlphaPoly], start: int, r: int, dn: int, da: int
-) -> tuple[list[int], list[int]]:
-    """Degrees of the fitted values and top degree of each window; ValueError
-    when _fit_rows(fit, start, r, dn, da) would exceed MAX_SYSTEM_BITS with
-    its rows and the tuples it builds them from."""
+) -> None:
+    """ValueError when _fit_rows(fit, start, r, dn, da) would exceed
+    MAX_SYSTEM_BITS with its rows and the padded values it builds them from."""
     degrees = [v.degree for v in fit]
     tops = [max(degrees[t : t + r + 1]) for t in range(len(fit) - r)]
     unknowns = (r + 1) * (dn + 1) * (da + 1)
@@ -366,7 +366,8 @@ def _check_budget(
         (degrees[u] + 1) * tri * (start + t).bit_length() + (dn + 1) * cbits[u]
         for t, d in enumerate(tops) if d >= 0 for u in range(t, t + r + 1))
     # the values padded to one width, and the largest window's npows and
-    # blocks: a slot per entry and a header per tuple
+    # blocks: a slot per entry and a header per tuple (each value's mask of
+    # nonzero coefficients is one int of at most width bits, small beside it)
     width = max(degrees, default=-1) + 2 * da + 1
     tuples = len(fit) + (r + 1) * (dn + 1)
     bits += 64 * (dn + tuples * width) + 8 * getsizeof(()) * tuples
@@ -376,7 +377,6 @@ def _check_budget(
             f"unknowns at order {r} need about {bits} bits, over the budget "
             f"of {MAX_SYSTEM_BITS}"
         )
-    return degrees, tops
 
 
 def _fit_rows(
@@ -389,48 +389,43 @@ def _fit_rows(
 
     Window t (n = start + t) and power a^s give the row whose entry for the
     monomial n^p a^q of c_j is n^p times the a^(s-q) coefficient of
-    fit[t + j].  Raises ValueError, before building anything, when the
-    rows would exceed MAX_SYSTEM_BITS.  A window's rows are built on its
-    first call and kept.
+    fit[t + j].  Bit e of a value's mask is set when its a^e coefficient is
+    nonzero, and the row is nonzero at the a-powers <= q exactly when bit s
+    of the OR of the window's masks, widened q times by m | m << 1, is set.
+    Raises ValueError, before building anything, when the rows would exceed
+    MAX_SYSTEM_BITS.  A window's rows are built on its first call and kept.
     """
-    degrees, tops = _check_budget(fit, start, r, dn, da)
+    _check_budget(fit, start, r, dn, da)
     # rev[t][top + da - s + q] is the a^(s-q) coefficient of fit[t], 0 outside
-    top = max(degrees, default=-1)
+    top = max((v.degree for v in fit), default=-1)
     rev = [(0,) * (top + da - v.degree) + v.coeffs[::-1] + (0,) * da for v in fit]
-    # byte i of nonzero[t] is 1 when rev[t][i] is nonzero, 0 when it is 0
-    nonzero = [int.from_bytes(bytes(map(bool, v)), "little") for v in rev]
-    plan: list[tuple[int, list[int]]] = []  # each window's t and its rows' u
-    first = [0] * (da + 1)  # first[q]: rows whose lowest nonzero a-power is q
-    for t, max_deg in enumerate(tops):
-        if max_deg < 0:
-            continue  # all-zero window constrains nothing
-        seen = reduce(or_, nonzero[t : t + r + 1]).to_bytes(len(rev[t]), "little")
-        us = []
-        for u in range(top + da, top - max_deg - 1, -1):  # u = top + da - s
-            q = seen.find(1, u, u + da + 1) - u  # the row's lowest nonzero a-power
-            if q >= 0:
-                first[q] += 1
-                us.append(u)
-        plan.append((t, us))
+    masks = [sum(1 << e for e, c in enumerate(v.coeffs) if c) for v in fit]
+    wide = [reduce(or_, masks[t : t + r + 1]) for t in range(len(fit) - r)]
+    ts = [t for t, m in enumerate(wide) if m]  # an all-zero window has no rows
+    counts = [sum(map(int.bit_count, wide))]
+    for _ in range(da):
+        wide = [m | m << 1 for m in wide]
+        counts.append(sum(map(int.bit_count, wide)))
 
     @cache
     def window(i: int) -> list[list[int]]:
-        t, us = plan[i]
-        n = start + t
+        t = ts[i]
+        n, m = start + t, wide[t]
         npows = [n**p for p in range(1, dn + 1)]
         # each fitted value of the window times n^p, in column order
         blocks = [x for v in rev[t : t + r + 1]
                   for x in (v, *(tuple(npow * c for c in v) for npow in npows))]
         rows = []
-        for u in us:
-            w = u + da + 1
-            row: list[int] = []
-            for blk in blocks:
-                row += blk[u:w]
-            rows.append(row)
+        for s in range(m.bit_length()):
+            if m >> s & 1:
+                u = top + da - s
+                row: list[int] = []
+                for blk in blocks:
+                    row += blk[u : u + da + 1]
+                rows.append(row)
         return rows
 
-    return window, len(plan), list(accumulate(first))
+    return window, len(ts), counts
 
 
 def _columns(r: int, dn: int, da: int, max_dn: int, max_da: int) -> list[int]:

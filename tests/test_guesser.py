@@ -289,6 +289,19 @@ def test_rows_cut_from_the_largest_shape_equal_rows_built_directly(k, terms, sta
                 assert got == [tuple(row) for row in direct], (r, dn, da)
 
 
+def gapped_seq(terms):
+    """(1 + a^2) F_1(n) with the value at n = 2 set to 0.  Each nonzero value
+    of degree below 4, 1 + a^2 at n = 0 and 2a + 2a^3 at n = 3, has a zero
+    between nonzero a-coefficients, and the window n = 1, 2 is all zero."""
+    values = []
+    for v in f_seq(1, terms).values:
+        acc = []
+        add_product(acc, (1, 0, 1), v.coeffs)
+        values.append(AlphaPoly(acc))
+    values[2] = AlphaPoly()
+    return PolySequence(0, tuple(values))
+
+
 def random_seq(seed, terms):
     """F(n+1) = (b + c*n + d*a) F(n) from a random F(0)."""
     rng = random.Random(seed)
@@ -545,8 +558,8 @@ def plain_fit_windows(seq, r, dn, da, holdout):
 @pytest.mark.parametrize("holdout", [3, 5, 7])
 @pytest.mark.parametrize("start", [0, 1])
 @pytest.mark.parametrize("values", [f_seq(1, 16).values, f_seq(2, 14).values,
-                                    random_seq(6, 14).values],
-                         ids=["F1", "F2", "random"])
+                                    random_seq(6, 14).values, gapped_seq(16).values],
+                         ids=["F1", "F2", "random", "gapped"])
 def test_fit_rows_match_the_plain_builder(values, start, holdout):
     seq = PolySequence(start, values)
     for r in range(1, 4):
@@ -1080,8 +1093,8 @@ def test_guess_from_the_largest_start_verifies_every_window(caplog):
 
 @pytest.mark.parametrize("start", [0, 1])
 @pytest.mark.parametrize("values", [f_seq(1, 16).values, f_seq(2, 14).values,
-                                    random_seq(6, 14).values],
-                         ids=["F1", "F2", "random"])
+                                    random_seq(6, 14).values, gapped_seq(16).values],
+                         ids=["F1", "F2", "random", "gapped"])
 def test_equation_counts_match_the_cut_rows(values, start):
     seq = PolySequence(start, values)
     for r in range(1, 4):
