@@ -7,15 +7,22 @@ prints a human-readable rendering.  --out additionally writes the primary
 result artifact (polynomial / sequence / operator record) as JSON to a
 file, which is what the guess -> verify pipeline consumes.  The file is
 written once the command has succeeded, in full, and only then is the
-envelope printed; both are laid out by recurrence.record_chunks.  A command
-that fails, or a guess that finds nothing, leaves an existing file as it
-was, and a file that cannot be opened exits 2 with nothing printed.
+envelope printed; both are laid out by recurrence.record_chunks, which
+converts a sequence to decimal one value at a time.  When the file is the
+result itself and a regular file, the envelope's result is copied back
+from it, so nothing is converted twice and timing_ms does not include the
+conversion.  A command that fails, or a guess that finds nothing, leaves
+an existing file as it was, and a file that cannot be opened exits 2 with
+nothing printed.  seq --operator FILE checks the operator on direct terms
+before it extends with it.
 
-Exit codes: 0 success, 1 verification or guess failure, 2 usage, parse or
-schema error, or an --out file that cannot be opened.  A write to the --out
-file that fails (a full disk, say) also exits 2, with the error on stderr,
-nothing printed and the file partly written; so does a failed write to
-stdout, which may then be partly written after a complete --out file.
+Exit codes: 0 success, 1 verification or guess failure, or an operator
+file that fails on the direct terms or at an extension step, 2 usage,
+parse or schema error, or an --out file that cannot be opened.  A write to
+the --out file that fails (a full disk, say) also exits 2, with the error
+on stderr, nothing printed and the file partly written; so does a failed
+write to stdout, which may then be partly written after a complete --out
+file.
 """
 
 from __future__ import annotations
@@ -24,10 +31,11 @@ import argparse
 import json
 import os
 import re
+import stat
 import sys
 import time
 from functools import cache
-from typing import Callable
+from typing import Callable, Iterable, TextIO
 
 from . import selftest as selftest_mod
 from .enumerator import (
@@ -82,21 +90,35 @@ def parse_shape(text: str) -> tuple[int, ...]:
 # text lines come from a zero-argument callable, because machine output never
 # prints them, and for a long sequence rendering them is a large share of
 # the command.
-_Reply = tuple[dict, object, Callable[[], list[str]], int]
+_Reply = tuple[dict, object, Callable[[], Iterable[str]], int]
+
+_COPY_BLOCK = 1 << 16
 
 
 def _print_envelope(args, inputs: dict, result, timing_ms: float,
-                    text: Callable[[], list[str]]) -> None:
+                    text: Callable[[], Iterable[str]], out: TextIO | None = None) -> None:
     """Print the envelope in the chosen format.
 
     Machine output is json.dumps(envelope, indent=2), written piece by
-    piece: the result comes from record_chunks(result, "  "), so that a long
-    sequence is never held in memory as one string.
+    piece, so that a long sequence is never held in memory as one string.
+    The result is record_chunks(result, "  "): copied from out, the --out
+    file that holds record_chunks(result) and a newline, when there is one,
+    so that no value is converted to decimal twice, and made anew otherwise.
     """
     if args.format == "machine":
         head = json.dumps({"command": args.command, "inputs": inputs}, indent=2)
         sys.stdout.write(head[:-2] + ',\n  "result": ')
-        sys.stdout.writelines(record_chunks(result, "  "))
+        if out is None:
+            sys.stdout.writelines(record_chunks(result, "  "))
+        else:
+            # block by block, each newline followed by two spaces, the last
+            # newline dropped
+            out.seek(0)
+            block = out.read(_COPY_BLOCK)
+            while nxt := out.read(_COPY_BLOCK):
+                sys.stdout.write(block.replace("\n", "\n  "))
+                block = nxt
+            sys.stdout.write(block[:-1].replace("\n", "\n  "))
         sys.stdout.write(f',\n  "timing_ms": {json.dumps(timing_ms)}\n}}\n')
     else:
         for line in text():
@@ -149,10 +171,30 @@ def _seq_engine(args) -> tuple[str, RecurrenceOperator | None]:
         ) from None
 
 
-def _seq_values(k: int, last: int, op: RecurrenceOperator | None) -> PolySequence:
-    """F_k(1..last), directly (op None) or extended from the operator's seed."""
-    seq = (fk_sequence_direct(k, last) if op is None
-           else extend_sequence(op, operator_seed(k, op, last), last))
+class OperatorRefuted(ArithmeticError):
+    """An operator file does not annihilate directly computed terms of F_k."""
+
+
+def _seq_values(k: int, last: int, op: RecurrenceOperator | None,
+                check: bool) -> PolySequence:
+    """F_k(1..last), directly (op None) or extended from the operator's seed.
+
+    With check (an operator file), an operator that takes a step must first
+    annihilate the direct F_k(0..m), m = min(max(0, valid_from) + order + 5,
+    last), which holds the windows of its first six steps, or of every step
+    when last comes sooner.
+    """
+    if op is None:
+        seq = fk_sequence_direct(k, last)
+    else:
+        seed = operator_seed(k, op, last)
+        if check and seed.last < last:
+            direct = fk_sequence_direct(k, min(seed.last + 6, last))
+            fail = first_failure(op, direct)
+            if fail is not None:
+                raise OperatorRefuted(f"the operator does not annihilate F_{k} at "
+                                      f"n={fail}, checked on F_{k}(0..{direct.last})")
+        seq = extend_sequence(op, seed, last)
     return PolySequence(start=1, values=seq.values[1:], k=k)
 
 
@@ -160,7 +202,7 @@ def _cmd_seq(args) -> _Reply:
     if args.k < 1 or args.count < 1:
         raise ValueError("k and COUNT must be positive")
     engine, op = _seq_engine(args)
-    seq = _seq_values(args.k, args.count, op)
+    seq = _seq_values(args.k, args.count, op, engine == "operator-file")
     inputs = {"k": args.k, "count": args.count, "engine": engine, "alpha": args.alpha}
     if args.alpha is not None:
         values = [str(v(args.alpha)) for v in seq.values]
@@ -170,9 +212,9 @@ def _cmd_seq(args) -> _Reply:
         # the text rendering converts the values itself; only JSON needs the
         # record, so a text-format seq without --out returns none
         result = sequence_to_record(seq) if args.format == "machine" or args.out else None
-    return inputs, result, lambda: [
+    return inputs, result, lambda: (
         f"F_{args.k}({n}) = {v}" for n, v in enumerate(values, start=1)
-    ], 0
+    ), 0
 
 
 def _sequence_input(args) -> tuple[PolySequence, object]:
@@ -353,10 +395,15 @@ def _main(argv) -> int:
     # a failed guess has no operator to write
     artifact = result.get("operator") if args.command == "guess" else result
     try:
-        if args.out is not None and artifact is not None:
-            # written in full before anything is printed
-            write_record(args.out, artifact)
-        _print_envelope(args, inputs, result, timing_ms, text)
+        if args.out is None or artifact is None:
+            _print_envelope(args, inputs, result, timing_ms, text)
+        else:
+            with _open_out(args.out) as f:
+                # written in full before anything is printed
+                write_record(f, artifact)
+                f.flush()
+                copy = artifact is result and _rereadable(f)
+                _print_envelope(args, inputs, result, timing_ms, text, f if copy else None)
         sys.stdout.flush()
     except OSError as exc:
         # --out cannot be opened or written (nothing printed), or stdout failed
@@ -364,6 +411,29 @@ def _main(argv) -> int:
         _drop_unwritable_stdout()
         return 2
     return exit_code
+
+
+def _open_out(path: str) -> TextIO:
+    """The --out file, truncated for writing, and opened for reading too
+    when it is a regular file or none yet: a device such as os.devnull
+    cannot be read back, and a FIFO cannot be opened w+ at all."""
+    try:
+        st = os.stat(path)
+    except OSError:  # none yet, or a path that open refuses too
+        return open(path, "w+")
+    readable = stat.S_ISREG(st.st_mode) and os.access(path, os.R_OK)
+    return open(path, "w+" if readable else "w")
+
+
+def _rereadable(f: TextIO) -> bool:
+    """Whether f, the --out file just written, can give back the envelope's
+    result: opened for reading too, and not the file stdout writes to."""
+    if not f.readable():
+        return False
+    try:
+        return not os.path.samestat(os.fstat(f.fileno()), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):  # a stdout with no descriptor
+        return True
 
 
 def _drop_unwritable_stdout() -> None:

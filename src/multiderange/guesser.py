@@ -349,18 +349,25 @@ def _solve(
     return None
 
 
+def _sizes(fit: Sequence[AlphaPoly]) -> tuple[list[int], list[int]]:
+    """Each fitted value's degree and the sum of its coefficients' bit
+    lengths: what _check_budget reads, the same at every order."""
+    return [v.degree for v in fit], [sum(c.bit_length() for c in v.coeffs) for v in fit]
+
+
 def _check_budget(
-    fit: Sequence[AlphaPoly], start: int, r: int, dn: int, da: int
+    fit: Sequence[AlphaPoly], start: int, r: int, dn: int, da: int,
+    sizes: tuple[list[int], list[int]] | None = None,
 ) -> None:
     """ValueError when _fit_rows(fit, start, r, dn, da) would exceed
-    MAX_SYSTEM_BITS with its rows and the padded values it builds them from."""
-    degrees = [v.degree for v in fit]
+    MAX_SYSTEM_BITS with its rows and the padded values it builds them from.
+    sizes is _sizes(fit), made once per guess."""
+    degrees, cbits = sizes or _sizes(fit)
     tops = [max(degrees[t : t + r + 1]) for t in range(len(fit) - r)]
     unknowns = (r + 1) * (dn + 1) * (da + 1)
     equations = sum(d + da + 1 for d in tops if d >= 0)
     # a coefficient c of fit[t + j] enters da + 1 rows of window t, times n^p
     # for each p <= dn, and n^p * c has at most p*bitlen(n) + bitlen(c) bits
-    cbits = [sum(c.bit_length() for c in v.coeffs) for v in fit]
     tri = dn * (dn + 1) // 2
     bits = 64 * equations * unknowns + (da + 1) * sum(
         (degrees[u] + 1) * tri * (start + t).bit_length() + (dn + 1) * cbits[u]
@@ -380,7 +387,8 @@ def _check_budget(
 
 
 def _fit_rows(
-    fit: Sequence[AlphaPoly], start: int, r: int, dn: int, da: int
+    fit: Sequence[AlphaPoly], start: int, r: int, dn: int, da: int,
+    sizes: tuple[list[int], list[int]] | None = None,
 ) -> tuple[Callable[[int], list[list[int]]], int, list[int]]:
     """Equation rows of candidate (r, dn, da) over the fitting segment as
     window(i), the rows of window i of the windows that have rows, with
@@ -393,11 +401,13 @@ def _fit_rows(
     nonzero, and the row is nonzero at the a-powers <= q exactly when bit s
     of the OR of the window's masks, widened q times by m | m << 1, is set.
     Raises ValueError, before building anything, when the rows would exceed
-    MAX_SYSTEM_BITS.  A window's rows are built on its first call and kept.
+    MAX_SYSTEM_BITS (_check_budget, given sizes).  A window's rows are built
+    on its first call and kept.
     """
-    _check_budget(fit, start, r, dn, da)
+    sizes = sizes or _sizes(fit)
+    _check_budget(fit, start, r, dn, da, sizes)
     # rev[t][top + da - s + q] is the a^(s-q) coefficient of fit[t], 0 outside
-    top = max((v.degree for v in fit), default=-1)
+    top = max(sizes[0], default=-1)
     rev = [(0,) * (top + da - v.degree) + v.coeffs[::-1] + (0,) * da for v in fit]
     masks = [sum(1 << e for e, c in enumerate(v.coeffs) if c) for v in fit]
     wide = [reduce(or_, masks[t : t + r + 1]) for t in range(len(fit) - r)]
@@ -539,8 +549,9 @@ def guess_operator(seq: PolySequence, spec: GuessSpec) -> GuessResult:
     last = min(spec.max_order, len(fit) - 1) if any(v.coeffs for v in fit) else 0
     at = [reduce(lambda x, c: (x * _A0 + c) % _PRIME, reversed(v.coeffs), 0)
           for v in fit]
+    sizes = _sizes(fit)
     for r in range(1, last + 1):
-        window, windows, counts = _fit_rows(fit, seq.start, r, max_dn, max_da)
+        window, windows, counts = _fit_rows(fit, seq.start, r, max_dn, max_da, sizes=sizes)
         # no candidate has more rows than counts[-1], nor fewer unknowns than
         # a smaller shape, so the shapes past that are never admissible
         dns = min(max_dn + 1, counts[-1] // (r + 1))

@@ -281,7 +281,9 @@ def poly_from_record(obj, where: str = "polynomial") -> AlphaPoly:
     coeffs = obj.get("coeffs")
     if not isinstance(coeffs, list):
         raise SchemaError(f"{where}.coeffs: expected a list")
-    out = [_parse_int(c, f"{where}.coeffs[{i}]") for i, c in enumerate(coeffs)]
+    # ints, as load_sequence's decoder leaves them, skip the call and its message
+    out = [c if type(c) is int else _parse_int(c, f"{where}.coeffs[{i}]")
+           for i, c in enumerate(coeffs)]
     if out and out[-1] == 0:
         raise SchemaError(f"{where}.coeffs: trailing zero entry")
     return AlphaPoly._trusted(out)

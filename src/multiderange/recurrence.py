@@ -24,6 +24,13 @@ extend_sequence checks a seed only when it has a step to take, so
 fk_sequence_via_recurrence is that seed extended, for every last >= 0.
 A step divides exactly; a remainder means a wrong operator or wrong seeds,
 never legitimate fractional output, so it raises.
+
+F_k's coefficients grow like (kn)!, so a sequence file is mostly decimal
+digits, and neither direction holds all of them at once.  The record that
+sequence_to_record returns keeps the sequence's AlphaPoly values, and
+record_chunks, behind write_record and the CLI's envelope, converts one
+value per chunk.  load_sequence turns each polynomial's digit strings into
+ints as soon as the JSON decoder closes that polynomial.
 """
 
 from __future__ import annotations
@@ -320,68 +327,113 @@ def operator_from_record(obj) -> RecurrenceOperator:
 
 
 def save_operator(op: RecurrenceOperator, path: str | Path) -> None:
-    write_record(path, operator_to_record(op))
+    with open(path, "w") as f:
+        write_record(f, operator_to_record(op))
 
 
 def load_operator(path: str | Path) -> RecurrenceOperator:
     return operator_from_record(_read_json(path, "operator file"))
 
 
-def _read_json(path: str | Path, what: str):
+def _read_json(path: str | Path, what: str, object_hook=None):
     try:
         # integer literals by the records' one str -> int rule, past the digit limit too
-        return json.loads(Path(path).read_text(), parse_int=lambda s: _parse_int(s, what))
+        return json.loads(Path(path).read_text(), object_hook=object_hook,
+                          parse_int=lambda s: _parse_int(s, what))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{what}: invalid JSON at line {exc.lineno}") from None
     except RecursionError:
         raise SchemaError(f"{what}: JSON nested too deeply") from None
 
 
-def write_record(path: str | Path, record) -> None:
+def _coeffs_as_ints(obj: dict) -> dict:
+    """load_sequence's object_hook: the digit strings of each {"variable":
+    "a", "coeffs": [...]} object become ints as soon as the decoder closes
+    it, so that a file's decoded digit strings are never all held at once.  A
+    string that _parse_int refuses stays, for sequence_from_record to name."""
+    coeffs = obj.get("coeffs")
+    if type(coeffs) is list and obj.get("variable") == "a":
+        for i, c in enumerate(coeffs):
+            if type(c) is str:
+                try:
+                    coeffs[i] = _parse_int(c, "")
+                except SchemaError:
+                    pass
+    return obj
+
+
+def write_record(f, record) -> None:
     """The one artifact writer, for save_sequence, save_operator and the CLI's
-    --out: record_chunks(record) and a newline, never one long string."""
-    with open(path, "w") as f:
-        f.writelines(record_chunks(record))
-        f.write("\n")
+    --out: record_chunks(record) and a newline to the open text file f,
+    never one long string."""
+    f.writelines(record_chunks(record))
+    f.write("\n")
 
 
 class _SequenceRecord(dict):
-    """What sequence_to_record returns: a sequence record whose coefficients
-    are str(int) digit strings, which JSON writes without escaping."""
+    """What sequence_to_record returns: a sequence record that keeps the
+    sequence's tuple of AlphaPoly values under "values".  Reading that
+    entry (indexing, get, items, values, dict(), json.dumps) gives the list
+    of poly_to_record's, built anew on each read; record_chunks converts
+    one value per chunk, so the digit strings are never all held at once."""
+
+    def __getitem__(self, key):
+        v = dict.__getitem__(self, key)
+        return [poly_to_record(p) for p in v] if key == "values" and type(v) is tuple else v
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+    def items(self):  # what json.dumps reads of a dict subclass
+        return [(key, self[key]) for key in self]
+
+    def values(self):
+        return [self[key] for key in self]
+
+    def __iter__(self):  # so that dict(record) reads through __getitem__
+        return dict.__iter__(self)
+
+    def __eq__(self, other):
+        return dict(self) == other
+
+    def __ne__(self, other):
+        return dict(self) != other
 
 
 def record_chunks(record, indent: str = "") -> Iterator[str]:
     """json.dumps(record, indent=2) in chunks, with indent after every newline:
     "" is the artifact layout, "  " the result in the CLI's envelope.
 
-    A record built by sequence_to_record comes one chunk per value, its
-    digit strings joined directly: json's indenting encoder is pure Python,
-    and on a multi-megabyte sequence it costs about half as much again as
-    building the record.  Any other record is one json.dumps chunk.
+    A record built by sequence_to_record comes one chunk per value, each
+    value's digit strings made for its chunk and joined directly: json's
+    indenting encoder is pure Python, and on a multi-megabyte sequence it
+    costs about half as much again as the conversion to decimal.  Any other
+    record, and one whose values were replaced or are no longer its last
+    entry, is one json.dumps chunk.
     """
     nl = "\n" + indent
-    if type(record) is not _SequenceRecord or not record["values"]:
+    values = dict.get(record, "values") if type(record) is _SequenceRecord else None
+    if type(values) is not tuple or not values or next(reversed(record)) != "values":
         yield json.dumps(record, indent=2).replace("\n", nl)
         return
-    head = {key: v for key, v in record.items() if key != "values"}
+    head = {key: v for key, v in dict.items(record) if key != "values"}
     yield json.dumps(head, indent=2)[:-2].replace("\n", nl) + f',{nl}  "values": ['
     coeff_sep = f'",{nl}        "'
     sep = nl
-    for v in record["values"]:
-        coeffs = v["coeffs"]
-        body = f'[{nl}        "{coeff_sep.join(coeffs)}"{nl}      ]' if coeffs else "[]"
+    for v in values:
+        if v.coeffs:
+            digits = coeff_sep.join(map(_decimal_str, v.coeffs))
+            body = f'[{nl}        "{digits}"{nl}      ]'
+        else:
+            body = "[]"
         yield f'{sep}    {{{nl}      "variable": "a",{nl}      "coeffs": {body}{nl}    }}'
         sep = "," + nl
     yield f"{nl}  ]{nl}}}"
 
 
 def sequence_to_record(seq: PolySequence) -> dict:
-    return _SequenceRecord(
-        schema=SEQUENCE_SCHEMA,
-        start=seq.start,
-        k=seq.k,
-        values=[poly_to_record(v) for v in seq.values],
-    )
+    return _SequenceRecord(schema=SEQUENCE_SCHEMA, start=seq.start, k=seq.k,
+                           values=seq.values)
 
 
 def sequence_from_record(obj) -> PolySequence:
@@ -403,8 +455,9 @@ def sequence_from_record(obj) -> PolySequence:
 
 
 def save_sequence(seq: PolySequence, path: str | Path) -> None:
-    write_record(path, sequence_to_record(seq))
+    with open(path, "w") as f:
+        write_record(f, sequence_to_record(seq))
 
 
 def load_sequence(path: str | Path) -> PolySequence:
-    return sequence_from_record(_read_json(path, "sequence file"))
+    return sequence_from_record(_read_json(path, "sequence file", _coeffs_as_ints))

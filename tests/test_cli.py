@@ -4,7 +4,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -377,6 +377,41 @@ def test_seq_with_shipped_operator_file(capsys, k):
     assert env1 == env2
 
 
+def test_seq_checks_an_operator_file_before_extending(capsys, tmp_path):
+    """Every -1 or +2 edit of one monomial of c_0 or c_1 in k1.json keeps
+    the leading coefficient 1, so every step divides exactly and the edited
+    operator would extend F_1 with wrong values; seq refuses it on the direct
+    terms first, with exit 1 and no --out file."""
+    shipped = json.loads((SHIPPED / "k1.json").read_text())
+    out = tmp_path / "s.json"
+    for j in (0, 1):
+        for i, (_, _, c) in enumerate(shipped["coeffs"][j]):
+            for delta in (-1, 2):
+                edited = json.loads(json.dumps(shipped))
+                edited["coeffs"][j][i][2] = str(int(c) + delta)
+                path = tmp_path / "k1-edited.json"
+                path.write_text(json.dumps(edited))
+                rc, stdout, err = run_cli(capsys, "seq", "1", "30", "--operator", str(path),
+                                          "--out", str(out))
+                assert (rc, stdout) == (1, "")
+                assert err.startswith("error: the operator does not annihilate F_1 at n=")
+                assert err.endswith(", checked on F_1(0..7)\n")
+                assert not out.exists()
+
+
+def test_operator_file_is_checked_only_when_it_takes_a_step(capsys, tmp_path):
+    # k1.json is wrong for F_2: F_2(0..1) is its seed, so seq 2 1 takes no
+    # step and prints direct values, while seq 2 2 would extend
+    path = tmp_path / "op.json"
+    save_operator(builtin_operator(1), path)
+    rc, out, err = run_cli(capsys, "seq", "2", "1", "--operator", str(path))
+    assert (rc, out.splitlines()[0], err) == (0, "F_2(1) = 0", "")
+    rc, out, err = run_cli(capsys, "seq", "2", "2", "--operator", str(path))
+    assert (rc, out) == (1, "")
+    assert err == ("error: the operator does not annihilate F_2 at n=0, "
+                   "checked on F_2(0..2)\n")
+
+
 @pytest.mark.parametrize("k, terms", [(1, 20), (2, 30)])
 def test_seq_guess_seq_pipeline_round_trip(capsys, tmp_path, k, terms):
     seq_path, op_path = tmp_path / "s.json", tmp_path / "op.json"
@@ -480,7 +515,8 @@ def test_guess_constant_sequence_file(capsys, tmp_path):
 def test_guess_order_bound_past_the_terms_changes_nothing(capsys, monkeypatch):
     calls = []
     fit_rows = guesser._fit_rows
-    monkeypatch.setattr(guesser, "_fit_rows", lambda *a: calls.append(a) or fit_rows(*a))
+    monkeypatch.setattr(guesser, "_fit_rows",
+                        lambda *a, **kw: calls.append(a) or fit_rows(*a, **kw))
     argv = ("guess", "-k", "1", "--terms", "40", "--max-deg-n", "0", "--max-deg-a", "0")
     rc, small, _ = run_machine(capsys, *argv, "--max-order", "40")
     t0 = time.perf_counter()
@@ -710,6 +746,65 @@ def test_output_is_the_stdlib_layout(capsys, tmp_path, argv, code, fmt):
         for row in written + result:
             row["ms"] = 0
     assert written == result
+
+
+def _eager_sequence_record(k, count):
+    values = enumerator.fk_sequence_direct(k, count).values[1:]
+    return {"schema": "poly-sequence/v1", "start": 1, "k": k,
+            "values": [polys.poly_to_record(v) for v in values]}
+
+
+@pytest.mark.parametrize("out", [None, "file", os.devnull])
+@pytest.mark.parametrize("count", [1, 2, 37, 120])
+@pytest.mark.parametrize("k", [1, 2])
+def test_seq_writes_the_eager_record(capsys, tmp_path, k, count, out):
+    """seq converts one value at a time, and its envelope copies the result
+    back from a regular --out file; every byte is still json.dumps(...,
+    indent=2) of the record with every digit string made up front."""
+    path = tmp_path / "s.json" if out == "file" else out
+    argv = ("seq", str(k), str(count), "--format", "machine")
+    rc, stdout, err = run_cli(capsys, *argv, *(("--out", str(path)) if path else ()))
+    assert (rc, err) == (0, "")
+    record = _eager_sequence_record(k, count)
+    envelope = {"command": "seq",
+                "inputs": {"k": k, "count": count, "engine": "recurrence", "alpha": None},
+                "result": record, "timing_ms": json.loads(stdout)["timing_ms"]}
+    assert stdout == json.dumps(envelope, indent=2) + "\n"
+    if out == "file":
+        assert path.read_text() == json.dumps(record, indent=2) + "\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_out_file_that_is_stdout_gets_the_envelope(tmp_path):
+    """--out /dev/stdout with stdout sent to a file names the file that the
+    envelope then overwrites; the result is encoded again, not copied back
+    from a file that is being overwritten."""
+    stdout = tmp_path / "env.json"
+    argv = ("seq", "2", "30", "--format", "machine", "--out", "/dev/stdout")
+    proc = run_entry(argv, stdout)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    text = stdout.read_text()
+    assert text == _stdlib_layout(text)
+    assert json.loads(text)["result"] == _eager_sequence_record(2, 30)
+
+
+@pytest.mark.parametrize("fmt", ["machine", "text"])
+def test_seq_holds_one_value_s_digit_strings_at_a_time(tmp_path, fmt):
+    """The digit strings of F_1(1..200) are never all held at once: the
+    command's peak of traced memory stays below their total size."""
+    digits = sum(sys.getsizeof(str(c)) for v in _eager_sequence_record(1, 200)["values"]
+                 for c in v["coeffs"])
+    argv = ["seq", "1", "200", "--format", fmt, "--out", str(tmp_path / "s.json")]
+    with open(tmp_path / "stdout", "w") as stdout, redirect_stdout(stdout):
+        assert cli.main(argv[:2] + ["20"] + argv[3:]) == 0  # operator and caches loaded
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak - start < digits
 
 
 @pytest.mark.parametrize("fmt", ["machine", "text"])

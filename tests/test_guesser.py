@@ -580,8 +580,8 @@ def test_orders_build_only_the_rows_they_read(monkeypatch):
     built = []
     fit_rows = guesser._fit_rows
 
-    def kept(*args):
-        built.append((args, fit_rows(*args)))
+    def kept(*args, **kwargs):
+        built.append((args, fit_rows(*args, **kwargs)))
         return built[-1][1]
 
     monkeypatch.setattr(guesser, "_fit_rows", kept)
@@ -722,8 +722,8 @@ def test_search_visits_no_shape_past_its_order_rows(monkeypatch):
 
     fit_rows = guesser._fit_rows
 
-    def counted(*args):
-        window, windows, counts = fit_rows(*args)
+    def counted(*args, **kwargs):
+        window, windows, counts = fit_rows(*args, **kwargs)
         return window, windows, Counts(counts)
 
     monkeypatch.setattr(guesser, "_fit_rows", counted)

@@ -781,6 +781,27 @@ def test_record_chunks_match_the_stdlib_encoder(indent, start, k, values):
     assert len(chunks) == (len(values) + 2 if values else 1)
 
 
+def test_a_sequence_record_reads_as_the_eager_record():
+    """sequence_to_record keeps the AlphaPoly values, and every read of the
+    dict gives the poly records that an eager conversion would hold."""
+    seq = fk_sequence_direct(2, 5)
+    eager = {"schema": "poly-sequence/v1", "start": 0, "k": 2,
+             "values": [poly_to_record(v) for v in seq.values]}
+    rec = sequence_to_record(seq)
+    assert dict.__getitem__(rec, "values") is seq.values
+    assert rec["values"] == rec.get("values") == eager["values"]
+    assert rec == eager and not rec != eager and dict(rec) == {**rec} == eager
+    assert list(rec.items()) == list(eager.items())
+    assert list(rec.values()) == list(eager.values())
+    assert json.dumps(rec) == json.dumps(eager)
+    # an entry added after the values, and a replaced values list, are
+    # written as they stand
+    rec["note"] = eager["note"] = "x"
+    assert list(record_chunks(rec)) == [json.dumps(eager, indent=2)]
+    rec["values"] = eager["values"] = eager["values"][:2]
+    assert list(record_chunks(rec)) == [json.dumps(eager, indent=2)]
+
+
 def test_other_records_are_one_stdlib_chunk():
     op = operator_to_record(builtin_operator(2))
     # a sequence record that sequence_to_record did not build may hold
@@ -842,6 +863,31 @@ def test_records_refuse_any_json_with_a_schema_error(obj):
             parse(obj)
         except SchemaError:
             pass
+
+
+_BAD_COEFFS = ["1_0", "+5", " 7", "\u0663", "1e5", 5.0, True]
+
+
+@settings(deadline=None)
+@given(data=st.data(), bad=st.sampled_from(_BAD_COEFFS))
+def test_a_bad_coefficient_in_a_file_is_named_as_in_a_record(tmp_path_factory, data, bad):
+    """load_sequence turns digit strings into ints as it decodes; a
+    coefficient that is not one stays, and gets sequence_from_record's
+    message at its index."""
+    seq = fk_sequence_direct(2, 6)
+    i = data.draw(st.sampled_from([i for i, v in enumerate(seq.values) if v.coeffs]))
+    j = data.draw(st.integers(0, len(seq.values[i].coeffs) - 1))
+    rec = json.loads(json.dumps(sequence_to_record(seq)))
+    rec["values"][i]["coeffs"][j] = bad
+    path = tmp_path_factory.mktemp("seq") / "s.json"
+    path.write_text(json.dumps(rec, indent=2))
+    where = f"sequence.values[{i}].coeffs[{j}]: "
+    message = where + (f"not a decimal integer: {bad!r}" if isinstance(bad, str)
+                       else "expected a decimal string")
+    for read in (lambda: load_sequence(path), lambda: sequence_from_record(rec)):
+        with pytest.raises(SchemaError) as info:
+            read()
+        assert str(info.value) == message
 
 
 def test_sequence_record_accepts_scalar_values():
